@@ -13,6 +13,8 @@ from .engine import (
     MonomialMonoid,
     SearchBudgetExceeded,
     SumsetMonoid,
+    is_atom,
+    lengths,
     monomial_engine,
     sumset_engine,
 )
@@ -33,12 +35,8 @@ from .natset import (
     NatSet,
     delta_set,
     elasticity,
-    is_atom,
-    is_atom_reduced,
     is_sum_free,
     iter_sum_free,
-    lengths,
-    lengths_reduced,
     reduce_shift,
     set_colon,
     sumset,
@@ -71,11 +69,9 @@ __all__ = [
     "delta_set",
     "elasticity",
     "is_atom",
-    "is_atom_reduced",
     "is_sum_free",
     "iter_sum_free",
     "lengths",
-    "lengths_reduced",
     "min_piece_product_check",
     "minimal_sequence",
     "monomial_engine",

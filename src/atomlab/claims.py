@@ -53,7 +53,6 @@ class ClaimContext:
 
     budget_nodes: Optional[int] = None
     budget_seconds: Optional[float] = None
-    parallelism: int = 1
 
 
 @dataclass(frozen=True)
@@ -94,22 +93,17 @@ class _Runtime:
         else:
             self.budget = Budget(max_nodes=nodes,
                                  max_seconds=ctx.budget_seconds)
-        self.parallelism = ctx.parallelism
         self._mon: Optional[FactorEngine] = None
         self._sum: Optional[FactorEngine] = None
 
-    @property
-    def tick(self):
-        return self.budget.tick if self.budget is not None else None
-
     def mon(self) -> FactorEngine:
         if self._mon is None:
-            self._mon = monomial_engine(self.budget, self.parallelism)
+            self._mon = monomial_engine(self.budget)
         return self._mon
 
     def sum(self) -> FactorEngine:
         if self._sum is None:
-            self._sum = sumset_engine(self.budget, self.parallelism)
+            self._sum = sumset_engine(self.budget)
         return self._sum
 
 
@@ -212,14 +206,15 @@ def _check_lengths_monomial_stretch(rt: _Runtime) -> Optional[dict]:
 
 
 def _check_lengths_sumset(rt: _Runtime) -> Optional[dict]:
+    eng = rt.sum()
     bad = []
     for n in (2, 3, 4):
         seq = minimal_sequence(n)
-        got = natset.lengths_reduced(build_C(seq), tick=rt.tick)
+        got = eng.lengths(build_C(seq))
         if got != (2, n + 1):
             bad.append({"target": f"C (minimal n={n})",
                         "want": [2, n + 1], "got": list(got)})
-        if not natset.is_atom_reduced(build_B(seq), tick=rt.tick):
+        if not eng.is_atom(build_B(seq)):
             bad.append({"target": f"B (minimal n={n})",
                         "problem": "expected an atom"})
     return _verdict(bad)
@@ -352,13 +347,13 @@ def _check_seed_sum_membership(rt: _Runtime) -> Optional[dict]:
 
 
 def _check_sum_free_atoms(rt: _Runtime) -> Optional[dict]:
-    eng = rt.mon()
+    sum_eng, mon_eng = rt.sum(), rt.mon()
     bad = []
     for s in natset.iter_sum_free(12):
         a = NatSet((0,) + s.elements)
-        if not natset.is_atom_reduced(a, tick=rt.tick):
+        if not sum_eng.is_atom(a):
             bad.append({"set": a.to_json(), "problem": "sumset split"})
-        if not eng.is_atom(phi(a)):
+        if not mon_eng.is_atom(phi(a)):
             bad.append({"set": a.to_json(), "problem": "ideal split"})
     return _verdict(bad)
 

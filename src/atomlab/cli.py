@@ -147,20 +147,6 @@ def parse_target(text: str):
     raise _UsageError(f"cannot parse target {head!r}")
 
 
-def _pick_monoid(kind: str, flag: Optional[str], target) -> str:
-    if flag is None:
-        if kind == "ideal":
-            return "mon"
-        return "pfin0" if target.min == 0 else "pfin"
-    if kind == "ideal" and flag != "mon":
-        raise _UsageError(f"monoid {flag!r} expects a set target")
-    if kind == "set" and flag == "mon":
-        raise _UsageError("monoid 'mon' expects an ideal target")
-    if flag == "pfin0" and target.min != 0:
-        raise _UsageError("monoid 'pfin0' needs a set containing 0")
-    return flag
-
-
 # -- output helpers ----------------------------------------------------------
 
 
@@ -195,30 +181,46 @@ def _rho_text(value) -> str:
 # -- subcommands -------------------------------------------------------------
 
 
-def _cmd_atom(args) -> int:
+def _search_target(args):
+    """Engine, shift and zero-based part of an atom or lengths target.
+
+    A set is searched through its zero-based part, since in the full monoid
+    it is min(A) copies of {1} plus that part; an ideal has shift 0.
+    --monoid only checks that the target lies in the named monoid.
+    """
     kind, target = parse_target(args.target)
-    monoid = _pick_monoid(kind, args.monoid, target)
+    flag = args.monoid
+    if kind == "ideal" and flag not in (None, "mon"):
+        raise _UsageError(f"monoid {flag!r} expects a set target")
+    if kind == "set" and flag == "mon":
+        raise _UsageError("monoid 'mon' expects an ideal target")
+    if flag == "pfin0" and target.min != 0:
+        raise _UsageError("monoid 'pfin0' needs a set containing 0")
     budget = _budget_from(args)
+    if kind == "ideal":
+        return monomial_engine(budget), 0, target
+    shift, base = natset.reduce_shift(target)
+    if base.max > natset.SEARCH_LIMIT:
+        raise _UsageError(
+            f"factor search supports sets with max - min <= "
+            f"{natset.SEARCH_LIMIT}, got {base.max}")
+    return sumset_engine(budget), shift, base
+
+
+def _cmd_atom(args) -> int:
+    eng, shift, base = _search_target(args)
+    unit = eng.monoid.is_identity
     try:
-        if monoid == "mon":
-            eng = monomial_engine(budget, args.parallelism)
-            pair = eng.find_split(target) if not target.is_unit else None
-            atom = not target.is_unit and pair is None
-        elif monoid == "pfin0":
-            eng = sumset_engine(budget, args.parallelism)
-            unit = target.elements == (0,)
-            pair = eng.find_split(target) if not unit else None
-            atom = not unit and pair is None
+        if shift:
+            # {shift} + base = {1} + rest, and only {1} itself is an atom
+            rest = base.shifted(shift - 1)
+            atom = unit(rest)
+            pair = None if atom else (NatSet([1]), rest)
+        elif unit(base):
+            atom, pair = False, None
         else:
-            tick = budget.tick if budget is not None else None
-            atom = natset.is_atom(target, tick=tick)
-            pair = None
-            if not atom and target.max > 0:
-                if target.min > 0:
-                    pair = (NatSet([1]), target.shifted(-1))
-                else:
-                    eng = sumset_engine(budget, args.parallelism)
-                    pair = eng.find_split(target)
+            pair = eng.find_split(base)
+            atom = pair is None
     except SearchBudgetExceeded as exc:
         _emit({"atom": "inconclusive", "budget": _budget_payload(exc)},
               args.fmt)
@@ -231,17 +233,9 @@ def _cmd_atom(args) -> int:
 
 
 def _cmd_lengths(args) -> int:
-    kind, target = parse_target(args.target)
-    monoid = _pick_monoid(kind, args.monoid, target)
-    budget = _budget_from(args)
+    eng, shift, base = _search_target(args)
     try:
-        if monoid == "mon":
-            got = monomial_engine(budget, args.parallelism).lengths(target)
-        elif monoid == "pfin0":
-            got = sumset_engine(budget, args.parallelism).lengths(target)
-        else:
-            tick = budget.tick if budget is not None else None
-            got = natset.lengths(target, tick=tick)
+        got = tuple(shift + l for l in eng.lengths(base))
     except SearchBudgetExceeded as exc:
         _emit({"lengths": "inconclusive", "budget": _budget_payload(exc)},
               args.fmt)
@@ -270,8 +264,7 @@ def _cmd_verify(args) -> int:
                 print(claim_id)
         return 0
     ctx = claims.ClaimContext(budget_nodes=args.budget_nodes,
-                              budget_seconds=args.budget_seconds,
-                              parallelism=args.parallelism)
+                              budget_seconds=args.budget_seconds)
     try:
         results = claims.run_suite(suite=args.suite, only=args.only or None,
                                    ctx=ctx)
@@ -297,12 +290,13 @@ def _cmd_verify(args) -> int:
 
 def _cmd_experiment(args) -> int:
     budget = _budget_from(args)
-    tick = budget.tick if budget is not None else None
+    sum_eng = sumset_engine(budget)
     if args.name == "atom-density":
         if args.samples < 1:
             raise _UsageError("atom-density needs --samples >= 1")
-        if args.max < 1:
-            raise _UsageError("atom-density needs --max >= 1")
+        if not 1 <= args.max <= natset.SEARCH_LIMIT:
+            raise _UsageError(
+                f"atom-density needs 1 <= --max <= {natset.SEARCH_LIMIT}")
         rng = random.Random(args.seed)
         atoms = 0
         try:
@@ -310,7 +304,7 @@ def _cmd_experiment(args) -> int:
                 mask = rng.randrange(1 << args.max)
                 a = NatSet([0] + [i + 1 for i in range(args.max)
                                   if mask >> i & 1])
-                if natset.is_atom_reduced(a, tick=tick):
+                if sum_eng.is_atom(a):
                     atoms += 1
         except SearchBudgetExceeded as exc:
             _emit({"experiment": "atom-density", "status": "inconclusive",
@@ -324,7 +318,7 @@ def _cmd_experiment(args) -> int:
     # map, exhaustively over 0-containing subsets of [0,max].
     if args.max < 1 or args.max > 16:
         raise _UsageError("phi-transport needs 1 <= --max <= 16")
-    eng = monomial_engine(budget, args.parallelism)
+    mon_eng = monomial_engine(budget)
     found = []
     checked = 0
     try:
@@ -332,8 +326,8 @@ def _cmd_experiment(args) -> int:
             a = NatSet([0] + [i + 1 for i in range(args.max)
                               if mask >> i & 1])
             checked += 1
-            set_atom = natset.is_atom_reduced(a, tick=tick)
-            ideal_atom = eng.is_atom(monideal.phi(a))
+            set_atom = sum_eng.is_atom(a)
+            ideal_atom = mon_eng.is_atom(monideal.phi(a))
             if set_atom != ideal_atom:
                 found.append({"set": a.to_json(), "set_atom": set_atom,
                               "ideal_atom": ideal_atom})
@@ -363,8 +357,6 @@ def _add_common(sub, monoid: bool = True,
                      metavar="N", help=nodes_help)
     sub.add_argument("--budget-seconds", type=float, default=None,
                      metavar="S", help="abort searches after S seconds")
-    sub.add_argument("--parallelism", type=int, default=1, metavar="W",
-                     help="worker threads for candidate scans")
     fmt = sub.add_mutually_exclusive_group()
     fmt.add_argument("--json", dest="fmt", action="store_const",
                      const="json", help="line-delimited JSON (default)")

@@ -1,27 +1,26 @@
 """Generic factorization search over graded reduced monoids.
 
-The engine sees a monoid through a small adapter interface: identity,
-product, colon (maximal cofactor candidate), an additive grade that is zero
-only on the identity, a canonical sort key, and a candidate stream that is
-complete over actual left factors.  A candidate a divides e exactly when
-a * colon(e, a) = e, so divisor discovery is candidate enumeration plus one
-colon check each; full split lists come from matching the verified divisor
-set against itself, which is exhaustive because any cofactor is itself a
-divisor.
+The engine sees a monoid through a small adapter interface: an identity
+test, product, colon (maximal cofactor), an additive grade that is zero only
+on the identity, a canonical sort key, and a divisor stream that yields
+exactly the proper divisors.  A divisor a of e has maximal cofactor
+colon(e, a) with a * colon(e, a) = e; full split lists come from matching
+the divisor set against itself, which is exhaustive because any cofactor is
+itself a divisor.
 
 Budgets bound the number of search nodes and the wall clock.  Exhaustion
 raises SearchBudgetExceeded so callers can report "inconclusive" rather than
-mistaking a truncated scan for a completed one.  Candidate order is fixed and
-results are merged in stream order, so output is deterministic for any
-parallelism width.
+mistaking a truncated scan for a completed one.  Streams have a fixed order,
+so output is deterministic.
+
+The full sumset monoid of all finite nonempty subsets of N reduces to the
+engine by a shift: see is_atom and lengths at the end of this module.
 """
 
 from __future__ import annotations
 
-import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
-from typing import Iterable, Iterator, Optional, Protocol, TypeVar
+from typing import Iterator, Optional, Protocol, TypeVar
 
 from . import monideal, natset
 from .monideal import MonIdeal, UNIT
@@ -36,6 +35,8 @@ __all__ = [
     "FactorEngine",
     "sumset_engine",
     "monomial_engine",
+    "is_atom",
+    "lengths",
 ]
 
 E = TypeVar("E")
@@ -86,15 +87,9 @@ class Budget:
 class GradedMonoid(Protocol[E]):
     """What the engine needs from a commutative reduced monoid.
 
-    candidate_divisors must be complete over actual left factors; when the
-    adapter sets verified_stream it must also be exact (everything streamed
-    divides), which lets the engine skip its per-candidate colon check.
+    candidate_divisors must yield exactly the proper divisors of e (each at
+    least once), restricted to grade at most grade_cap when one is given.
     """
-
-    name: str
-    verified_stream: bool
-
-    def identity(self) -> E: ...
 
     def is_identity(self, e: E) -> bool: ...
 
@@ -106,20 +101,12 @@ class GradedMonoid(Protocol[E]):
 
     def key(self, e: E): ...
 
-    def serialize(self, e: E): ...
-
     def candidate_divisors(self, e: E, budget: Optional[Budget] = None,
                            grade_cap: Optional[int] = None) -> Iterator[E]: ...
 
 
 class SumsetMonoid:
     """Reduced sumset monoid: finite subsets of N containing 0."""
-
-    name = "pfin0"
-    verified_stream = True
-
-    def identity(self) -> NatSet:
-        return NatSet([0])
 
     def is_identity(self, e: NatSet) -> bool:
         return e.elements == (0,)
@@ -136,9 +123,6 @@ class SumsetMonoid:
     def key(self, e: NatSet):
         return e.elements
 
-    def serialize(self, e: NatSet):
-        return e.to_json()
-
     def candidate_divisors(self, e: NatSet, budget: Optional[Budget] = None,
                            grade_cap: Optional[int] = None) -> Iterator[NatSet]:
         if e.min != 0:
@@ -152,12 +136,6 @@ class SumsetMonoid:
 
 class MonomialMonoid:
     """Multiplicative monoid of nonzero monomial ideals in two variables."""
-
-    name = "mon"
-    verified_stream = True
-
-    def identity(self) -> MonIdeal:
-        return UNIT
 
     def is_identity(self, e: MonIdeal) -> bool:
         return e.is_unit
@@ -174,12 +152,9 @@ class MonomialMonoid:
     def key(self, e: MonIdeal):
         return e.gens
 
-    def serialize(self, e: MonIdeal):
-        return e.to_json()
-
     def candidate_divisors(self, e: MonIdeal, budget: Optional[Budget] = None,
                            grade_cap: Optional[int] = None) -> Iterator[MonIdeal]:
-        """Stream the proper divisors of e, each one already colon-verified.
+        """Stream exactly the proper divisors of e.
 
         Generators sharing a monomial factor X^u Y^v split off as principal
         prime factors, so divisors are X^i Y^j times a divisor of the
@@ -357,104 +332,50 @@ class FactorEngine:
     """Divisor, atom, split, length and factorization queries for one monoid.
 
     Each engine owns one budget and one memo cache; create a fresh engine to
-    search under different budgets.  Thread-safe: caches are lock-guarded and
-    the optional parallel scan merges results in candidate order, so answers
-    do not depend on the worker count.
+    search under different budgets.
     """
 
-    def __init__(self, monoid: GradedMonoid, budget: Optional[Budget] = None,
-                 parallelism: int = 1):
-        if parallelism < 1:
-            raise ValueError("parallelism must be at least 1")
+    def __init__(self, monoid: GradedMonoid, budget: Optional[Budget] = None):
         self.monoid = monoid
         self.budget = budget
-        self.parallelism = parallelism
-        self._lock = threading.RLock()
         self._divisor_memo: dict = {}
         self._atom_memo: dict = {}
         self._length_memo: dict = {}
         self._factorization_memo: dict = {}
 
-    # -- candidate scanning ------------------------------------------------
-
-    def _verify(self, e: E, a: E) -> Optional[E]:
-        """Maximal cofactor of a in e, or None when a does not divide e."""
-        m = self.monoid
-        if self.budget is not None:
-            self.budget.tick()
-        col = m.colon(e, a)
-        if col is None:
-            return None
-        if m.key(m.product(a, col)) == m.key(e):
-            return col
-        return None
-
-    def _scan(self, e: E, candidates: Iterable[E], stop_early: bool
-              ) -> list[E]:
-        """Divisors of e from the candidate stream, in stream order."""
-        if self.monoid.verified_stream:
-            if stop_early:
-                for a in candidates:
-                    return [a]
-                return []
-            return list(candidates)
-        hits: list[E] = []
-        if self.parallelism == 1:
-            for a in candidates:
-                if self._verify(e, a) is not None:
-                    hits.append(a)
-                    if stop_early:
-                        return hits
-            return hits
-        chunk = 64
-        cands = iter(candidates)
-        with ThreadPoolExecutor(max_workers=self.parallelism) as pool:
-            while True:
-                block = []
-                for a in cands:
-                    block.append(a)
-                    if len(block) == chunk:
-                        break
-                if not block:
-                    return hits
-                for a, col in zip(block, pool.map(lambda x: self._verify(e, x),
-                                                  block)):
-                    if col is not None:
-                        hits.append(a)
-                        if stop_early:
-                            return hits
-
-    # -- queries -------------------------------------------------------------
-
     def divisors(self, e: E) -> list[E]:
         """All proper divisors of e, sorted by (grade, key)."""
         m = self.monoid
         k = m.key(e)
-        with self._lock:
-            got = self._divisor_memo.get(k)
+        got = self._divisor_memo.get(k)
         if got is not None:
             return list(got)
-        hits = self._scan(e, m.candidate_divisors(e, self.budget), False)
+        hits = list(m.candidate_divisors(e, self.budget))
         seen = {}
         for a in hits:
             seen.setdefault(m.key(a), a)
         out = sorted(seen.values(), key=lambda a: (m.grade(a), m.key(a)))
-        with self._lock:
-            self._divisor_memo[k] = tuple(out)
+        self._divisor_memo[k] = tuple(out)
         return out
+
+    def _first_small_divisor(self, e: E) -> Optional[E]:
+        # some side of any split has at most half the grade
+        m = self.monoid
+        return next(m.candidate_divisors(e, self.budget, m.grade(e) // 2),
+                    None)
 
     def find_split(self, e: E) -> Optional[tuple[E, E]]:
         """Some factorization e = a * b into nonunits, or None for atoms."""
         m = self.monoid
         if m.is_identity(e):
             raise ValueError("the identity is not searched for splits")
-        cap = m.grade(e) // 2
-        hits = self._scan(e, m.candidate_divisors(e, self.budget, cap), True)
-        if not hits:
+        a = self._first_small_divisor(e)
+        if a is None:
             return None
-        a = hits[0]
-        col = self._verify(e, a)
-        if col is None:
+        if self.budget is not None:
+            self.budget.tick()
+        col = m.colon(e, a)
+        if col is None or m.key(m.product(a, col)) != m.key(e):
             raise AssertionError("stream produced a non-divisor")
         return a, col
 
@@ -463,15 +384,11 @@ class FactorEngine:
         if m.is_identity(e):
             return False
         k = m.key(e)
-        with self._lock:
-            got = self._atom_memo.get(k)
+        got = self._atom_memo.get(k)
         if got is not None:
             return got
-        cap = m.grade(e) // 2
-        hits = self._scan(e, m.candidate_divisors(e, self.budget, cap), True)
-        res = not hits
-        with self._lock:
-            self._atom_memo[k] = res
+        res = self._first_small_divisor(e) is None
+        self._atom_memo[k] = res
         return res
 
     def split(self, e: E) -> list[tuple[E, E]]:
@@ -508,8 +425,7 @@ class FactorEngine:
 
         def rec(x: E) -> tuple[int, ...]:
             k = m.key(x)
-            with self._lock:
-                got = self._length_memo.get(k)
+            got = self._length_memo.get(k)
             if got is not None:
                 return got
             if m.is_identity(x):
@@ -533,8 +449,7 @@ class FactorEngine:
                             for lb in rec(b):
                                 acc.add(1 + lb)
                     res = tuple(sorted(acc))
-            with self._lock:
-                self._length_memo[k] = res
+            self._length_memo[k] = res
             return res
 
         return rec(e)
@@ -548,8 +463,7 @@ class FactorEngine:
 
         def rec(x: E) -> tuple[tuple, ...]:
             k = m.key(x)
-            with self._lock:
-                got = self._factorization_memo.get(k)
+            got = self._factorization_memo.get(k)
             if got is not None:
                 return got
             if m.is_identity(x):
@@ -566,18 +480,34 @@ class FactorEngine:
                                 combo = tuple(sorted(fa + fb, key=m.key))
                                 acc[tuple(m.key(z) for z in combo)] = combo
                     res = tuple(acc[kk] for kk in sorted(acc))
-            with self._lock:
-                self._factorization_memo[k] = res
+            self._factorization_memo[k] = res
             return res
 
         return list(rec(e))
 
 
-def sumset_engine(budget: Optional[Budget] = None,
-                  parallelism: int = 1) -> FactorEngine:
-    return FactorEngine(SumsetMonoid(), budget=budget, parallelism=parallelism)
+def sumset_engine(budget: Optional[Budget] = None) -> FactorEngine:
+    return FactorEngine(SumsetMonoid(), budget=budget)
 
 
-def monomial_engine(budget: Optional[Budget] = None,
-                    parallelism: int = 1) -> FactorEngine:
-    return FactorEngine(MonomialMonoid(), budget=budget, parallelism=parallelism)
+def monomial_engine(budget: Optional[Budget] = None) -> FactorEngine:
+    return FactorEngine(MonomialMonoid(), budget=budget)
+
+
+# ---------------------------------------------------------------------------
+# Full sumset monoid: every set is min(A) copies of {1} plus its zero-based
+# part, and every atom is either {1} or contains 0.
+
+
+def is_atom(a: NatSet, budget: Optional[Budget] = None) -> bool:
+    """Atom test in the full monoid of finite nonempty subsets of N."""
+    shift, a0 = natset.reduce_shift(a)
+    if shift:
+        return shift == 1 and a0.max == 0
+    return sumset_engine(budget).is_atom(a0)
+
+
+def lengths(a: NatSet, budget: Optional[Budget] = None) -> tuple[int, ...]:
+    """Factorization lengths in the full monoid of finite nonempty subsets."""
+    shift, a0 = natset.reduce_shift(a)
+    return tuple(shift + l for l in sumset_engine(budget).lengths(a0))

@@ -4,7 +4,9 @@ The monoid of finite nonempty subsets of the naturals with
 A + B = {a + b : a in A, b in B}, and its reduced flavor consisting of the
 sets that contain 0.  Factor searches are organised around the colon set
 {c : B + c subset of A}, which is the unique maximal candidate cofactor of B
-inside A: B divides A exactly when B + set_colon(A, B) = A.
+inside A: B divides A exactly when B + set_colon(A, B) = A.  The divisor
+stream built on it feeds atomlab.engine, which answers atom and length
+queries in both the reduced and the full monoid.
 """
 
 from __future__ import annotations
@@ -20,12 +22,7 @@ __all__ = [
     "sumset",
     "is_sum_free",
     "set_colon",
-    "decompose_reduced",
-    "is_atom_reduced",
     "reduce_shift",
-    "lengths_reduced",
-    "is_atom",
-    "lengths",
     "delta_set",
     "elasticity",
     "iter_sum_free",
@@ -174,7 +171,7 @@ def reduce_shift(a: NatSet) -> tuple[int, NatSet]:
 
 
 # ---------------------------------------------------------------------------
-# Reduced-monoid factor search.
+# Reduced-monoid divisor stream.
 #
 # Everything below works on dense bitmasks (bit e set <=> element e present).
 # A sumset is an OR of shifted masks, and the colon set of B in A is the AND
@@ -267,105 +264,6 @@ def _reduced_divisor_masks(amask: int, cap: Optional[int] = None,
 
 def _mask_to_set(mask: int) -> NatSet:
     return NatSet(_bits(mask))
-
-
-def _require_reduced(a: NatSet) -> None:
-    if a.min != 0:
-        raise ValueError("expected a set containing 0")
-
-
-def _matched_pairs(amask: int, divisors: list[tuple[int, int]]
-                   ) -> list[tuple[int, int]]:
-    """All unordered (B, C) mask pairs with B + C = A, both proper divisors."""
-    m = amask.bit_length() - 1
-    by_max: dict[int, list[int]] = {}
-    for bmask, _ in divisors:
-        by_max.setdefault(bmask.bit_length() - 1, []).append(bmask)
-    seen = set()
-    for bmask, _ in divisors:
-        top = bmask.bit_length() - 1
-        for cmask in by_max.get(m - top, ()):
-            if _mask_sumset(bmask, cmask) == amask:
-                pair = (bmask, cmask) if _mask_to_set(bmask) <= _mask_to_set(cmask) \
-                    else (cmask, bmask)
-                seen.add(pair)
-    return sorted(seen, key=lambda p: (_mask_to_set(p[0]).elements,
-                                       _mask_to_set(p[1]).elements))
-
-
-def decompose_reduced(a: NatSet, tick: Tick = None
-                      ) -> list[tuple[NatSet, NatSet]]:
-    """All unordered pairs (B, C) with 0 in B, C, neither {0}, and B + C = a.
-
-    Requires min(a) = 0.  Pairs come back deterministically ordered, the
-    lexicographically smaller side first.
-    """
-    _require_reduced(a)
-    if a.max == 0:
-        return []
-    amask = _mask_of(a)
-    divisors = list(_reduced_divisor_masks(amask, tick=tick))
-    return [(_mask_to_set(b), _mask_to_set(c))
-            for b, c in _matched_pairs(amask, divisors)]
-
-
-def is_atom_reduced(a: NatSet, tick: Tick = None) -> bool:
-    """True when a is neither {0} nor a sumset of two nontrivial 0-sets."""
-    _require_reduced(a)
-    if a.max == 0:
-        return False
-    amask = _mask_of(a)
-    first = next(_reduced_divisor_masks(amask, cap=a.max // 2, tick=tick), None)
-    return first is None
-
-
-def lengths_reduced(a: NatSet, tick: Tick = None) -> tuple[int, ...]:
-    """Sorted set of factorization lengths of a in the reduced monoid."""
-    _require_reduced(a)
-    amask = _mask_of(a)
-    memo: dict[int, tuple[int, ...]] = {}
-
-    def rec(mask: int) -> tuple[int, ...]:
-        got = memo.get(mask)
-        if got is not None:
-            return got
-        if mask == 1:
-            res: tuple[int, ...] = (0,)
-        else:
-            divisors = list(_reduced_divisor_masks(mask, tick=tick))
-            pairs = _matched_pairs(mask, divisors)
-            if not pairs:
-                res = (1,)
-            else:
-                acc = set()
-                for bmask, cmask in pairs:
-                    for x in rec(bmask):
-                        for y in rec(cmask):
-                            acc.add(x + y)
-                res = tuple(sorted(acc))
-        memo[mask] = res
-        return res
-
-    return rec(amask)
-
-
-# ---------------------------------------------------------------------------
-# Full monoid: every set splits as min(A) copies of {1} plus its zero-based
-# part, and every atom is either {1} or contains 0.
-
-
-def is_atom(a: NatSet, tick: Tick = None) -> bool:
-    """Atom test in the full monoid of finite nonempty subsets of N."""
-    shift, a0 = reduce_shift(a)
-    if shift == 0:
-        return is_atom_reduced(a0, tick=tick)
-    return shift == 1 and a0.max == 0
-
-
-def lengths(a: NatSet, tick: Tick = None) -> tuple[int, ...]:
-    """Factorization lengths in the full monoid."""
-    shift, a0 = reduce_shift(a)
-    return tuple(shift + l for l in lengths_reduced(a0, tick=tick))
 
 
 # ---------------------------------------------------------------------------

@@ -93,6 +93,15 @@ def test_lengths_examples(capsys):
     assert code == 0
     assert last_json(out) == {"lengths": [1], "delta": [], "rho": "1"}
 
+    code, out, _ = run(capsys, "lengths", "{2, 5}")
+    assert code == 0
+    assert last_json(out) == {"lengths": [3], "delta": [], "rho": "1"}
+
+    code, inferred, _ = run(capsys, "lengths", "{0,1,2}")
+    assert code == 0
+    code, out, _ = run(capsys, "lengths", "--monoid", "pfin", "{0,1,2}")
+    assert code == 0 and out == inferred
+
 
 def test_lengths_budget_inconclusive(capsys):
     code, out, _ = run(capsys, "lengths", "I_C --minimal 3",
@@ -108,6 +117,13 @@ def test_monoid_selection_errors(capsys):
     assert code == 1 and err
     code, _, err = run(capsys, "lengths", "--monoid", "pfin", "a_2")
     assert code == 1 and err
+
+
+@pytest.mark.parametrize("command", ["atom", "lengths"])
+def test_search_limit_is_a_usage_error(capsys, command):
+    code, out, err = run(capsys, command, "{0, 70000}")
+    assert code == 1 and not out
+    assert err.startswith("error: ") and "65536" in err
 
 
 def test_table_output(capsys):
@@ -177,6 +193,9 @@ def test_experiment_atom_density_deterministic(capsys):
 def test_experiment_atom_density_rejects_bad_args(capsys):
     code, _, err = run(capsys, "experiment", "atom-density",
                        "--samples", "0")
+    assert code == 1 and err
+    code, _, err = run(capsys, "experiment", "atom-density",
+                       "--max", "70000")
     assert code == 1 and err
 
 

@@ -148,27 +148,6 @@ def test_one_in_lengths_iff_atom(e):
     assert (1 in eng.lengths(e)) == eng.is_atom(e)
 
 
-# -- determinism across parallelism --------------------------------------------
-
-
-def test_parallelism_does_not_change_results():
-    targets = [NatSet(range(8)), NatSet([0, 1, 3, 6, 7]), NatSet([0, 2, 5])]
-    solo = sumset_engine(parallelism=1)
-    wide = sumset_engine(parallelism=4)
-    for a in targets:
-        assert solo.divisors(a) == wide.divisors(a)
-        assert solo.split(a) == wide.split(a)
-        assert solo.lengths(a) == wide.lengths(a)
-    m1 = monomial_engine(parallelism=1)
-    m4 = monomial_engine(parallelism=4)
-    for e in (build_a(4), build_c(6), product(build_b(2), build_b(3))):
-        assert m1.split(e) == m4.split(e)
-        assert m1.lengths(e) == m4.lengths(e)
-
-    with pytest.raises(ValueError):
-        monomial_engine(parallelism=0)
-
-
 # -- agreement with the naive all-pairs oracle ----------------------------------
 
 

@@ -1,13 +1,13 @@
-"""Core set arithmetic and the reduced-monoid factor search."""
+"""Core set arithmetic and factor search in the sumset monoids."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from atomlab import natset
-from atomlab.natset import (NatSet, decompose_reduced, delta_set, elasticity,
-                            is_atom, is_atom_reduced, is_sum_free,
-                            iter_sum_free, lengths, lengths_reduced,
-                            reduce_shift, set_colon, sumset)
+from atomlab.engine import (Budget, SearchBudgetExceeded, is_atom, lengths,
+                            sumset_engine)
+from atomlab.natset import (NatSet, delta_set, elasticity, is_sum_free,
+                            iter_sum_free, reduce_shift, set_colon, sumset)
 
 
 small_zero_sets = st.sets(st.integers(0, 9), min_size=0, max_size=6).map(
@@ -113,37 +113,42 @@ def test_reduce_shift():
 
 
 def test_decompose_reduced_small_cases():
-    assert decompose_reduced(NatSet([0])) == []
-    assert decompose_reduced(NatSet([0, 1])) == []
-    assert decompose_reduced(NatSet([0, 1, 2])) == [
+    eng = sumset_engine()
+    assert eng.divisors(NatSet([0])) == []
+    assert eng.split(NatSet([0, 1])) == []
+    assert eng.split(NatSet([0, 1, 2])) == [
         (NatSet([0, 1]), NatSet([0, 1]))]
 
 
 @given(small_zero_sets)
 @settings(max_examples=60)
 def test_decompose_reduced_matches_brute_force(a):
-    got = {(b.elements, c.elements) for b, c in decompose_reduced(a)}
+    pairs = sumset_engine().split(a) if a.max else []
+    got = {(b.elements, c.elements) for b, c in pairs}
     assert got == brute_pairs(a)
 
 
 @given(small_zero_sets)
 def test_atom_iff_no_decomposition(a):
+    eng = sumset_engine()
     if a.max == 0:
-        assert not is_atom_reduced(a)
+        assert not eng.is_atom(a)
     else:
-        assert is_atom_reduced(a) == (not decompose_reduced(a))
+        assert eng.is_atom(a) == (not eng.split(a))
 
 
 def test_sum_free_zero_sets_are_atoms():
+    eng = sumset_engine()
     for s in iter_sum_free(9):
-        assert is_atom_reduced(NatSet((0,) + s.elements))
+        assert eng.is_atom(NatSet((0,) + s.elements))
 
 
 def test_lengths_reduced_examples():
-    assert lengths_reduced(NatSet([0])) == (0,)
-    assert lengths_reduced(NatSet([0, 3])) == (1,)
-    assert lengths_reduced(NatSet([0, 1, 2])) == (2,)
-    assert lengths_reduced(NatSet(range(6))) == (2, 3, 4, 5)
+    eng = sumset_engine()
+    assert eng.lengths(NatSet([0])) == (0,)
+    assert eng.lengths(NatSet([0, 3])) == (1,)
+    assert eng.lengths(NatSet([0, 1, 2])) == (2,)
+    assert eng.lengths(NatSet(range(6))) == (2, 3, 4, 5)
 
 
 def test_full_monoid_shift_reduction():
@@ -175,17 +180,11 @@ def test_delta_and_elasticity():
 def test_search_limit_refusal():
     big = NatSet([0, natset.SEARCH_LIMIT + 1])
     with pytest.raises(ValueError):
-        decompose_reduced(big)
+        sumset_engine().split(big)
 
 
 def test_tick_is_called_and_can_abort():
-    calls = []
-
-    def tick():
-        calls.append(None)
-        if len(calls) > 3:
-            raise RuntimeError("stop")
-
-    with pytest.raises(RuntimeError):
-        decompose_reduced(NatSet(range(15)), tick=tick)
-    assert len(calls) > 3
+    budget = Budget(max_nodes=3)
+    with pytest.raises(SearchBudgetExceeded):
+        sumset_engine(budget).split(NatSet(range(15)))
+    assert budget.nodes > 3
