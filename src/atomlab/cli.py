@@ -31,8 +31,8 @@ from fractions import Fraction
 from typing import Optional
 
 from . import claims, families, monideal, natset
-from .engine import (Budget, SearchBudgetExceeded, monomial_engine,
-                     sumset_engine)
+from .engine import (MAX_BOARD_CELLS, Budget, SearchBudgetExceeded,
+                     board_cells, monomial_engine, sumset_engine)
 from .monideal import MonIdeal
 from .natset import NatSet
 
@@ -186,7 +186,8 @@ def _search_target(args):
 
     A set is searched through its zero-based part, since in the full monoid
     it is min(A) copies of {1} plus that part; an ideal has shift 0.
-    --monoid only checks that the target lies in the named monoid.
+    --monoid only checks that the target lies in the named monoid.  Targets
+    too large for the search's dense masks are usage errors.
     """
     kind, target = parse_target(args.target)
     flag = args.monoid
@@ -198,6 +199,11 @@ def _search_target(args):
         raise _UsageError("monoid 'pfin0' needs a set containing 0")
     budget = _budget_from(args)
     if kind == "ideal":
+        cells = board_cells(target)
+        if cells > MAX_BOARD_CELLS:
+            raise _UsageError(
+                f"factor search supports ideals whose gcd-free core needs "
+                f"at most {MAX_BOARD_CELLS} board cells, got {cells}")
         return monomial_engine(budget), 0, target
     shift, base = natset.reduce_shift(target)
     if base.max > natset.SEARCH_LIMIT:

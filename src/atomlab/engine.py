@@ -35,6 +35,8 @@ __all__ = [
     "FactorEngine",
     "sumset_engine",
     "monomial_engine",
+    "MAX_BOARD_CELLS",
+    "board_cells",
     "is_atom",
     "lengths",
 ]
@@ -193,49 +195,68 @@ class MonomialMonoid:
                     yield got
 
 
+# Boards are dense, so a search refuses ideals whose gcd-free core would need
+# more padded cells than this (about 8 MB per mask).
+MAX_BOARD_CELLS = 1 << 26
+
+
+def board_cells(e: MonIdeal) -> int:
+    """Padded cells of the board of e's gcd-free core: (py+1) * (2px+1)."""
+    u, v = monideal.generator_gcd(e)
+    return (e.max_y - v + 1) * (2 * (e.max_x - u) + 1)
+
+
 class _Board:
     """Bit-board view of a gcd-free ideal inside its generator bounding box.
 
-    Bit y*(px+1) + x is set when X^x Y^y lies in the ideal, for x <= px and
+    Bit y*(2px+1) + x is set when X^x Y^y lies in the ideal, for x <= px and
     y <= py (the pure exponents).  Outside the box membership is decided by
     the pure powers alone, so clipping coordinates to the box is exact.
     Colons by a monomial become precomputed masks and intersections become
-    single AND operations, which is what makes the frame DFS cheap.
+    single AND operations, which is what makes the frame DFS cheap.  Rows
+    are padded to 2px+1 bits so that shifting a mask by any (sx, sy) with
+    sx <= px moves bits past column px into the padding, never into the
+    next row.  gens is the mask of the ideal's own generators.
     """
 
     def __init__(self, e: MonIdeal):
-        self.px = px = next(x for x, y in e.gens if y == 0)
-        self.py = py = next(y for x, y in e.gens if x == 0)
-        self.width = w = px + 1
-        self.row = full_row = (1 << w) - 1
-        region = 0
+        self.px = px = e.max_x
+        self.py = py = e.max_y
+        self.stride = w = 2 * px + 1
+        if (py + 1) * w > MAX_BOARD_CELLS:
+            raise ValueError(f"factor search supports boards of at most "
+                             f"{MAX_BOARD_CELLS} cells, got {(py + 1) * w}")
+        # a row pattern times `rows` repeats it in every row, without carries
+        self.rows = rows = ((1 << (py + 1) * w) - 1) // ((1 << w) - 1)
+        self.row = full_row = (1 << (px + 1)) - 1
+        self.content = full_row * rows
+        region = gens = 0
         for x, y in e.gens:
-            quad = (full_row >> x) << x
-            for yy in range(y, py + 1):
-                region |= quad << (yy * w)
+            gens |= 1 << (y * w + x)
+            # columns x..px in every row, then rows below y cleared
+            region |= (full_row >> x << x) * rows >> (y * w) << (y * w)
         self.region = region
+        self.gens = gens
         self._colon_cache: dict[tuple[int, int], int] = {}
 
     def member(self, x: int, y: int) -> bool:
         x = min(x, self.px)
         y = min(y, self.py)
-        return self.region >> (y * self.width + x) & 1 == 1
+        return self.region >> (y * self.stride + x) & 1 == 1
 
     def colon_mask(self, c: int, g: int) -> int:
         """Membership mask of (ideal : X^c Y^g), clipped to the same box."""
         got = self._colon_cache.get((c, g))
         if got is not None:
             return got
-        w, px, py = self.width, self.px, self.py
-        high = ((1 << c) - 1) << (px - c + 1) if c else 0
-        out = 0
-        for y in range(py + 1):
-            src = min(y + g, py)
-            row = (self.region >> (src * w)) & self.row
-            shifted = row >> c
-            if high and row >> px & 1:
-                shifted |= high
-            out |= shifted << (y * w)
+        w, px, py = self.stride, self.px, self.py
+        # bits shifted past column 0 land in the padding of the row below
+        # and are masked off; clipped cells repeat column px or row py, which
+        # the generators (px, 0) and (0, py) fill, so the last c columns and
+        # the last g rows are full
+        out = (self.region >> (g * w + c)) & self.content
+        out |= (self.row >> (px + 1 - c) << (px + 1 - c)) * self.rows
+        out |= self.content >> ((py + 1 - g) * w) << ((py + 1 - g) * w)
         self._colon_cache[(c, g)] = out
         return out
 
@@ -246,13 +267,12 @@ def _gcdfree_divisors(e: MonIdeal, tick, cap: Optional[int] = None
 
     Any factor pair of e carries pure powers X^ax, Y^ay and X^bx, Y^by with
     ax + bx and ay + by matching the pure exponents of e, so the search runs
-    over frames (ax, ay).  Within a frame, a factor is the frame plus an
+    over frames (ax, ay).  Within a frame, a factor B is the frame plus an
     antichain of interior generators, and its maximal cofactor is the colon
-    by its generators; e equals factor * cofactor exactly when every
-    generator of e is generator-of-factor + member-of-cofactor.  The DFS
-    threads that coverage test through the antichain enumeration: interior
-    points are visited by increasing Y-exponent, so once the next candidate
-    point sits above a still-uncovered generator of e the branch is dead.
+    by its generators; e equals B * cofactor exactly when every generator
+    of e lies in the mask of B * cofactor, the OR of the cofactor mask
+    shifted by each generator of B.  The DFS threads that coverage test
+    through the antichain enumeration (see _frame_dfs).
 
     Three sound filters shrink the frame and point sets.  Each generator of
     a factor stays in e after multiplying by the partner's pure powers; the
@@ -281,51 +301,43 @@ def _gcdfree_divisors(e: MonIdeal, tick, cap: Optional[int] = None
                       for g in range(max(1, lo - c), ay)
                       if board.member(c + bx, g) and board.member(c, g + by)]
             points.sort()
-            yield from _frame_dfs(e, board, ax, ay, points, tick)
+            yield from _frame_dfs(board, ax, ay, points, tick)
 
 
-def _frame_dfs(e: MonIdeal, board: _Board, ax: int, ay: int, points,
+def _frame_dfs(board: _Board, ax: int, ay: int, points,
                tick) -> Iterator[MonIdeal]:
-    npts = len(points)
-    w = board.width
-    egens = e.gens  # sorted by x descending, hence y ascending
-    full = egens[-1][1] + 1
-    colons = [board.colon_mask(c, g) for g, c in points]
-    c0 = board.colon_mask(ax, 0) & board.colon_mask(0, ay)
+    """Preorder DFS over antichains B = frame + points by increasing Y.
 
-    def covered(bgens, cof: int, y_limit: int) -> bool:
-        # both gen lists are y-ascending, so each scan can stop early
-        for gx, gy in egens:
-            if gy >= y_limit:
-                return True
-            base = gy * w + gx
-            for sx, sy in bgens:
-                if sy > gy:
-                    return False
-                if sx <= gx and cof >> (base - sy * w - sx) & 1:
-                    break
-            else:
-                return False
-        return True
-
-    def rec(acc, cof: int, idx: int, last_x: int, last_y: int
-            ) -> Iterator[MonIdeal]:
+    miss = generators of e outside B * cof, cof the mask of (e : B): the OR
+    of cof << (sy*stride + sx) over the generators (sx, sy) of B.  Points
+    still to come lie at or above the next point's row and only shrink cof,
+    so a miss below that row kills the branch; no miss emits B.
+    """
+    w, gens, bottom = board.stride, board.gens, (0, ay)
+    pairs = [(c, g) for g, c in points]
+    colons = [board.colon_mask(c, g) for c, g in pairs]
+    shifts = [g * w + c for c, g in pairs]
+    # bit 0 of the next point's row (row py+1 past the last): misses below die
+    lows = [1 << (g * w) for g, _c in points] + [1 << ((board.py + 1) * w)]
+    stack = [(((ax, 0),), (ax, ay * w),
+              board.colon_mask(ax, 0) & board.colon_mask(0, ay), 0)]
+    while stack:
+        acc, sh, cof, idx = stack.pop()
         tick()
-        bgens = ((ax, 0),) + tuple(acc) + ((0, ay),)
-        y_next = points[idx][0] if idx < npts else full
-        if not covered(bgens, cof, y_next):
-            return
-        if y_next >= full or covered(bgens, cof, full):
-            yield MonIdeal._from_antichain(bgens)
-        for i in range(idx, npts):
-            g, c = points[i]
-            if g <= last_y or c >= last_x:
-                continue
-            acc.append((c, g))
-            yield from rec(acc, cof & colons[i], i + 1, c, g)
-            acc.pop()
-
-    yield from rec([], c0, 0, ax, 0)
+        reach = 0
+        for s in sh:
+            reach |= cof << s
+        miss = gens & ~reach
+        if not miss:
+            yield MonIdeal._from_antichain(acc + (bottom,))
+        elif miss & -miss < lows[idx]:
+            continue
+        last_x, last_y = acc[-1]
+        for i in range(len(pairs) - 1, idx - 1, -1):
+            c, g = pairs[i]
+            if g > last_y and c < last_x:
+                stack.append((acc + (pairs[i],), sh + (shifts[i],),
+                              cof & colons[i], i + 1))
 
 
 class FactorEngine:

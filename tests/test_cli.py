@@ -5,6 +5,7 @@ import json
 import pytest
 
 from atomlab import cli
+from atomlab.engine import MAX_BOARD_CELLS
 from atomlab.monideal import MonIdeal, build_a, build_c
 from atomlab.natset import NatSet
 
@@ -124,6 +125,14 @@ def test_search_limit_is_a_usage_error(capsys, command):
     code, out, err = run(capsys, command, "{0, 70000}")
     assert code == 1 and not out
     assert err.startswith("error: ") and "65536" in err
+
+
+@pytest.mark.parametrize("command", ["atom", "lengths"])
+def test_board_limit_is_a_usage_error(capsys, command):
+    # the board of this ideal would need about 2 * 10**22 cells
+    code, out, err = run(capsys, command, "<X^99999999999, Y^99999999999>")
+    assert code == 1 and not out
+    assert err.startswith("error: ") and str(MAX_BOARD_CELLS) in err
 
 
 def test_table_output(capsys):

@@ -3,18 +3,22 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from atomlab import natset, oracle
-from atomlab.engine import (Budget, MonomialMonoid, SearchBudgetExceeded,
-                            SumsetMonoid, monomial_engine, sumset_engine)
+from atomlab import engine, natset, oracle
+from atomlab.engine import (MAX_BOARD_CELLS, Budget, MonomialMonoid,
+                            SearchBudgetExceeded, SumsetMonoid, board_cells,
+                            monomial_engine, sumset_engine)
 from atomlab.families import minimal_sequence
 from atomlab.monideal import (MonIdeal, build_a, build_b, build_c, build_i_b,
-                              build_i_c, colon, product)
+                              build_i_c, colon, generator_gcd, phi, product,
+                              shifted)
 from atomlab.natset import NatSet
 
 
 small_ideals = st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4)),
                         min_size=1, max_size=4).map(MonIdeal)
 zero_sets = st.sets(st.integers(0, 8), max_size=6).map(
+    lambda s: NatSet(s | {0}))
+wide_zero_sets = st.sets(st.integers(1, 14), max_size=8).map(
     lambda s: NatSet(s | {0}))
 
 
@@ -38,6 +42,63 @@ def test_sumset_stream_yields_only_divisors(a):
     for cand in m.candidate_divisors(a):
         cof = natset.set_colon(a, cand)
         assert cof is not None and natset.sumset(cand, cof) == a
+
+
+@given(wide_zero_sets)
+@settings(max_examples=60, deadline=None)
+def test_monomial_stream_on_phi_matches_sumset(a):
+    # phi(A) has exponents up to 14: multi-point frames and wide boards
+    e = phi(a)
+    mon, sums = monomial_engine(), sumset_engine()
+    divisors = mon.divisors(e)
+    for d in divisors:
+        assert product(d, colon(e, d)) == e
+    found = set(divisors)
+    for b in sums.divisors(a):
+        assert phi(b) in found
+    assert mon.is_atom(e) == sums.is_atom(a)
+
+
+def test_monomial_stream_is_pinned():
+    # exact counts pin the order of the stream and of its ticks
+    e = build_i_c(minimal_sequence(3))
+    budget = Budget(max_nodes=20000)
+    got = []
+    with pytest.raises(SearchBudgetExceeded):
+        for d in MonomialMonoid().candidate_divisors(e, budget):
+            got.append(d)
+    assert len(got) == 13643 and budget.nodes == 20001
+    assert got[-1].gens == ((22, 0), (21, 9), (19, 10), (18, 12), (16, 14),
+                            (15, 17), (13, 19), (11, 20), (10, 21), (0, 22))
+    for a in got[:200]:
+        assert product(a, colon(e, a)) == e
+
+
+@given(small_ideals)
+@settings(max_examples=80)
+def test_board_colon_masks_match_membership(e):
+    u, v = generator_gcd(e)
+    core = shifted(e, -u, -v)
+    if core.is_unit:
+        return
+    board = engine._Board(core)
+    px, py, w = board.px, board.py, board.stride
+    for c in range(px + 1):
+        for g in range(py + 1):
+            want = sum(1 << (y * w + x) for y in range(py + 1)
+                       for x in range(px + 1)
+                       if (min(x + c, px), min(y + g, py)) in core)
+            assert board.colon_mask(c, g) == want
+
+
+def test_board_limit():
+    huge = MonIdeal([(99999999999, 0), (0, 99999999999)])
+    assert board_cells(huge) > MAX_BOARD_CELLS
+    with pytest.raises(ValueError):
+        next(MonomialMonoid().candidate_divisors(huge))
+    # only the gcd-free core is searched, so a monomial factor is free
+    assert board_cells(shifted(build_a(1), 10**10, 10**10)) == 2 * 3
+    assert board_cells(build_a(1000)) == 1001 * 2001 <= MAX_BOARD_CELLS
 
 
 def test_sumset_stream_requires_zero():
