@@ -204,6 +204,13 @@ def _search_target(args):
             raise _UsageError(
                 f"factor search supports ideals whose gcd-free core needs "
                 f"at most {MAX_BOARD_CELLS} board cells, got {cells}")
+        u, v = monideal.generator_gcd(target)
+        shifts = (u + 1) * (v + 1)
+        if shifts > MAX_BOARD_CELLS:
+            raise _UsageError(
+                f"factor search supports ideals whose generator gcd X^u Y^v "
+                f"has at most {MAX_BOARD_CELLS} monomial divisors, "
+                f"got (u+1)(v+1) = {shifts}")
         return monomial_engine(budget), 0, target
     shift, base = natset.reduce_shift(target)
     if base.max > natset.SEARCH_LIMIT:

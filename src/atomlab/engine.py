@@ -196,7 +196,9 @@ class MonomialMonoid:
 
 
 # Boards are dense, so a search refuses ideals whose gcd-free core would need
-# more padded cells than this (about 8 MB per mask).
+# more padded cells than this (about 8 MB per mask).  The command line also
+# refuses targets whose generator gcd has more monomial divisors than this,
+# since candidate_divisors lists them all.
 MAX_BOARD_CELLS = 1 << 26
 
 

@@ -41,10 +41,20 @@ Pair = tuple[int, int]
 
 
 def _minimal_pairs(pairs: Iterable[Pair]) -> tuple[Pair, ...]:
-    uniq = set(pairs)
-    keep = [p for p in uniq
-            if not any(q != p and q[0] <= p[0] and q[1] <= p[1] for q in uniq)]
-    return tuple(sorted(keep, key=lambda p: (-p[0], p[1])))
+    """Minimal elements of the pairs, sorted by x descending.
+
+    Sort-and-sweep: in (x, y) order every pair that could dominate p comes
+    before p, so p is minimal exactly when its y is below every y seen so
+    far (duplicates tie and are dropped).  O(k log k) for k pairs.
+    """
+    keep = []
+    low = None
+    for p in sorted(pairs):
+        if low is None or p[1] < low:
+            keep.append(p)
+            low = p[1]
+    keep.reverse()
+    return tuple(keep)
 
 
 class MonIdeal:

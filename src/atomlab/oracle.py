@@ -1,11 +1,17 @@
 """Brute-force reference enumerations for cross-checking the search engine.
 
 Everything here trades speed for obvious correctness: factor pairs come from
-multiplying out all candidates in a bounding box, with no colon tests and no
-pruning.  Factors of a monomial ideal never leave the generator bounding box
+multiplying out candidates in a bounding box, with no colon tests and no
+search.  Factors of a monomial ideal never leave the generator bounding box
 of the product (generator gcd and min-degree are both additive), and factors
 of a 0-containing set are subsets of it, so these enumerations are complete
 over the boxes they scan.
+
+The split maps multiply only the pairs whose product fits the box.  Grade is
+additive: max(A + B) = max A + max B for sets, and the pure exponents max_x
+and max_y add under a product of ideals.  A pair whose sum leaves the box
+therefore has a product outside it, and every key inside the box keeps all
+of its factor pairs.
 """
 
 from __future__ import annotations
@@ -24,7 +30,6 @@ __all__ = [
     "naive_mon_split_map",
     "naive_sumset_split_map",
     "naive_lengths",
-    "sample_ideals",
     "sample_zero_sets",
 ]
 
@@ -56,9 +61,18 @@ def box_ideals(bound: int) -> list[MonIdeal]:
 
 
 def naive_mon_split_map(ideals: list[MonIdeal]) -> dict:
-    """Map each product of two listed ideals to its unordered factor pairs."""
+    """Map each product of two listed ideals to its unordered factor pairs.
+
+    Only products inside the box of the list are formed: max_x and max_y
+    at most the largest max_x and max_y among the ideals.  Looking up an
+    ideal in that box gives all of its factorizations into two listed parts.
+    """
+    bound_x = max(a.max_x for a in ideals)
+    bound_y = max(a.max_y for a in ideals)
     out: dict = {}
     for a, b in itertools.combinations_with_replacement(ideals, 2):
+        if a.max_x + b.max_x > bound_x or a.max_y + b.max_y > bound_y:
+            continue
         p = monideal.product(a, b)
         out.setdefault(p.gens, set()).add(tuple(sorted((a.gens, b.gens))))
     return out
@@ -68,9 +82,10 @@ def naive_sumset_split_map(limit: int) -> dict:
     """Factor-pair map over all 0-containing subsets of [0,limit].
 
     Keys and factors are element tuples; every unordered pair of nonunit
-    sets is multiplied out, so looking up a set A <= [0,limit] gives exactly
-    its factorizations into two parts.  Sumsets are recomputed here by
-    shifting one factor's bitmask by each element of the other.
+    sets whose sumset lies in [0,limit] is multiplied out, so looking up a
+    set A <= [0,limit] gives exactly its factorizations into two parts.
+    Sumsets are recomputed here by shifting one factor's bitmask by each
+    element of the other.
     """
     sets = []
     for mask in range(1, 1 << limit):
@@ -83,6 +98,8 @@ def naive_sumset_split_map(limit: int) -> dict:
     out: dict = {}
     for i, (a, abits) in enumerate(sets):
         for b, _ in sets[i:]:
+            if a[-1] + b[-1] > limit:
+                break  # sets are listed by mask, so max never decreases
             pbits = 0
             for e in b:
                 pbits |= abits << e
@@ -112,15 +129,6 @@ def naive_lengths(key, split_map: dict, cache: dict) -> frozenset:
         res = frozenset(acc)
     cache[key] = res
     return res
-
-
-def sample_ideals(count: int, bound: int, seed: int) -> list[MonIdeal]:
-    """Deterministic sample of nonunit ideals with generators in the box."""
-    pool = box_ideals(bound)
-    rng = random.Random(seed)
-    if count >= len(pool):
-        return pool
-    return rng.sample(pool, count)
 
 
 def sample_zero_sets(count: int, limit: int, seed: int) -> list[NatSet]:

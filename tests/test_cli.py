@@ -135,6 +135,16 @@ def test_board_limit_is_a_usage_error(capsys, command):
     assert err.startswith("error: ") and str(MAX_BOARD_CELLS) in err
 
 
+@pytest.mark.parametrize("command", ["atom", "lengths"])
+def test_principal_part_limit_is_a_usage_error(capsys, command):
+    # the gcd-free core is one cell, but X^9999999 Y^9999999 has 10**14
+    # monomial divisors, each a shift the search would list
+    code, out, err = run(capsys, command, "<X^9999999 Y^9999999>")
+    assert code == 1 and not out
+    assert err.startswith("error: ") and str(MAX_BOARD_CELLS) in err
+    assert str(10**14) in err
+
+
 def test_table_output(capsys):
     code, out, _ = run(capsys, "lengths", "b_3", "--table")
     assert code == 0

@@ -225,6 +225,36 @@ def test_sumset_engine_matches_oracle_exhaustively():
         assert eng.lengths(a) == want
 
 
+def test_bounded_split_maps_match_all_pairs():
+    # the oracle skips pairs whose product leaves the box; no key inside it
+    # may lose a factor pair
+    limit = 8
+    sets = [NatSet([0] + [i + 1 for i in range(limit) if mask >> i & 1])
+            for mask in range(1, 1 << limit)]
+    want: dict = {}
+    for i, a in enumerate(sets):
+        for b in sets[i:]:
+            key = natset.sumset(a, b).elements
+            if key[-1] <= limit:
+                want.setdefault(key, set()).add(
+                    tuple(sorted((a.elements, b.elements))))
+    got = oracle.naive_sumset_split_map(limit)
+    assert got.keys() == want.keys()
+    assert got == want
+
+    pool = oracle.box_ideals(3)
+    want = {}
+    for i, a in enumerate(pool):
+        for b in pool[i:]:
+            p = product(a, b)
+            if p.max_x <= 3 and p.max_y <= 3:
+                want.setdefault(p.gens, set()).add(
+                    tuple(sorted((a.gens, b.gens))))
+    got = oracle.naive_mon_split_map(pool)
+    assert got.keys() == want.keys()
+    assert got == want
+
+
 def test_monomial_engine_matches_oracle_exhaustively():
     pool = oracle.box_ideals(3)
     split_map = oracle.naive_mon_split_map(pool)

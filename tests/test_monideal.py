@@ -21,6 +21,17 @@ zero_sets = st.sets(st.integers(0, 9), max_size=6).map(
     lambda s: NatSet(s | {0}))
 
 
+@given(st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5)),
+                max_size=16))
+def test_minimal_pairs_matches_quadratic_definition(pairs):
+    # small coordinates force duplicates and pairs sharing an x or a y
+    keep = {p for p in pairs
+            if not any(q != p and q[0] <= p[0] and q[1] <= p[1]
+                       for q in pairs)}
+    want = tuple(sorted(keep, key=lambda p: (-p[0], p[1])))
+    assert monideal._minimal_pairs(pairs) == want
+
+
 def members_in_box(e, bx, by):
     return {(x, y) for x in range(bx + 1) for y in range(by + 1)
             if (x, y) in e}
