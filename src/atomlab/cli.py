@@ -31,8 +31,8 @@ from fractions import Fraction
 from typing import Optional
 
 from . import claims, families, monideal, natset
-from .engine import (MAX_BOARD_CELLS, Budget, SearchBudgetExceeded,
-                     board_cells, monomial_engine, sumset_engine)
+from .engine import (Budget, SearchBudgetExceeded, check_search_size,
+                     monomial_engine, sumset_engine)
 from .monideal import MonIdeal
 from .natset import NatSet
 
@@ -199,18 +199,10 @@ def _search_target(args):
         raise _UsageError("monoid 'pfin0' needs a set containing 0")
     budget = _budget_from(args)
     if kind == "ideal":
-        cells = board_cells(target)
-        if cells > MAX_BOARD_CELLS:
-            raise _UsageError(
-                f"factor search supports ideals whose gcd-free core needs "
-                f"at most {MAX_BOARD_CELLS} board cells, got {cells}")
-        u, v = monideal.generator_gcd(target)
-        shifts = (u + 1) * (v + 1)
-        if shifts > MAX_BOARD_CELLS:
-            raise _UsageError(
-                f"factor search supports ideals whose generator gcd X^u Y^v "
-                f"has at most {MAX_BOARD_CELLS} monomial divisors, "
-                f"got (u+1)(v+1) = {shifts}")
+        try:
+            check_search_size(target)
+        except ValueError as exc:
+            raise _UsageError(str(exc)) from None
         return monomial_engine(budget), 0, target
     shift, base = natset.reduce_shift(target)
     if base.max > natset.SEARCH_LIMIT:

@@ -19,6 +19,7 @@ engine by a shift: see is_atom and lengths at the end of this module.
 
 from __future__ import annotations
 
+import itertools
 import time
 from typing import Iterator, Optional, Protocol, TypeVar
 
@@ -37,6 +38,7 @@ __all__ = [
     "monomial_engine",
     "MAX_BOARD_CELLS",
     "board_cells",
+    "check_search_size",
     "is_atom",
     "lengths",
 ]
@@ -84,6 +86,26 @@ class Budget:
                 raise SearchBudgetExceeded(
                     f"search exceeded {self.max_seconds} seconds",
                     self.nodes, self.elapsed)
+
+    def charge(self, n: int) -> None:
+        """Count n nodes at once, stopping where n calls of tick would."""
+        before = self.nodes
+        self.nodes = before + n
+        stride = self._CLOCK_STRIDE
+        if self.max_seconds is not None \
+                and self.nodes // stride > before // stride:
+            check = (before // stride + 1) * stride
+            if (self.max_nodes is None or check <= self.max_nodes) \
+                    and self.elapsed > self.max_seconds:
+                self.nodes = check
+                raise SearchBudgetExceeded(
+                    f"search exceeded {self.max_seconds} seconds",
+                    self.nodes, self.elapsed)
+        if self.max_nodes is not None and self.nodes > self.max_nodes:
+            self.nodes = self.max_nodes + 1
+            raise SearchBudgetExceeded(
+                f"search exceeded {self.max_nodes} nodes",
+                self.nodes, self.elapsed)
 
 
 class GradedMonoid(Protocol[E]):
@@ -160,45 +182,41 @@ class MonomialMonoid:
 
         Generators sharing a monomial factor X^u Y^v split off as principal
         prime factors, so divisors are X^i Y^j times a divisor of the
-        gcd-free core.  Core divisors come from a pruned staircase search,
-        see _gcdfree_divisors.
+        gcd-free core, of grade mdeg + i + j.  Core divisors come from a
+        pruned staircase search, see _gcdfree_divisors.  Raises ValueError
+        for an ideal beyond the limits of check_search_size.
         """
         total = e.mdeg
         if total == 0:
             return
-        tick = budget.tick if budget is not None else (lambda: None)
+        check_search_size(e)
+        cap = total - 1 if grade_cap is None else min(grade_cap, total - 1)
         u, v = monideal.generator_gcd(e)
-        core = monideal.shifted(e, -u, -v) if (u or v) else e
-
-        def emit(a: MonIdeal, i: int, j: int) -> Optional[MonIdeal]:
-            cand = monideal.shifted(a, i, j) if (i or j) else a
-            g = cand.mdeg
-            if 1 <= g <= total - 1 and (grade_cap is None or g <= grade_cap):
-                return cand
-            return None
-
-        shifts = [(i, j) for i in range(u + 1) for j in range(v + 1)]
-        base = [UNIT]
-        if core.mdeg > 0:
-            base.append(core)
-        for a in base:
-            for i, j in shifts:
-                got = emit(a, i, j)
-                if got is not None:
-                    yield got
-        if core.mdeg == 0:
+        if not (u or v):
+            # the core is e: the unit and e itself are not proper divisors,
+            # and the core stream yields only proper ones
+            for a, g in _gcdfree_divisors(e, total, budget, grade_cap):
+                if g <= cap:
+                    yield a
             return
-        for a in _gcdfree_divisors(core, tick, grade_cap):
-            for i, j in shifts:
-                got = emit(a, i, j)
-                if got is not None:
-                    yield got
+        core = monideal.shifted(e, -u, -v)
+        core_deg = total - u - v
+        stream = [(UNIT, 0)]
+        if core_deg:
+            stream = itertools.chain(stream, [(core, core_deg)],
+                                     _gcdfree_divisors(core, core_deg, budget,
+                                                       grade_cap))
+        for a, g in stream:
+            for i in range(u + 1):
+                # the j that keep the grade g + i + j within [1, cap]
+                for j in range(max(0, 1 - g - i), min(v, cap - g - i) + 1):
+                    yield monideal.shifted(a, i, j) if (i or j) else a
 
 
 # Boards are dense, so a search refuses ideals whose gcd-free core would need
-# more padded cells than this (about 8 MB per mask).  The command line also
-# refuses targets whose generator gcd has more monomial divisors than this,
-# since candidate_divisors lists them all.
+# more padded cells than this (about 8 MB per mask), and ideals whose
+# generator gcd has more monomial divisors than this, since
+# candidate_divisors lists them all.
 MAX_BOARD_CELLS = 1 << 26
 
 
@@ -208,43 +226,65 @@ def board_cells(e: MonIdeal) -> int:
     return (e.max_y - v + 1) * (2 * (e.max_x - u) + 1)
 
 
+def check_search_size(e: MonIdeal) -> None:
+    """Raise ValueError when a factor search of e would exceed the limits.
+
+    The board of the gcd-free core may have at most MAX_BOARD_CELLS padded
+    cells, and the generator gcd X^u Y^v at most MAX_BOARD_CELLS monomial
+    divisors.  Both are checked before anything of that size is built.
+    """
+    cells = board_cells(e)
+    if cells > MAX_BOARD_CELLS:
+        raise ValueError(
+            f"factor search supports ideals whose gcd-free core needs "
+            f"at most {MAX_BOARD_CELLS} board cells, got {cells}")
+    u, v = monideal.generator_gcd(e)
+    shifts = (u + 1) * (v + 1)
+    if shifts > MAX_BOARD_CELLS:
+        raise ValueError(
+            f"factor search supports ideals whose generator gcd X^u Y^v "
+            f"has at most {MAX_BOARD_CELLS} monomial divisors, "
+            f"got (u+1)(v+1) = {shifts}")
+
+
 class _Board:
-    """Bit-board view of a gcd-free ideal inside its generator bounding box.
+    """Bit-board view of a monomial ideal inside its generator bounding box.
 
     Bit y*(2px+1) + x is set when X^x Y^y lies in the ideal, for x <= px and
-    y <= py (the pure exponents).  Outside the box membership is decided by
+    y <= py (the largest generator exponents).  For a gcd-free ideal these
+    are the pure exponents, and outside the box membership is decided by
     the pure powers alone, so clipping coordinates to the box is exact.
     Colons by a monomial become precomputed masks and intersections become
     single AND operations, which is what makes the frame DFS cheap.  Rows
     are padded to 2px+1 bits so that shifting a mask by any (sx, sy) with
     sx <= px moves bits past column px into the padding, never into the
-    next row.  gens is the mask of the ideal's own generators.
+    next row.  gens is the mask of the ideal's own generators, and
+    starts[y] the first column of row y in the ideal (px+1 for none).
     """
 
     def __init__(self, e: MonIdeal):
         self.px = px = e.max_x
         self.py = py = e.max_y
         self.stride = w = 2 * px + 1
-        if (py + 1) * w > MAX_BOARD_CELLS:
-            raise ValueError(f"factor search supports boards of at most "
-                             f"{MAX_BOARD_CELLS} cells, got {(py + 1) * w}")
         # a row pattern times `rows` repeats it in every row, without carries
         self.rows = rows = ((1 << (py + 1) * w) - 1) // ((1 << w) - 1)
         self.row = full_row = (1 << (px + 1)) - 1
         self.content = full_row * rows
-        region = gens = 0
-        for x, y in e.gens:
-            gens |= 1 << (y * w + x)
-            # columns x..px in every row, then rows below y cleared
-            region |= (full_row >> x << x) * rows >> (y * w) << (y * w)
-        self.region = region
-        self.gens = gens
+        # rows between two generators (x descending, y ascending) start at
+        # the column of the lower one; rows below every generator are empty
+        gens = e.gens
+        self.starts = starts = [px + 1] * gens[0][1]
+        zeros = "0" * px
+        ones = "1" * (px + 1) + zeros
+        runs = ["0" * (w * len(starts))]
+        for (x, y), (_, top) in zip(gens, gens[1:] + ((0, py + 1),)):
+            starts += [x] * (top - y)
+            # binary digits of the run's rows, column px first
+            runs.append((zeros + ones[x:x + px + 1]) * (top - y))
+        self.region = region = int("".join(reversed(runs)), 2)
+        # generators are the cells whose left and lower neighbours are out
+        self.gens = region & ~(region << 1 | region << w)
         self._colon_cache: dict[tuple[int, int], int] = {}
-
-    def member(self, x: int, y: int) -> bool:
-        x = min(x, self.px)
-        y = min(y, self.py)
-        return self.region >> (y * self.stride + x) & 1 == 1
 
     def colon_mask(self, c: int, g: int) -> int:
         """Membership mask of (ideal : X^c Y^g), clipped to the same box."""
@@ -263,83 +303,121 @@ class _Board:
         return out
 
 
-def _gcdfree_divisors(e: MonIdeal, tick, cap: Optional[int] = None
-                      ) -> Iterator[MonIdeal]:
-    """Proper divisors of a gcd-free nonunit ideal, one frame at a time.
+def _gcdfree_divisors(e: MonIdeal, total: int, budget: Optional[Budget],
+                      cap: Optional[int] = None
+                      ) -> Iterator[tuple[MonIdeal, int]]:
+    """Proper divisors of a gcd-free nonunit ideal with their grades.
+
+    total is mdeg(e), and cap, when given, a grade bound that lets whole
+    frames be skipped (divisors above it may still be yielded).
 
     Any factor pair of e carries pure powers X^ax, Y^ay and X^bx, Y^by with
-    ax + bx and ay + by matching the pure exponents of e, so the search runs
-    over frames (ax, ay).  Within a frame, a factor B is the frame plus an
-    antichain of interior generators, and its maximal cofactor is the colon
-    by its generators; e equals B * cofactor exactly when every generator
-    of e lies in the mask of B * cofactor, the OR of the cofactor mask
-    shifted by each generator of B.  The DFS threads that coverage test
+    ax + bx = px and ay + by = py, the pure exponents of e, so the search
+    runs over frames (ax, ay).  Within a frame, a factor B is the frame plus
+    an antichain of interior generators, and its maximal cofactor is the
+    colon by its generators; e equals B * cofactor exactly when every
+    generator of e lies in the mask of B * cofactor, the OR of the cofactor
+    mask shifted by each generator of B.  The DFS threads that coverage test
     through the antichain enumeration (see _frame_dfs).
 
-    Three sound filters shrink the frame and point sets.  Each generator of
-    a factor stays in e after multiplying by the partner's pure powers; the
-    grade identity mdeg(e) = mdeg(factor) + mdeg(cofactor) with
-    mdeg <= min(pure exponents) forces min(ax, ay) + min(bx, by) >= mdeg(e);
-    and every generator degree of the factor is at least
-    mdeg(e) - min(bx, by).
-    """
-    total = e.mdeg
-    board = _Board(e)
-    px, py = board.px, board.py
+    Three sound filters shrink the frame and point sets.  The grade identity
+    mdeg(e) = mdeg(factor) + mdeg(cofactor) with mdeg <= min(pure exponents)
+    forces min(ax, ay) + min(bx, by) >= mdeg(e), which holds on one range
+    of ay for each ax (see _frame_ays).  Each generator of a factor stays in
+    e after multiplying by the partner's pure powers, so the corners
+    X^ax Y^by and X^bx Y^ay lie in e, and a point (c, g) of a frame lies in
+    both (e : X^bx) and (e : Y^by).  Those colons are ideals, so row g of
+    their intersection is the columns from max(start[g] - bx, start[g + by])
+    on, start[y] being the first column of row y of e.  And every generator
+    degree of the factor is at least mdeg(e) - min(bx, by).
 
+    Each of the (px-1)(py-1) frames costs one search node, as it did when
+    every frame was visited: the frames outside the ay ranges are charged
+    in bulk, in scan order, so node counts and the point where a budget
+    stops the stream do not depend on the ranges.
+    """
+    tick = budget.tick if budget is not None else _uncounted
+    charge = budget.charge if budget is not None else _uncounted
+    board = _Board(e)
+    px, py, starts = board.px, board.py, board.starts
+    skipped = 0
     for ax in range(1, px):
         bx = px - ax
-        for ay in range(1, py):
+        ays = _frame_ays(px, py, total, ax)
+        if not ays:
+            skipped += py - 1
+            continue
+        charge(skipped + ays.start - 1)
+        skipped = py - ays.stop
+        for ay in ays:
             by = py - ay
             tick()
-            if min(ax, ay) + min(bx, by) < total:
+            if ax < starts[by] or bx < starts[ay]:
                 continue
-            if not board.member(ax, by) or not board.member(bx, ay):
-                continue
-            lo = total - min(bx, by)
+            lo = total - (bx if bx < by else by)
             if cap is not None and min(ax, ay) > cap and lo > cap:
                 continue
-            points = [(g, c) for c in range(1, ax)
-                      for g in range(max(1, lo - c), ay)
-                      if board.member(c + bx, g) and board.member(c, g + by)]
-            points.sort()
+            # points (c, g) with 1 <= c < ax, 1 <= g < ay and c + g >= lo,
+            # in (g, c) order
+            points = []
+            for g in range(1, ay):
+                c0 = max(1, lo - g, starts[g] - bx, starts[g + by])
+                if c0 < ax:
+                    points += [(c, g) for c in range(c0, ax)]
             yield from _frame_dfs(board, ax, ay, points, tick)
+    charge(skipped)
+
+
+def _frame_ays(px: int, py: int, total: int, ax: int) -> range:
+    """The ay in [1, py) with min(ax, ay) + min(px-ax, py-ay) >= total.
+
+    min(a, b) + min(c, d) = min(a + c, a + d, b + c, b + d), and px and py
+    are at least total, so the test is ax + py - ay >= total and
+    ay + px - ax >= total.
+    """
+    return range(max(1, total - px + ax), min(py, ax + py - total + 1))
+
+
+def _uncounted(*_nodes) -> None:
+    pass
 
 
 def _frame_dfs(board: _Board, ax: int, ay: int, points,
-               tick) -> Iterator[MonIdeal]:
+               tick) -> Iterator[tuple[MonIdeal, int]]:
     """Preorder DFS over antichains B = frame + points by increasing Y.
 
-    miss = generators of e outside B * cof, cof the mask of (e : B): the OR
-    of cof << (sy*stride + sx) over the generators (sx, sy) of B.  Points
-    still to come lie at or above the next point's row and only shrink cof,
-    so a miss below that row kills the branch; no miss emits B.
+    points are (c, g) pairs sorted by (g, c).  miss = generators of e outside
+    B * cof, cof the mask of (e : B): the OR of cof << (sy*stride + sx) over
+    the generators (sx, sy) of B.  Points still to come lie at or above the
+    next point's row and only shrink cof, so a miss below that row kills the
+    branch; no miss emits B with its grade, min(ax, ay, c + g over points).
     """
     w, gens, bottom = board.stride, board.gens, (0, ay)
-    pairs = [(c, g) for g, c in points]
-    colons = [board.colon_mask(c, g) for c, g in pairs]
-    shifts = [g * w + c for c, g in pairs]
+    colons = [board.colon_mask(c, g) for c, g in points]
+    shifts = [g * w + c for c, g in points]
     # bit 0 of the next point's row (row py+1 past the last): misses below die
-    lows = [1 << (g * w) for g, _c in points] + [1 << ((board.py + 1) * w)]
+    lows = [1 << (g * w) for _c, g in points] + [1 << ((board.py + 1) * w)]
     stack = [(((ax, 0),), (ax, ay * w),
-              board.colon_mask(ax, 0) & board.colon_mask(0, ay), 0)]
+              board.colon_mask(ax, 0) & board.colon_mask(0, ay), 0,
+              min(ax, ay))]
     while stack:
-        acc, sh, cof, idx = stack.pop()
+        acc, sh, cof, idx, deg = stack.pop()
         tick()
         reach = 0
         for s in sh:
             reach |= cof << s
         miss = gens & ~reach
         if not miss:
-            yield MonIdeal._from_antichain(acc + (bottom,))
+            yield MonIdeal._from_antichain(acc + (bottom,)), deg
         elif miss & -miss < lows[idx]:
             continue
         last_x, last_y = acc[-1]
-        for i in range(len(pairs) - 1, idx - 1, -1):
-            c, g = pairs[i]
+        for i in range(len(points) - 1, idx - 1, -1):
+            c, g = point = points[i]
             if g > last_y and c < last_x:
-                stack.append((acc + (pairs[i],), sh + (shifts[i],),
-                              cof & colons[i], i + 1))
+                stack.append((acc + (point,), sh + (shifts[i],),
+                              cof & colons[i], i + 1,
+                              deg if deg <= c + g else c + g))
 
 
 class FactorEngine:

@@ -93,7 +93,7 @@ class MonIdeal:
     @property
     def mdeg(self) -> int:
         """Least total degree of a member; 0 exactly for the unit ideal."""
-        return min(x + y for x, y in self.gens)
+        return min([x + y for x, y in self.gens])
 
     @property
     def max_x(self) -> int:
@@ -227,8 +227,11 @@ def colon(a: MonIdeal, b: MonIdeal) -> MonIdeal:
 
 
 def generator_gcd(ideal: MonIdeal) -> Pair:
-    """Componentwise minimum over the generators (their monomial gcd)."""
-    return (min(x for x, _ in ideal.gens), min(y for _, y in ideal.gens))
+    """Componentwise minimum over the generators (their monomial gcd).
+
+    Generators run x descending, so y ascending: the minima sit at the ends.
+    """
+    return (ideal.gens[-1][0], ideal.gens[0][1])
 
 
 def shifted(ideal: MonIdeal, dx: int, dy: int) -> MonIdeal:

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from atomlab import engine, natset, oracle
 from atomlab.engine import (MAX_BOARD_CELLS, Budget, MonomialMonoid,
                             SearchBudgetExceeded, SumsetMonoid, board_cells,
-                            monomial_engine, sumset_engine)
+                            check_search_size, monomial_engine, sumset_engine)
 from atomlab.families import minimal_sequence
 from atomlab.monideal import (MonIdeal, build_a, build_b, build_c, build_i_b,
                               build_i_c, colon, generator_gcd, phi, product,
@@ -74,6 +74,117 @@ def test_monomial_stream_is_pinned():
         assert product(a, colon(e, a)) == e
 
 
+def _reference_frame_stream(e, tick):
+    """Divisors of a gcd-free e from a frame loop that visits every frame.
+
+    Each frame is ticked and then filtered, and each point is tested cell by
+    cell with `in`; the DFS is the engine's own.
+    """
+    board = engine._Board(e)
+    total, px, py = e.mdeg, board.px, board.py
+
+    def member(x, y):
+        return (min(x, px), min(y, py)) in e
+
+    for ax in range(1, px):
+        bx = px - ax
+        for ay in range(1, py):
+            by = py - ay
+            tick()
+            if min(ax, ay) + min(bx, by) < total:
+                continue
+            if not member(ax, by) or not member(bx, ay):
+                continue
+            lo = total - min(bx, by)
+            points = sorted((g, c) for c in range(1, ax)
+                            for g in range(max(1, lo - c), ay)
+                            if member(c + bx, g) and member(c, g + by))
+            for d, _deg in engine._frame_dfs(board, ax, ay,
+                                             [(c, g) for g, c in points],
+                                             tick):
+                yield d
+
+
+def _run_stream(stream, budget):
+    got = []
+    try:
+        for d in stream:
+            got.append(d)
+    except SearchBudgetExceeded:
+        pass
+    return got, budget.nodes
+
+
+@pytest.mark.parametrize("e", [phi(NatSet([0, 1, 3, 7, 8, 12, 14])),
+                               phi(NatSet([0, 2, 3, 9, 11])),
+                               phi(NatSet([0, 4, 5, 6, 10, 13])),
+                               build_a(5), build_a(8),
+                               build_i_c(minimal_sequence(2))],
+                         ids=str)
+def test_budget_exhaustion_matches_reference_frame_loop(e):
+    # skipped frames are charged in bulk: the stream, the node count and the
+    # point where a budget stops it match a loop that ticks every frame
+    full = Budget()
+    want = list(_reference_frame_stream(e, full.tick))
+    budget = Budget()
+    got, nodes = _run_stream(MonomialMonoid().candidate_divisors(e, budget),
+                             budget)
+    assert (got, nodes) == (want, full.nodes)
+    for n in sorted({1, 2, 5, 13, 50, 200, 1000, full.nodes - 1, full.nodes}):
+        ref = Budget(max_nodes=n)
+        ref_got, ref_nodes = _run_stream(
+            _reference_frame_stream(e, ref.tick), ref)
+        budget = Budget(max_nodes=n)
+        got, nodes = _run_stream(
+            MonomialMonoid().candidate_divisors(e, budget), budget)
+        assert (got, nodes) == (ref_got, ref_nodes)
+        assert nodes == min(n + 1, full.nodes)
+
+
+@given(st.integers(1, 40), st.integers(1, 40), st.data())
+@settings(max_examples=200)
+def test_frame_ays_match_grade_filter(px, py, data):
+    total = data.draw(st.integers(1, min(px, py)))
+    for ax in range(1, px):
+        want = [ay for ay in range(1, py)
+                if min(ax, ay) + min(px - ax, py - ay) >= total]
+        assert list(engine._frame_ays(px, py, total, ax)) == want
+
+
+def test_phi_atom_node_count_is_pinned():
+    # every 0-containing A in [0,10]: frames charged in bulk still count
+    budget = Budget()
+    eng = monomial_engine(budget)
+    atoms = sum(eng.is_atom(phi(NatSet([0] + [i + 1 for i in range(10)
+                                              if mask >> i & 1])))
+                for mask in range(1 << 10))
+    assert (atoms, budget.nodes) == (645, 48864)
+
+
+def test_budget_charge_matches_ticks():
+    # charge(n) stops where n ticks would: at max_nodes + 1, or at the first
+    # clock check past the time limit
+    def outcome(limits, start, step):
+        budget = Budget(*limits)
+        budget.nodes = start
+        try:
+            step(budget)
+        except SearchBudgetExceeded as exc:
+            assert exc.nodes == budget.nodes
+            return str(exc).split()[-1], budget.nodes
+        return None, budget.nodes
+
+    for limits in [(None, None), (1022, None), (1030, None), (4000, None),
+                   (None, 0.0), (1022, 0.0), (1030, 0.0), (2048, 0.0)]:
+        for start in (0, 5, 1020, 1022, 1023, 1024, 2000):
+            if limits[0] is not None and start > limits[0]:
+                continue
+            for n in (0, 1, 3, 4, 1024, 2500):
+                assert outcome(limits, start, lambda b: b.charge(n)) == \
+                    outcome(limits, start,
+                            lambda b: [b.tick() for _ in range(n)])
+
+
 @given(small_ideals)
 @settings(max_examples=80)
 def test_board_colon_masks_match_membership(e):
@@ -99,6 +210,34 @@ def test_board_limit():
     # only the gcd-free core is searched, so a monomial factor is free
     assert board_cells(shifted(build_a(1), 10**10, 10**10)) == 2 * 3
     assert board_cells(build_a(1000)) == 1001 * 2001 <= MAX_BOARD_CELLS
+
+
+def test_board_region_matches_membership():
+    wide = [build_a(40), phi(NatSet([0, 7, 30, 61])), build_i_c(
+        minimal_sequence(3)), MonIdeal([(60, 0), (5, 2), (0, 9)]),
+        MonIdeal([(30, 4), (2, 11)])]
+    for e in oracle.box_ideals(4) + wide:
+        board = engine._Board(e)
+        px, py, w = board.px, board.py, board.stride
+        cells = {(x, y) for y in range(py + 1) for x in range(px + 1)
+                 if (x, y) in e}
+        assert board.region == sum(1 << (y * w + x) for x, y in cells)
+        assert board.gens == sum(1 << (y * w + x) for x, y in e.gens)
+        assert board.starts == [min((x for x in range(px + 1)
+                                     if (x, y) in cells), default=px + 1)
+                                for y in range(py + 1)]
+
+
+def test_principal_part_limit_in_library():
+    # (u+1)(v+1) shifts of X^u Y^v: refused before any of them is listed
+    eng = monomial_engine()
+    with pytest.raises(ValueError, match=str(10**14)):
+        eng.is_atom(MonIdeal([(9999999, 9999999)]))
+    with pytest.raises(ValueError):
+        check_search_size(MonIdeal([(8192, 8191)]))
+    at_limit = MonIdeal([(8191, 8191)])
+    check_search_size(at_limit)
+    assert not eng.is_atom(at_limit)
 
 
 def test_sumset_stream_requires_zero():
