@@ -22,6 +22,7 @@ for that n) or from an explicit --seq a1,a2,...,a{n+1}.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import re
@@ -30,10 +31,10 @@ import sys
 from fractions import Fraction
 from typing import Optional
 
-from . import claims, families, monideal, natset
+from . import claims, engine, families, monideal, natset
 from .engine import (Budget, SearchBudgetExceeded, check_search_size,
                      monomial_engine, sumset_engine)
-from .monideal import MonIdeal
+from .monideal import UNIT, MonIdeal
 from .natset import NatSet
 
 __all__ = ["entry", "main"]
@@ -182,12 +183,12 @@ def _rho_text(value) -> str:
 
 
 def _search_target(args):
-    """Engine, shift and zero-based part of an atom or lengths target.
+    """Split search, lengths search and target of an atom or lengths query.
 
-    A set is searched through its zero-based part, since in the full monoid
-    it is min(A) copies of {1} plus that part; an ideal has shift 0.
-    --monoid only checks that the target lies in the named monoid.  Targets
-    too large for the search's dense masks are usage errors.
+    A set is searched in the full monoid (engine.find_split and
+    engine.lengths), an ideal by a monomial engine.  --monoid only checks
+    that the target lies in the named monoid.  Targets too large for the
+    search's dense masks are usage errors.
     """
     kind, target = parse_target(args.target)
     flag = args.monoid
@@ -203,29 +204,25 @@ def _search_target(args):
             check_search_size(target)
         except ValueError as exc:
             raise _UsageError(str(exc)) from None
-        return monomial_engine(budget), 0, target
-    shift, base = natset.reduce_shift(target)
-    if base.max > natset.SEARCH_LIMIT:
+        eng = monomial_engine(budget)
+        return eng.find_split, eng.lengths, target
+    if target.max - target.min > natset.SEARCH_LIMIT:
         raise _UsageError(
             f"factor search supports sets with max - min <= "
-            f"{natset.SEARCH_LIMIT}, got {base.max}")
-    return sumset_engine(budget), shift, base
+            f"{natset.SEARCH_LIMIT}, got {target.max - target.min}")
+    return (functools.partial(engine.find_split, budget=budget),
+            functools.partial(engine.lengths, budget=budget), target)
+
+
+# the identities of the two monoids: no atom, and no split to search for
+_IDENTITIES = (UNIT, NatSet([0]))
 
 
 def _cmd_atom(args) -> int:
-    eng, shift, base = _search_target(args)
-    unit = eng.monoid.is_identity
+    find_split, _lengths, target = _search_target(args)
+    unit = target in _IDENTITIES
     try:
-        if shift:
-            # {shift} + base = {1} + rest, and only {1} itself is an atom
-            rest = base.shifted(shift - 1)
-            atom = unit(rest)
-            pair = None if atom else (NatSet([1]), rest)
-        elif unit(base):
-            atom, pair = False, None
-        else:
-            pair = eng.find_split(base)
-            atom = pair is None
+        pair = None if unit else find_split(target)
     except SearchBudgetExceeded as exc:
         _emit({"atom": "inconclusive", "budget": _budget_payload(exc)},
               args.fmt)
@@ -233,14 +230,14 @@ def _cmd_atom(args) -> int:
     witness = None
     if pair is not None:
         witness = [pair[0].to_json(), pair[1].to_json()]
-    _emit({"atom": atom, "witness": witness}, args.fmt)
+    _emit({"atom": pair is None and not unit, "witness": witness}, args.fmt)
     return 0
 
 
 def _cmd_lengths(args) -> int:
-    eng, shift, base = _search_target(args)
+    _find_split, lengths, target = _search_target(args)
     try:
-        got = tuple(shift + l for l in eng.lengths(base))
+        got = lengths(target)
     except SearchBudgetExceeded as exc:
         _emit({"lengths": "inconclusive", "budget": _budget_payload(exc)},
               args.fmt)

@@ -1,12 +1,12 @@
 """Generic factorization search over graded reduced monoids.
 
-The engine sees a monoid through a small adapter interface: an identity
-test, product, colon (maximal cofactor), an additive grade that is zero only
-on the identity, a canonical sort key, and a divisor stream that yields
-exactly the proper divisors.  A divisor a of e has maximal cofactor
+The engine sees a monoid through a small adapter interface: product, colon
+(maximal cofactor), an additive grade that is zero exactly on the identity,
+a canonical sort key, and a divisor stream that yields each proper divisor
+exactly once, with its grade.  A divisor a of e has maximal cofactor
 colon(e, a) with a * colon(e, a) = e; full split lists come from matching
-the divisor set against itself, which is exhaustive because any cofactor is
-itself a divisor.
+the divisors of each grade against those of the complementary grade, which
+is exhaustive because any cofactor is itself a divisor.
 
 Budgets bound the number of search nodes and the wall clock.  Exhaustion
 raises SearchBudgetExceeded so callers can report "inconclusive" rather than
@@ -14,13 +14,15 @@ mistaking a truncated scan for a completed one.  Streams have a fixed order,
 so output is deterministic.
 
 The full sumset monoid of all finite nonempty subsets of N reduces to the
-engine by a shift: see is_atom and lengths at the end of this module.
+engine by a shift: see find_split, is_atom and lengths at the end of this
+module.
 """
 
 from __future__ import annotations
 
 import itertools
 import time
+from collections import defaultdict
 from typing import Iterator, Optional, Protocol, TypeVar
 
 from . import monideal, natset
@@ -39,6 +41,7 @@ __all__ = [
     "MAX_BOARD_CELLS",
     "board_cells",
     "check_search_size",
+    "find_split",
     "is_atom",
     "lengths",
 ]
@@ -111,11 +114,10 @@ class Budget:
 class GradedMonoid(Protocol[E]):
     """What the engine needs from a commutative reduced monoid.
 
-    candidate_divisors must yield exactly the proper divisors of e (each at
-    least once), restricted to grade at most grade_cap when one is given.
+    grade is additive and zero exactly on the identity.  candidate_divisors
+    must yield each proper divisor of e exactly once, as a pair (divisor,
+    grade), restricted to grade at most grade_cap when one is given.
     """
-
-    def is_identity(self, e: E) -> bool: ...
 
     def product(self, a: E, b: E) -> E: ...
 
@@ -126,14 +128,12 @@ class GradedMonoid(Protocol[E]):
     def key(self, e: E): ...
 
     def candidate_divisors(self, e: E, budget: Optional[Budget] = None,
-                           grade_cap: Optional[int] = None) -> Iterator[E]: ...
+                           grade_cap: Optional[int] = None
+                           ) -> Iterator[tuple[E, int]]: ...
 
 
 class SumsetMonoid:
     """Reduced sumset monoid: finite subsets of N containing 0."""
-
-    def is_identity(self, e: NatSet) -> bool:
-        return e.elements == (0,)
 
     def product(self, a: NatSet, b: NatSet) -> NatSet:
         return natset.sumset(a, b)
@@ -148,21 +148,19 @@ class SumsetMonoid:
         return e.elements
 
     def candidate_divisors(self, e: NatSet, budget: Optional[Budget] = None,
-                           grade_cap: Optional[int] = None) -> Iterator[NatSet]:
+                           grade_cap: Optional[int] = None
+                           ) -> Iterator[tuple[NatSet, int]]:
         if e.min != 0:
             raise ValueError("expected a set containing 0")
         tick = budget.tick if budget is not None else None
         amask = natset._mask_of(e)
         for bmask, _col in natset._reduced_divisor_masks(amask, cap=grade_cap,
                                                          tick=tick):
-            yield natset._mask_to_set(bmask)
+            yield natset._mask_to_set(bmask), bmask.bit_length() - 1
 
 
 class MonomialMonoid:
     """Multiplicative monoid of nonzero monomial ideals in two variables."""
-
-    def is_identity(self, e: MonIdeal) -> bool:
-        return e.is_unit
 
     def product(self, a: MonIdeal, b: MonIdeal) -> MonIdeal:
         return monideal.product(a, b)
@@ -177,8 +175,9 @@ class MonomialMonoid:
         return e.gens
 
     def candidate_divisors(self, e: MonIdeal, budget: Optional[Budget] = None,
-                           grade_cap: Optional[int] = None) -> Iterator[MonIdeal]:
-        """Stream exactly the proper divisors of e.
+                           grade_cap: Optional[int] = None
+                           ) -> Iterator[tuple[MonIdeal, int]]:
+        """Stream each proper divisor of e once, with its grade.
 
         Generators sharing a monomial factor X^u Y^v split off as principal
         prime factors, so divisors are X^i Y^j times a divisor of the
@@ -195,9 +194,9 @@ class MonomialMonoid:
         if not (u or v):
             # the core is e: the unit and e itself are not proper divisors,
             # and the core stream yields only proper ones
-            for a, g in _gcdfree_divisors(e, total, budget, grade_cap):
-                if g <= cap:
-                    yield a
+            for pair in _gcdfree_divisors(e, total, budget, grade_cap):
+                if pair[1] <= cap:
+                    yield pair
             return
         core = monideal.shifted(e, -u, -v)
         core_deg = total - u - v
@@ -210,7 +209,8 @@ class MonomialMonoid:
             for i in range(u + 1):
                 # the j that keep the grade g + i + j within [1, cap]
                 for j in range(max(0, 1 - g - i), min(v, cap - g - i) + 1):
-                    yield monideal.shifted(a, i, j) if (i or j) else a
+                    yield (monideal.shifted(a, i, j) if (i or j) else a,
+                           g + i + j)
 
 
 # Boards are dense, so a search refuses ideals whose gcd-free core would need
@@ -421,7 +421,7 @@ def _frame_dfs(board: _Board, ax: int, ay: int, points,
 
 
 class FactorEngine:
-    """Divisor, atom, split, length and factorization queries for one monoid.
+    """Split, atom and length queries for one monoid.
 
     Each engine owns one budget and one memo cache; create a fresh engine to
     search under different budgets.
@@ -433,35 +433,33 @@ class FactorEngine:
         self._divisor_memo: dict = {}
         self._atom_memo: dict = {}
         self._length_memo: dict = {}
-        self._factorization_memo: dict = {}
 
-    def divisors(self, e: E) -> list[E]:
-        """All proper divisors of e, sorted by (grade, key)."""
+    def _divisors_by_grade(self, e: E) -> dict[int, list[E]]:
+        """The proper divisors of e in stream order, in lists by grade."""
         m = self.monoid
         k = m.key(e)
         got = self._divisor_memo.get(k)
-        if got is not None:
-            return list(got)
-        hits = list(m.candidate_divisors(e, self.budget))
-        seen = {}
-        for a in hits:
-            seen.setdefault(m.key(a), a)
-        out = sorted(seen.values(), key=lambda a: (m.grade(a), m.key(a)))
-        self._divisor_memo[k] = tuple(out)
-        return out
+        if got is None:
+            got = defaultdict(list)
+            for a, g in m.candidate_divisors(e, self.budget):
+                got[g].append(a)
+            self._divisor_memo[k] = got
+        return got
 
-    def _first_small_divisor(self, e: E) -> Optional[E]:
+    def _first_small_divisor(self, e: E, total: int) -> Optional[E]:
         # some side of any split has at most half the grade
-        m = self.monoid
-        return next(m.candidate_divisors(e, self.budget, m.grade(e) // 2),
-                    None)
+        for a, _g in self.monoid.candidate_divisors(e, self.budget,
+                                                    total // 2):
+            return a
+        return None
 
     def find_split(self, e: E) -> Optional[tuple[E, E]]:
         """Some factorization e = a * b into nonunits, or None for atoms."""
         m = self.monoid
-        if m.is_identity(e):
+        total = m.grade(e)
+        if total == 0:
             raise ValueError("the identity is not searched for splits")
-        a = self._first_small_divisor(e)
+        a = self._first_small_divisor(e, total)
         if a is None:
             return None
         if self.budget is not None:
@@ -473,45 +471,49 @@ class FactorEngine:
 
     def is_atom(self, e: E) -> bool:
         m = self.monoid
-        if m.is_identity(e):
+        total = m.grade(e)
+        if total == 0:
             return False
         k = m.key(e)
         got = self._atom_memo.get(k)
         if got is not None:
             return got
-        res = self._first_small_divisor(e) is None
+        res = self._first_small_divisor(e, total) is None
         self._atom_memo[k] = res
         return res
 
     def split(self, e: E) -> list[tuple[E, E]]:
-        """Every unordered pair (a, b) of nonunits with a * b = e."""
+        """Every unordered pair (a, b) of nonunits with a * b = e.
+
+        Each pair has key(a) <= key(b), and the list is sorted by key.
+        """
         m = self.monoid
-        if m.is_identity(e):
-            raise ValueError("the identity is not searched for splits")
-        divisors = self.divisors(e)
         total = m.grade(e)
-        by_grade: dict[int, list[E]] = {}
-        for a in divisors:
-            by_grade.setdefault(m.grade(a), []).append(a)
+        if total == 0:
+            raise ValueError("the identity is not searched for splits")
+        by_grade = self._divisors_by_grade(e)
         ekey = m.key(e)
         pairs = []
-        for a in divisors:
-            ka = m.key(a)
-            for b in by_grade.get(total - m.grade(a), ()):
-                if m.key(b) < ka:
-                    continue
-                if m.key(m.product(a, b)) == ekey:
-                    pairs.append((a, b))
+        for g, divisors in by_grade.items():
+            if 2 * g > total:
+                continue
+            partners = by_grade.get(total - g, ())
+            for i, a in enumerate(divisors):
+                # within one grade, each unordered pair once
+                for b in partners[i:] if 2 * g == total else partners:
+                    if m.key(m.product(a, b)) == ekey:
+                        pairs.append((a, b) if m.key(a) <= m.key(b)
+                                     else (b, a))
         pairs.sort(key=lambda p: (m.key(p[0]), m.key(p[1])))
         return pairs
 
     def lengths(self, e: E) -> tuple[int, ...]:
         """Sorted set of factorization lengths of e (identity gives {0}).
 
-        Recursion peels one atom at a time: any factorization of length l
-        is an atom times a cofactor of length l - 1, and every cofactor of
-        a dividing atom is itself a divisor, so pairing the atom divisors
-        against the grade-complementary divisor bucket is exhaustive.
+        Recursion peels one atom at a time: a factorization of length
+        l >= 2 is an atom a times a cofactor b of length l - 1, and a * b = e
+        makes (a, b) one of the pairs of split(e).  An element without a
+        pair is an atom, of length 1.
         """
         m = self.monoid
 
@@ -520,62 +522,20 @@ class FactorEngine:
             got = self._length_memo.get(k)
             if got is not None:
                 return got
-            if m.is_identity(x):
+            if m.grade(x) == 0:
                 res: tuple[int, ...] = (0,)
             else:
-                divs = self.divisors(x)
-                if not divs:
-                    res = (1,)
-                else:
-                    total = m.grade(x)
-                    by_grade: dict[int, list[E]] = {}
-                    for d in divs:
-                        by_grade.setdefault(m.grade(d), []).append(d)
-                    acc: set = set()
-                    for a in divs:
-                        if not self.is_atom(a):
-                            continue
-                        for b in by_grade.get(total - m.grade(a), ()):
-                            if m.key(m.product(a, b)) != k:
-                                continue
-                            for lb in rec(b):
-                                acc.add(1 + lb)
-                    res = tuple(sorted(acc))
+                acc = set()
+                for a, b in self.split(x):
+                    if self.is_atom(a):
+                        acc.update(1 + lb for lb in rec(b))
+                    if self.is_atom(b):
+                        acc.update(1 + la for la in rec(a))
+                res = tuple(sorted(acc)) if acc else (1,)
             self._length_memo[k] = res
             return res
 
         return rec(e)
-
-    def factorizations(self, e: E, max_grade: int = 64) -> list[tuple]:
-        """All factorizations of e into atoms, as sorted tuples of atoms."""
-        m = self.monoid
-        if m.grade(e) > max_grade:
-            raise ValueError(
-                f"grade {m.grade(e)} above the factorization bound {max_grade}")
-
-        def rec(x: E) -> tuple[tuple, ...]:
-            k = m.key(x)
-            got = self._factorization_memo.get(k)
-            if got is not None:
-                return got
-            if m.is_identity(x):
-                res: tuple[tuple, ...] = ((),)
-            else:
-                pairs = self.split(x)
-                if not pairs:
-                    res = ((x,),)
-                else:
-                    acc = {}
-                    for a, b in pairs:
-                        for fa in rec(a):
-                            for fb in rec(b):
-                                combo = tuple(sorted(fa + fb, key=m.key))
-                                acc[tuple(m.key(z) for z in combo)] = combo
-                    res = tuple(acc[kk] for kk in sorted(acc))
-            self._factorization_memo[k] = res
-            return res
-
-        return list(rec(e))
 
 
 def sumset_engine(budget: Optional[Budget] = None) -> FactorEngine:
@@ -591,12 +551,25 @@ def monomial_engine(budget: Optional[Budget] = None) -> FactorEngine:
 # part, and every atom is either {1} or contains 0.
 
 
+def find_split(a: NatSet, budget: Optional[Budget] = None
+               ) -> Optional[tuple[NatSet, NatSet]]:
+    """Some split a = b + c into nonunits of the full monoid, or None.
+
+    None means a is an atom.  For min(a) >= 1 no search runs: a = {1} + (a-1),
+    and only {1} itself is an atom.  Like FactorEngine.find_split, raises
+    ValueError on the identity {0}.
+    """
+    if a.min:
+        rest = a.shifted(-1)
+        return None if rest.max == 0 else (NatSet([1]), rest)
+    return sumset_engine(budget).find_split(a)
+
+
 def is_atom(a: NatSet, budget: Optional[Budget] = None) -> bool:
     """Atom test in the full monoid of finite nonempty subsets of N."""
-    shift, a0 = natset.reduce_shift(a)
-    if shift:
-        return shift == 1 and a0.max == 0
-    return sumset_engine(budget).is_atom(a0)
+    if a.min:
+        return find_split(a) is None
+    return sumset_engine(budget).is_atom(a)
 
 
 def lengths(a: NatSet, budget: Optional[Budget] = None) -> tuple[int, ...]:

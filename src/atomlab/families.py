@@ -21,7 +21,6 @@ __all__ = [
     "build_A",
     "build_B",
     "build_C",
-    "build_beta",
     "build_delta_odd",
     "build_delta_even",
 ]
@@ -134,13 +133,6 @@ def build_C(seq: SumSequence) -> NatSet:
         raise ValueError(
             f"family C degenerated: {len(out)} != 2^{seq.n + 1} elements")
     return out
-
-
-def build_beta(i: int) -> NatSet:
-    """The singleton {i}, i >= 1."""
-    if i < 1:
-        raise ValueError("build_beta requires i >= 1")
-    return NatSet([i])
 
 
 def build_delta_odd(i: int) -> NatSet:

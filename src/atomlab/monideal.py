@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import functools
 import re
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from . import families
 from .natset import MAX_ELEMENT, NatSet
@@ -19,11 +19,8 @@ from .natset import MAX_ELEMENT, NatSet
 __all__ = [
     "MonIdeal",
     "UNIT",
-    "from_generators",
-    "contains_monomial",
     "contains_ideal",
     "product",
-    "mdeg",
     "colon",
     "intersect",
     "generator_gcd",
@@ -186,15 +183,6 @@ def _parse_monomial(token: str) -> Pair:
 UNIT = MonIdeal([(0, 0)])
 
 
-def from_generators(pairs: Iterable[Pair]) -> MonIdeal:
-    """Build an ideal from any generating pairs; minimization is implicit."""
-    return MonIdeal(pairs)
-
-
-def contains_monomial(ideal: MonIdeal, monomial: Pair) -> bool:
-    return monomial in ideal
-
-
 def contains_ideal(ideal: MonIdeal, other: MonIdeal) -> bool:
     """True when other is a subset of ideal."""
     return all(g in ideal for g in other.gens)
@@ -204,10 +192,6 @@ def product(a: MonIdeal, b: MonIdeal) -> MonIdeal:
     if a.max_x + b.max_x > MAX_ELEMENT or a.max_y + b.max_y > MAX_ELEMENT:
         raise OverflowError("product would exceed the machine-width bound")
     return MonIdeal((u + p, v + q) for u, v in a.gens for p, q in b.gens)
-
-
-def mdeg(ideal: MonIdeal) -> int:
-    return ideal.mdeg
 
 
 def _colon_monomial(ideal: MonIdeal, monomial: Pair) -> MonIdeal:

@@ -29,17 +29,18 @@ wide_zero_sets = st.sets(st.integers(1, 14), max_size=8).map(
 @settings(max_examples=80)
 def test_monomial_stream_yields_only_divisors(e):
     m = MonomialMonoid()
-    for cand in m.candidate_divisors(e):
+    for cand, grade in m.candidate_divisors(e):
         cof = colon(e, cand)
         assert product(cand, cof) == e
-        assert 1 <= cand.mdeg <= e.mdeg - 1
+        assert 1 <= cand.mdeg == grade <= e.mdeg - 1
 
 
 @given(zero_sets)
 @settings(max_examples=80)
 def test_sumset_stream_yields_only_divisors(a):
     m = SumsetMonoid()
-    for cand in m.candidate_divisors(a):
+    for cand, grade in m.candidate_divisors(a):
+        assert grade == cand.max
         cof = natset.set_colon(a, cand)
         assert cof is not None and natset.sumset(cand, cof) == a
 
@@ -49,14 +50,13 @@ def test_sumset_stream_yields_only_divisors(a):
 def test_monomial_stream_on_phi_matches_sumset(a):
     # phi(A) has exponents up to 14: multi-point frames and wide boards
     e = phi(a)
-    mon, sums = monomial_engine(), sumset_engine()
-    divisors = mon.divisors(e)
+    divisors = [d for d, _g in MonomialMonoid().candidate_divisors(e)]
     for d in divisors:
         assert product(d, colon(e, d)) == e
     found = set(divisors)
-    for b in sums.divisors(a):
+    for b, _g in SumsetMonoid().candidate_divisors(a):
         assert phi(b) in found
-    assert mon.is_atom(e) == sums.is_atom(a)
+    assert monomial_engine().is_atom(e) == sumset_engine().is_atom(a)
 
 
 def test_monomial_stream_is_pinned():
@@ -65,7 +65,7 @@ def test_monomial_stream_is_pinned():
     budget = Budget(max_nodes=20000)
     got = []
     with pytest.raises(SearchBudgetExceeded):
-        for d in MonomialMonoid().candidate_divisors(e, budget):
+        for d, _g in MonomialMonoid().candidate_divisors(e, budget):
             got.append(d)
     assert len(got) == 13643 and budget.nodes == 20001
     assert got[-1].gens == ((22, 0), (21, 9), (19, 10), (18, 12), (16, 14),
@@ -75,7 +75,8 @@ def test_monomial_stream_is_pinned():
 
 
 def _reference_frame_stream(e, tick):
-    """Divisors of a gcd-free e from a frame loop that visits every frame.
+    """Divisors of a gcd-free e, with grades, from a frame loop that visits
+    every frame.
 
     Each frame is ticked and then filtered, and each point is tested cell by
     cell with `in`; the DFS is the engine's own.
@@ -99,10 +100,8 @@ def _reference_frame_stream(e, tick):
             points = sorted((g, c) for c in range(1, ax)
                             for g in range(max(1, lo - c), ay)
                             if member(c + bx, g) and member(c, g + by))
-            for d, _deg in engine._frame_dfs(board, ax, ay,
-                                             [(c, g) for g, c in points],
-                                             tick):
-                yield d
+            yield from engine._frame_dfs(board, ax, ay,
+                                         [(c, g) for g, c in points], tick)
 
 
 def _run_stream(stream, budget):
@@ -257,14 +256,14 @@ def test_budget_nodes_exhaustion():
 
     eng = sumset_engine(Budget(max_nodes=10))
     with pytest.raises(SearchBudgetExceeded):
-        eng.divisors(NatSet(range(21)))
+        eng.split(NatSet(range(21)))
 
 
 def test_budget_seconds_exhaustion():
     eng = monomial_engine(Budget(max_seconds=0.0))
     with pytest.raises(SearchBudgetExceeded):
         # needs enough nodes to reach a clock check
-        eng.divisors(build_i_c(minimal_sequence(3)))
+        eng.split(build_i_c(minimal_sequence(3)))
 
 
 def test_budget_none_means_unbounded():
@@ -307,36 +306,36 @@ def test_lengths_examples():
     assert seng.lengths(NatSet([0, 1, 2])) == (2,)
 
 
-def test_divisors_sorted_and_memoized():
-    eng = sumset_engine()
+def test_split_sorted_and_memoized():
+    # the divisor stream of an element runs once per engine
+    budget = Budget()
+    eng = sumset_engine(budget)
     a = NatSet(range(7))
-    first = eng.divisors(a)
-    grades = [d.max for d in first]
-    assert grades == sorted(grades)
-    assert eng.divisors(a) == first
-    again = sumset_engine().divisors(a)
-    assert again == first
+    first = eng.split(a)
+    assert first == sorted(first, key=lambda p: (p[0].elements,
+                                                 p[1].elements))
+    assert all(p.elements <= q.elements for p, q in first)
+    assert len(set(first)) == len(first)
+    nodes = budget.nodes
+    assert eng.split(a) == first and budget.nodes == nodes
+    assert sumset_engine().split(a) == first
 
 
-def test_factorizations_consistent_with_lengths():
+def test_lengths_match_divisor_box_oracle():
+    # every divisor of e contains e and lies in e's generator box, so the
+    # oracle over those ideals has all factorizations of e and its divisors
     eng = monomial_engine()
-    for e in (build_a(2), build_a(4), build_c(4),
-              product(build_b(2), build_c(5))):
-        facs = eng.factorizations(e)
-        assert facs == sorted(facs, key=lambda f: [x.gens for x in f])
-        assert {len(f) for f in facs} == set(eng.lengths(e))
-        for f in facs:
-            out = MonIdeal([(0, 0)])
-            for atom in f:
-                assert eng.is_atom(atom)
-                out = product(out, atom)
-            assert out == e
-
-
-def test_factorizations_grade_guard():
-    eng = monomial_engine()
-    with pytest.raises(ValueError):
-        eng.factorizations(build_b(40), max_grade=39)
+    cases = [(build_a(2), {2}), (build_a(4), {2, 3, 4}), (build_c(4), {1}),
+             (product(build_b(2), build_c(5)), {2})]
+    for e, want in cases:
+        box = map(MonIdeal, oracle.box_antichains(e.max_x, e.max_y))
+        pool = [a for a in box
+                if not a.is_unit and all(p in a for p in e.gens)]
+        split_map = oracle.naive_mon_split_map(pool)
+        assert oracle.naive_lengths(e.gens, split_map, {}) == want
+        assert {(a.gens, b.gens) for a, b in eng.split(e)} == \
+            split_map.get(e.gens, set())
+        assert set(eng.lengths(e)) == want
 
 
 @given(small_ideals)
@@ -351,12 +350,55 @@ def test_one_in_lengths_iff_atom(e):
 # -- agreement with the naive all-pairs oracle ----------------------------------
 
 
+@pytest.fixture(scope="module")
+def box6():
+    pool = oracle.box_ideals(6)
+    return pool, oracle.naive_mon_split_map(pool)
+
+
+def _factors(pairs):
+    return {f for pair in pairs for f in pair}
+
+
+def test_streams_yield_each_divisor_once_with_grade(box6):
+    # the engine pairs divisors by grade without deduplicating, so each
+    # stream must list every divisor exactly once, with its true grade,
+    # capped or not
+    _pool, mon_map = box6
+    ideals = oracle.box_ideals(4)
+    ideals += [shifted(e, i, j) for e in ideals
+               for i, j in ((1, 0), (0, 2), (2, 1))]
+    m = MonomialMonoid()
+    for e in ideals:
+        got = list(m.candidate_divisors(e))
+        keys = [d.gens for d, _g in got]
+        assert len(keys) == len(set(keys))
+        assert set(keys) == _factors(mon_map.get(e.gens, ()))
+        assert all(g == d.mdeg for d, g in got)
+        cap = e.mdeg // 2
+        assert list(m.candidate_divisors(e, grade_cap=cap)) == \
+            [(d, g) for d, g in got if g <= cap]
+
+    sum_map = oracle.naive_sumset_split_map(10)
+    m = SumsetMonoid()
+    for mask in range(1 << 10):
+        a = NatSet([0] + [i + 1 for i in range(10) if mask >> i & 1])
+        got = list(m.candidate_divisors(a))
+        keys = [d.elements for d, _g in got]
+        assert len(keys) == len(set(keys))
+        assert set(keys) == _factors(sum_map.get(a.elements, ()))
+        assert all(g == d.max for d, g in got)
+        cap = a.max // 2
+        assert list(m.candidate_divisors(a, grade_cap=cap)) == \
+            [(d, g) for d, g in got if g <= cap]
+
+
 def test_sumset_engine_matches_oracle_exhaustively():
-    split_map = oracle.naive_sumset_split_map(7)
+    split_map = oracle.naive_sumset_split_map(12)
     eng = sumset_engine()
     cache: dict = {}
-    for mask in range(1, 1 << 7):
-        a = NatSet([0] + [i + 1 for i in range(7) if mask >> i & 1])
+    for mask in range(1, 1 << 12):
+        a = NatSet([0] + [i + 1 for i in range(12) if mask >> i & 1])
         got = {(p.elements, q.elements) for p, q in eng.split(a)}
         assert got == split_map.get(a.elements, set())
         want = tuple(sorted(oracle.naive_lengths(a.elements, split_map,
@@ -394,13 +436,13 @@ def test_bounded_split_maps_match_all_pairs():
     assert got == want
 
 
-def test_monomial_engine_matches_oracle_exhaustively():
-    pool = oracle.box_ideals(3)
-    split_map = oracle.naive_mon_split_map(pool)
+def test_monomial_engine_matches_oracle_exhaustively(box6):
+    pool, split_map = box6
     eng = monomial_engine()
     cache: dict = {}
     for e in pool:
-        got = {(a.gens, b.gens) for a, b in eng.split(e)}
-        assert got == split_map.get(e.gens, set())
+        pairs = [(a.gens, b.gens) for a, b in eng.split(e)]
+        assert len(set(pairs)) == len(pairs)
+        assert set(pairs) == split_map.get(e.gens, set())
         want = tuple(sorted(oracle.naive_lengths(e.gens, split_map, cache)))
         assert eng.lengths(e) == want

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from atomlab.families import (SumSequence, build_A, build_B, build_C,
-                              build_beta, build_delta_even, build_delta_odd,
+                              build_delta_even, build_delta_odd,
                               minimal_sequence, subset_sum)
 from atomlab.natset import NatSet
 
@@ -111,11 +111,8 @@ def test_c_family_exceptional_membership():
 
 
 def test_small_families():
-    assert build_beta(4) == NatSet([4])
     assert build_delta_odd(3) == NatSet([1, 3, 5, 7])
     assert build_delta_even(3) == NatSet([1, 2, 4, 6])
-    with pytest.raises(ValueError):
-        build_beta(0)
     with pytest.raises(ValueError):
         build_delta_odd(0)
     with pytest.raises(ValueError):

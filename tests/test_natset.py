@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from atomlab import natset
-from atomlab.engine import (Budget, SearchBudgetExceeded, is_atom, lengths,
-                            sumset_engine)
+from atomlab.engine import (Budget, SearchBudgetExceeded, SumsetMonoid,
+                            find_split, is_atom, lengths, sumset_engine)
 from atomlab.natset import (NatSet, delta_set, elasticity, is_sum_free,
                             iter_sum_free, reduce_shift, set_colon, sumset)
 
@@ -114,7 +114,7 @@ def test_reduce_shift():
 
 def test_decompose_reduced_small_cases():
     eng = sumset_engine()
-    assert eng.divisors(NatSet([0])) == []
+    assert list(SumsetMonoid().candidate_divisors(NatSet([0]))) == []
     assert eng.split(NatSet([0, 1])) == []
     assert eng.split(NatSet([0, 1, 2])) == [
         (NatSet([0, 1]), NatSet([0, 1]))]
@@ -159,6 +159,23 @@ def test_full_monoid_shift_reduction():
     assert lengths(NatSet([2, 5])) == (3,)
     assert lengths(NatSet([1])) == (1,)
     assert lengths(NatSet([0])) == (0,)
+    assert find_split(NatSet([2, 5])) == (NatSet([1]), NatSet([1, 4]))
+    assert find_split(NatSet([1])) is None
+    assert find_split(NatSet([0, 1, 2])) == (NatSet([0, 1]), NatSet([0, 1]))
+    with pytest.raises(ValueError):
+        find_split(NatSet([0]))
+
+
+@given(small_sets)
+def test_full_monoid_find_split_witness(a):
+    if a == NatSet([0]):
+        assert not is_atom(a)
+        return
+    pair = find_split(a)
+    assert is_atom(a) == (pair is None)
+    if pair is not None:
+        b, c = pair
+        assert sumset(b, c) == a and NatSet([0]) not in (b, c)
 
 
 @given(small_zero_sets, st.integers(0, 4))
