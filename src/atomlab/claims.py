@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Optional
 
 from . import families, graded, monideal, natset, oracle
-from .engine import (Budget, FactorEngine, SearchBudgetExceeded,
+from .engine import (FactorEngine, SearchBudgetExceeded, make_budget,
                      monomial_engine, sumset_engine)
 from .families import build_B, build_C, minimal_sequence, subset_sum
 from .graded import GradedIdeal, HomPoly, min_piece_product_check
@@ -25,7 +25,6 @@ from .natset import NatSet
 
 __all__ = [
     "Claim",
-    "ClaimContext",
     "ClaimResult",
     "claim_ids",
     "get_claim",
@@ -44,14 +43,6 @@ _GRADED_SEED = 61
 _PHI_SEED = 75
 
 _WITNESS_CAP = 5
-
-
-@dataclass(frozen=True)
-class ClaimContext:
-    """Caller-supplied search limits, shared by every engine in one run."""
-
-    budget_nodes: Optional[int] = None
-    budget_seconds: Optional[float] = None
 
 
 @dataclass(frozen=True)
@@ -84,14 +75,9 @@ class ClaimResult:
 class _Runtime:
     """One budget and one engine cache for a single claim run."""
 
-    def __init__(self, ctx: ClaimContext, default_nodes: Optional[int]):
-        nodes = ctx.budget_nodes if ctx.budget_nodes is not None \
-            else default_nodes
-        if nodes is None and ctx.budget_seconds is None:
-            self.budget: Optional[Budget] = None
-        else:
-            self.budget = Budget(max_nodes=nodes,
-                                 max_seconds=ctx.budget_seconds)
+    def __init__(self, budget_nodes: Optional[int],
+                 budget_seconds: Optional[float]):
+        self.budget = make_budget(budget_nodes, budget_seconds)
         self._mon: Optional[FactorEngine] = None
         self._sum: Optional[FactorEngine] = None
 
@@ -513,9 +499,16 @@ def get_claim(claim_id: str) -> Claim:
     raise KeyError(f"unknown claim {claim_id!r}")
 
 
-def run_claim(claim: Claim, ctx: Optional[ClaimContext] = None) -> ClaimResult:
-    ctx = ctx or ClaimContext()
-    rt = _Runtime(ctx, claim.default_budget_nodes)
+def run_claim(claim: Claim, budget_nodes: Optional[int] = None,
+              budget_seconds: Optional[float] = None) -> ClaimResult:
+    """Run one claim; budget_nodes None keeps the claim's own default.
+
+    The limits follow engine.make_budget: 0 means no cap, and a negative
+    limit raises ValueError before the claim runs.
+    """
+    if budget_nodes is None:
+        budget_nodes = claim.default_budget_nodes
+    rt = _Runtime(budget_nodes, budget_seconds)
     start = time.perf_counter()
     try:
         witness = claim.runner(rt)
@@ -530,7 +523,8 @@ def run_claim(claim: Claim, ctx: Optional[ClaimContext] = None) -> ClaimResult:
 
 def run_suite(suite: Optional[str] = None,
               only: Optional[Iterable[str]] = None,
-              ctx: Optional[ClaimContext] = None) -> list[ClaimResult]:
+              budget_nodes: Optional[int] = None,
+              budget_seconds: Optional[float] = None) -> list[ClaimResult]:
     """Run the registered claims, filtered by suite and/or claim id."""
     wanted = None if only is None else set(only)
     if wanted is not None:
@@ -543,5 +537,5 @@ def run_suite(suite: Optional[str] = None,
             continue
         if wanted is not None and claim.claim_id not in wanted:
             continue
-        out.append(run_claim(claim, ctx))
+        out.append(run_claim(claim, budget_nodes, budget_seconds))
     return out

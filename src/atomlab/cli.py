@@ -24,16 +24,15 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import random
 import re
 import shlex
 import sys
 from fractions import Fraction
 from typing import Optional
 
-from . import claims, engine, families, monideal, natset
-from .engine import (Budget, SearchBudgetExceeded, check_search_size,
-                     monomial_engine, sumset_engine)
+from . import claims, engine, families, monideal, natset, oracle
+from .engine import (Budget, SearchBudgetExceeded, monomial_engine,
+                     sumset_engine)
 from .monideal import UNIT, MonIdeal
 from .natset import NatSet
 
@@ -46,7 +45,8 @@ class _UsageError(Exception):
 
 # Direct queries get a finite default budget so an oversized target answers
 # "inconclusive" instead of running unattended; verify defers to per-claim
-# defaults.  Override with --budget-nodes (0 lifts the cap).
+# defaults.  engine.make_budget reads the flags: 0 lifts a cap, on verify
+# the claim's default too, and a negative value is a usage error.
 _DEFAULT_NODES = 1_000_000
 
 
@@ -160,15 +160,10 @@ def _emit(payload: dict, fmt: str) -> None:
 
 
 def _budget_from(args) -> Optional[Budget]:
-    nodes = args.budget_nodes
-    if nodes is not None and nodes <= 0:
-        nodes = None
-    seconds = args.budget_seconds
-    if seconds is not None and seconds <= 0:
-        seconds = None
-    if nodes is None and seconds is None:
-        return None
-    return Budget(max_nodes=nodes, max_seconds=seconds)
+    try:
+        return engine.make_budget(args.budget_nodes, args.budget_seconds)
+    except ValueError as exc:
+        raise _UsageError(str(exc)) from None
 
 
 def _budget_payload(exc: SearchBudgetExceeded) -> dict:
@@ -182,70 +177,56 @@ def _rho_text(value) -> str:
 # -- subcommands -------------------------------------------------------------
 
 
-def _search_target(args):
-    """Split search, lengths search and target of an atom or lengths query.
-
-    A set is searched in the full monoid (engine.find_split and
-    engine.lengths), an ideal by a monomial engine.  --monoid only checks
-    that the target lies in the named monoid.  Targets too large for the
-    search's dense masks are usage errors.
-    """
-    kind, target = parse_target(args.target)
-    flag = args.monoid
-    if kind == "ideal" and flag not in (None, "mon"):
-        raise _UsageError(f"monoid {flag!r} expects a set target")
-    if kind == "set" and flag == "mon":
-        raise _UsageError("monoid 'mon' expects an ideal target")
-    if flag == "pfin0" and target.min != 0:
-        raise _UsageError("monoid 'pfin0' needs a set containing 0")
-    budget = _budget_from(args)
-    if kind == "ideal":
-        try:
-            check_search_size(target)
-        except ValueError as exc:
-            raise _UsageError(str(exc)) from None
-        eng = monomial_engine(budget)
-        return eng.find_split, eng.lengths, target
-    if target.max - target.min > natset.SEARCH_LIMIT:
-        raise _UsageError(
-            f"factor search supports sets with max - min <= "
-            f"{natset.SEARCH_LIMIT}, got {target.max - target.min}")
-    return (functools.partial(engine.find_split, budget=budget),
-            functools.partial(engine.lengths, budget=budget), target)
-
-
 # the identities of the two monoids: no atom, and no split to search for
 _IDENTITIES = (UNIT, NatSet([0]))
 
 
-def _cmd_atom(args) -> int:
-    find_split, _lengths, target = _search_target(args)
-    unit = target in _IDENTITIES
+def _query(args, question: str, answer) -> int:
+    """Print answer(target, search) for the target, search being question.
+
+    A set is searched in the full monoid (engine.find_split and
+    engine.lengths), an ideal by a monomial engine.  A budget that runs out
+    prints "inconclusive" under the subcommand's key (exit 2); a target past
+    the search's size limits raises ValueError, a usage error.
+    """
+    kind, target = parse_target(args.target)
+    budget = _budget_from(args)
+    if kind == "ideal":
+        search = getattr(monomial_engine(budget), question)
+    else:
+        search = functools.partial(getattr(engine, question), budget=budget)
     try:
-        pair = None if unit else find_split(target)
+        payload = answer(target, search)
     except SearchBudgetExceeded as exc:
-        _emit({"atom": "inconclusive", "budget": _budget_payload(exc)},
-              args.fmt)
+        _emit({args.command: "inconclusive",
+               "budget": _budget_payload(exc)}, args.fmt)
         return 2
-    witness = None
-    if pair is not None:
-        witness = [pair[0].to_json(), pair[1].to_json()]
-    _emit({"atom": pair is None and not unit, "witness": witness}, args.fmt)
+    except ValueError as exc:
+        raise _UsageError(str(exc)) from None
+    _emit(payload, args.fmt)
     return 0
+
+
+def _atom_answer(target, find_split) -> dict:
+    if target in _IDENTITIES:
+        return {"atom": False, "witness": None}
+    pair = find_split(target)
+    return {"atom": pair is None,
+            "witness": None if pair is None else [p.to_json() for p in pair]}
+
+
+def _lengths_answer(target, lengths) -> dict:
+    got = lengths(target)
+    return {"lengths": list(got), "delta": list(natset.delta_set(got)),
+            "rho": _rho_text(natset.elasticity(got))}
+
+
+def _cmd_atom(args) -> int:
+    return _query(args, "find_split", _atom_answer)
 
 
 def _cmd_lengths(args) -> int:
-    _find_split, lengths, target = _search_target(args)
-    try:
-        got = lengths(target)
-    except SearchBudgetExceeded as exc:
-        _emit({"lengths": "inconclusive", "budget": _budget_payload(exc)},
-              args.fmt)
-        return 2
-    _emit({"lengths": list(got),
-           "delta": list(natset.delta_set(got)),
-           "rho": _rho_text(natset.elasticity(got))}, args.fmt)
-    return 0
+    return _query(args, "lengths", _lengths_answer)
 
 
 def _print_verify_table(results) -> None:
@@ -257,6 +238,7 @@ def _print_verify_table(results) -> None:
 
 
 def _cmd_verify(args) -> int:
+    _budget_from(args)  # refuse a negative limit before anything runs
     if args.list:
         ids = claims.claim_ids()
         if args.fmt == "json":
@@ -265,11 +247,10 @@ def _cmd_verify(args) -> int:
             for claim_id in ids:
                 print(claim_id)
         return 0
-    ctx = claims.ClaimContext(budget_nodes=args.budget_nodes,
-                              budget_seconds=args.budget_seconds)
     try:
         results = claims.run_suite(suite=args.suite, only=args.only or None,
-                                   ctx=ctx)
+                                   budget_nodes=args.budget_nodes,
+                                   budget_seconds=args.budget_seconds)
     except KeyError as exc:
         raise _UsageError(exc.args[0]) from None
     counts = {"pass": 0, "fail": 0, "inconclusive": 0}
@@ -299,13 +280,10 @@ def _cmd_experiment(args) -> int:
         if not 1 <= args.max <= natset.SEARCH_LIMIT:
             raise _UsageError(
                 f"atom-density needs 1 <= --max <= {natset.SEARCH_LIMIT}")
-        rng = random.Random(args.seed)
         atoms = 0
         try:
-            for _ in range(args.samples):
-                mask = rng.randrange(1 << args.max)
-                a = NatSet([0] + [i + 1 for i in range(args.max)
-                                  if mask >> i & 1])
+            for a in oracle.sample_zero_sets(args.samples, args.max,
+                                             args.seed):
                 if sum_eng.is_atom(a):
                     atoms += 1
         except SearchBudgetExceeded as exc:
@@ -345,20 +323,18 @@ def _cmd_experiment(args) -> int:
 # -- parser ------------------------------------------------------------------
 
 
-def _add_common(sub, monoid: bool = True,
-                default_nodes: Optional[int] = None) -> None:
-    if monoid:
-        sub.add_argument("--monoid", choices=("pfin", "pfin0", "mon"),
-                         default=None,
-                         help="ambient monoid (default: inferred from the "
-                              "target)")
-    nodes_help = "abort searches after N explored candidates"
-    if default_nodes is not None:
-        nodes_help += f" (default {default_nodes}; 0 means unlimited)"
+def _add_common(sub, default_nodes: Optional[int] = None) -> None:
+    if default_nodes is None:
+        default_text = "each claim's own budget; 0 lifts that too"
+    else:
+        default_text = f"{default_nodes}; 0 means no cap"
+    nodes_help = f"abort searches after N explored candidates " \
+                 f"(default {default_text})"
     sub.add_argument("--budget-nodes", type=int, default=default_nodes,
                      metavar="N", help=nodes_help)
     sub.add_argument("--budget-seconds", type=float, default=None,
-                     metavar="S", help="abort searches after S seconds")
+                     metavar="S",
+                     help="abort searches after S seconds (0 means no cap)")
     fmt = sub.add_mutually_exclusive_group()
     fmt.add_argument("--json", dest="fmt", action="store_const",
                      const="json", help="line-delimited JSON (default)")
@@ -397,7 +373,7 @@ def _build_parser() -> _Parser:
                         help="run only this claim (repeatable)")
     verify.add_argument("--list", action="store_true",
                         help="list claim ids and exit")
-    _add_common(verify, monoid=False)
+    _add_common(verify)
     verify.set_defaults(func=_cmd_verify)
 
     exp = subs.add_parser("experiment", help="sampling studies")
@@ -408,7 +384,7 @@ def _build_parser() -> _Parser:
                      help="sample size for atom-density (default 500)")
     exp.add_argument("--seed", type=int, default=7,
                      help="RNG seed (default 7)")
-    _add_common(exp, monoid=False, default_nodes=_DEFAULT_NODES)
+    _add_common(exp, default_nodes=_DEFAULT_NODES)
     exp.set_defaults(func=_cmd_experiment)
     return parser
 

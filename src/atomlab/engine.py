@@ -31,6 +31,7 @@ from .natset import NatSet
 
 __all__ = [
     "Budget",
+    "make_budget",
     "SearchBudgetExceeded",
     "GradedMonoid",
     "SumsetMonoid",
@@ -63,12 +64,19 @@ class SearchBudgetExceeded(RuntimeError):
 
 
 class Budget:
-    """Node and wall-clock bounds shared by all searches of one engine run."""
+    """Node and wall-clock bounds shared by all searches of one engine run.
+
+    None leaves a bound off; a negative bound is a ValueError.
+    """
 
     _CLOCK_STRIDE = 1024
 
     def __init__(self, max_nodes: Optional[int] = None,
                  max_seconds: Optional[float] = None):
+        if max_nodes is not None and max_nodes < 0:
+            raise ValueError(f"node budget must be >= 0, got {max_nodes}")
+        if max_seconds is not None and not max_seconds >= 0:
+            raise ValueError(f"time budget must be >= 0, got {max_seconds}")
         self.max_nodes = max_nodes
         self.max_seconds = max_seconds
         self.nodes = 0
@@ -109,6 +117,22 @@ class Budget:
             raise SearchBudgetExceeded(
                 f"search exceeded {self.max_nodes} nodes",
                 self.nodes, self.elapsed)
+
+
+def make_budget(max_nodes: Optional[int] = None,
+                max_seconds: Optional[float] = None) -> Optional[Budget]:
+    """The Budget for a node and a time limit, where None or 0 means no cap.
+
+    Returns None when neither limit caps anything; raises ValueError for a
+    negative limit.
+    """
+    if max_nodes == 0:
+        max_nodes = None
+    if max_seconds == 0:
+        max_seconds = None
+    if max_nodes is None and max_seconds is None:
+        return None
+    return Budget(max_nodes, max_seconds)
 
 
 class GradedMonoid(Protocol[E]):

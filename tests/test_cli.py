@@ -72,8 +72,8 @@ def test_atom_examples(capsys):
 
 
 def test_atom_budget_inconclusive(capsys):
-    code, out, _ = run(capsys, "atom", "--monoid", "mon",
-                       "I_B --minimal 3", "--budget-nodes", "3")
+    code, out, _ = run(capsys, "atom", "I_B --minimal 3",
+                       "--budget-nodes", "3")
     assert code == 2
     payload = last_json(out)
     assert payload["atom"] == "inconclusive"
@@ -98,10 +98,9 @@ def test_lengths_examples(capsys):
     assert code == 0
     assert last_json(out) == {"lengths": [3], "delta": [], "rho": "1"}
 
-    code, inferred, _ = run(capsys, "lengths", "{0,1,2}")
+    code, out, _ = run(capsys, "lengths", "{0,1,2}")
     assert code == 0
-    code, out, _ = run(capsys, "lengths", "--monoid", "pfin", "{0,1,2}")
-    assert code == 0 and out == inferred
+    assert last_json(out) == {"lengths": [2], "delta": [], "rho": "1"}
 
 
 def test_lengths_budget_inconclusive(capsys):
@@ -111,18 +110,26 @@ def test_lengths_budget_inconclusive(capsys):
     assert last_json(out)["lengths"] == "inconclusive"
 
 
-def test_monoid_selection_errors(capsys):
-    code, _, err = run(capsys, "atom", "--monoid", "mon", "{0, 1}")
-    assert code == 1 and err
-    code, _, err = run(capsys, "atom", "--monoid", "pfin0", "{1, 2}")
-    assert code == 1 and err
-    code, _, err = run(capsys, "lengths", "--monoid", "pfin", "a_2")
-    assert code == 1 and err
+def test_monoid_flag_is_gone(capsys):
+    # the monoid follows from the target; there is no flag to name it
+    code, out, err = run(capsys, "atom", "--monoid", "mon", "c_4")
+    assert code == 1 and not out and err.startswith("error: ")
 
 
 @pytest.mark.parametrize("command", ["atom", "lengths"])
 def test_search_limit_is_a_usage_error(capsys, command):
     code, out, err = run(capsys, command, "{0, 70000}")
+    assert code == 1 and not out
+    assert err.startswith("error: ") and "65536" in err
+
+
+def test_full_monoid_split_needs_no_search(capsys):
+    # {1, 70000} = {1} + {0, 69999} without a search, but its lengths need
+    # a search of {0, 69999}, which is past the set limit
+    code, out, _ = run(capsys, "atom", "{1, 70000}")
+    assert code == 0
+    assert last_json(out) == {"atom": False, "witness": [[1], [0, 69999]]}
+    code, out, err = run(capsys, "lengths", "{1, 70000}")
     assert code == 1 and not out
     assert err.startswith("error: ") and "65536" in err
 
@@ -183,6 +190,30 @@ def test_verify_inconclusive_exit(capsys):
     assert lines[0]["witness"]["budget"]["nodes"] > 2000
 
 
+@pytest.mark.parametrize("flag", ["--budget-nodes", "--budget-seconds"])
+def test_verify_zero_budget_means_no_cap(capsys, flag):
+    code, out, _ = run(capsys, "verify", "--only", "lengths-monomial",
+                       flag, "0")
+    assert code == 0
+    assert last_json(out) == {"suite": "all", "pass": 1, "fail": 0,
+                              "inconclusive": 0}
+
+
+@pytest.mark.parametrize("argv", [
+    ["atom", "c_4"],
+    ["lengths", "c_4"],
+    ["verify", "--only", "lengths-monomial"],
+    ["verify", "--list"],
+    ["experiment", "atom-density", "--samples", "5"],
+])
+@pytest.mark.parametrize("budget", [["--budget-nodes", "-1"],
+                                    ["--budget-seconds", "-0.5"]])
+def test_negative_budget_is_a_usage_error(capsys, argv, budget):
+    code, out, err = run(capsys, *argv, *budget)
+    assert code == 1 and not out
+    assert err.startswith("error: ") and "budget must be >= 0" in err
+
+
 def test_verify_unknown_claim(capsys):
     code, _, err = run(capsys, "verify", "--only", "no-such-claim")
     assert code == 1 and "no-such-claim" in err
@@ -204,7 +235,7 @@ def test_experiment_atom_density_deterministic(capsys):
     code, out, _ = run(capsys, *argv)
     assert code == 0
     first = last_json(out)
-    assert first["samples"] == 40 and 0.0 <= first["fraction"] <= 1.0
+    assert first["samples"] == 40 and first["atoms"] == 21
     code, out, _ = run(capsys, *argv)
     assert code == 0 and last_json(out) == first
 

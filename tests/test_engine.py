@@ -6,7 +6,8 @@ from hypothesis import given, settings, strategies as st
 from atomlab import engine, natset, oracle
 from atomlab.engine import (MAX_BOARD_CELLS, Budget, MonomialMonoid,
                             SearchBudgetExceeded, SumsetMonoid, board_cells,
-                            check_search_size, monomial_engine, sumset_engine)
+                            check_search_size, make_budget, monomial_engine,
+                            sumset_engine)
 from atomlab.families import minimal_sequence
 from atomlab.monideal import (MonIdeal, build_a, build_b, build_c, build_i_b,
                               build_i_c, colon, generator_gcd, phi, product,
@@ -264,6 +265,61 @@ def test_budget_seconds_exhaustion():
     with pytest.raises(SearchBudgetExceeded):
         # needs enough nodes to reach a clock check
         eng.split(build_i_c(minimal_sequence(3)))
+
+
+def test_budget_rejects_negative_limits():
+    for limits in [(-1, None), (None, -0.5), (-5, 2.0), (None, float("nan"))]:
+        with pytest.raises(ValueError, match="budget must be >= 0"):
+            Budget(*limits)
+    # zero is a real cap for a Budget: the first node stops it
+    with pytest.raises(SearchBudgetExceeded) as info:
+        Budget(max_nodes=0).tick()
+    assert info.value.nodes == 1
+
+
+def test_make_budget_reads_zero_as_no_cap():
+    assert make_budget() is None
+    assert make_budget(0, 0) is None and make_budget(None, 0.0) is None
+    capped = make_budget(5, 0)
+    assert (capped.max_nodes, capped.max_seconds) == (5, None)
+    timed = make_budget(0, 1.5)
+    assert (timed.max_nodes, timed.max_seconds) == (None, 1.5)
+    with pytest.raises(ValueError):
+        make_budget(-1)
+    with pytest.raises(ValueError):
+        make_budget(None, -0.5)
+
+
+def _zero_set(mask: int) -> NatSet:
+    return NatSet([0] + [i + 1 for i in range(mask.bit_length())
+                         if mask >> i & 1])
+
+
+_budget_targets = st.one_of(
+    st.sampled_from(oracle.box_ideals(4)).map(
+        lambda e: (monomial_engine, e)),
+    st.integers(1, (1 << 10) - 1).map(
+        lambda m: (sumset_engine, _zero_set(m))))
+
+
+@given(_budget_targets, st.sampled_from(["is_atom", "split", "lengths"]),
+       st.data())
+@settings(max_examples=150, deadline=None)
+def test_node_budget_answers_or_stops_at_its_cap(target, query, data):
+    # a capped search gives the uncapped answer when the cap covers its
+    # nodes, and otherwise stops at exactly cap + 1 nodes
+    make_engine, e = target
+    counter = Budget()
+    want = getattr(make_engine(counter), query)(e)
+    n = data.draw(st.integers(0, counter.nodes + 1), label="max_nodes")
+    budget = Budget(max_nodes=n)
+    try:
+        got = getattr(make_engine(budget), query)(e)
+    except SearchBudgetExceeded as exc:
+        assert n < counter.nodes
+        assert exc.nodes == budget.nodes == n + 1
+    else:
+        assert n >= counter.nodes and got == want
 
 
 def test_budget_none_means_unbounded():
