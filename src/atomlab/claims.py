@@ -33,9 +33,11 @@ __all__ = [
     "run_suite",
 ]
 
-# Default node budget for the stretch claim: large enough to show real
-# progress, small enough that a default run answers in seconds.  The
-# enumeration behind it exceeds 3*10^7 nodes, so expect inconclusive.
+# Default node budget for the stretch claim.  Enumerating every divisor of
+# I_C(minimal n=3) would take more than 3*10^7 nodes; the small-side length
+# search needs about 11,000, so the default run passes in well under a
+# second.  A budget below the 2,003 nodes of its first stream, the divisors
+# of at most half the grade, stops it inconclusive.
 _STRETCH_NODES = 1_000_000
 
 # Fixed seeds keep the sampled claims reproducible run to run.
@@ -476,9 +478,9 @@ _CLAIMS: tuple[Claim, ...] = (
         _check_phi_homomorphism),
     Claim(
         "lengths-monomial-stretch", "stretch",
-        "L(I_C) = {2,3,4} for the minimal sequence with n=3; the divisor "
-        "search needs an enlarged budget, so the default answer is "
-        "inconclusive.",
+        "L(I_C) = {2,3,4} for the minimal sequence with n=3.  Its divisors "
+        "are too many to list, but products of the atoms of at most half "
+        "the grade settle it within the 1,000,000-node default budget.",
         _check_lengths_monomial_stretch,
         default_budget_nodes=_STRETCH_NODES),
 )

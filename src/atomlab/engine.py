@@ -2,11 +2,15 @@
 
 The engine sees a monoid through a small adapter interface: product, colon
 (maximal cofactor), an additive grade that is zero exactly on the identity,
-a canonical sort key, and a divisor stream that yields each proper divisor
-exactly once, with its grade.  A divisor a of e has maximal cofactor
-colon(e, a) with a * colon(e, a) = e; full split lists come from matching
-the divisors of each grade against those of the complementary grade, which
-is exhaustive because any cofactor is itself a divisor.
+a canonical sort key, a divisor stream that yields each proper divisor
+exactly once, with its grade, a cofactor search that yields every r with
+p * r = e for a divisor p, and a split of prime atoms.  A divisor a of e has
+maximal cofactor colon(e, a) with a * colon(e, a) = e.  The monoids are not
+cancellative, so a divisor may have many cofactors.
+
+Every question starts from the small divisors of e, those of at most half
+its grade.  Some side of every split is one, so split lists pair each with
+its cofactors, and lengths multiply the small atoms (FactorEngine.lengths).
 
 Budgets bound the number of search nodes and the wall clock.  Exhaustion
 raises SearchBudgetExceeded so callers can report "inconclusive" rather than
@@ -22,7 +26,6 @@ from __future__ import annotations
 
 import itertools
 import time
-from collections import defaultdict
 from typing import Iterator, Optional, Protocol, TypeVar
 
 from . import monideal, natset
@@ -141,6 +144,10 @@ class GradedMonoid(Protocol[E]):
     grade is additive and zero exactly on the identity.  candidate_divisors
     must yield each proper divisor of e exactly once, as a pair (divisor,
     grade), restricted to grade at most grade_cap when one is given.
+    cofactors must yield each r with part * r = whole exactly once, for a
+    proper divisor part of whole.  prime_split(e) = (n, rest) splits off
+    prime atoms: e is rest times n of them, and every factorization of e is
+    one of rest times those n, so the lengths of e are those of rest plus n.
     """
 
     def product(self, a: E, b: E) -> E: ...
@@ -154,6 +161,11 @@ class GradedMonoid(Protocol[E]):
     def candidate_divisors(self, e: E, budget: Optional[Budget] = None,
                            grade_cap: Optional[int] = None
                            ) -> Iterator[tuple[E, int]]: ...
+
+    def cofactors(self, whole: E, part: E, budget: Optional[Budget] = None
+                  ) -> Iterator[E]: ...
+
+    def prime_split(self, e: E) -> tuple[int, E]: ...
 
 
 class SumsetMonoid:
@@ -181,6 +193,16 @@ class SumsetMonoid:
         for bmask, _col in natset._reduced_divisor_masks(amask, cap=grade_cap,
                                                          tick=tick):
             yield natset._mask_to_set(bmask), bmask.bit_length() - 1
+
+    def prime_split(self, e: NatSet) -> tuple[int, NatSet]:
+        return 0, e
+
+    def cofactors(self, whole: NatSet, part: NatSet,
+                  budget: Optional[Budget] = None) -> Iterator[NatSet]:
+        tick = budget.tick if budget is not None else _uncounted
+        for rmask in natset._cofactor_masks(natset._mask_of(whole),
+                                            natset._mask_of(part), tick):
+            yield natset._mask_to_set(rmask)
 
 
 class MonomialMonoid:
@@ -235,6 +257,39 @@ class MonomialMonoid:
                 for j in range(max(0, 1 - g - i), min(v, cap - g - i) + 1):
                     yield (monideal.shifted(a, i, j) if (i or j) else a,
                            g + i + j)
+
+    def prime_split(self, e: MonIdeal) -> tuple[int, MonIdeal]:
+        """X and Y are prime and cancel, and every other atom is gcd-free.
+
+        So a factorization of e = X^u Y^v * core holds u X's, v Y's and a
+        factorization of core.  Raises ValueError for an ideal beyond the
+        limits of check_search_size, as every search does.
+        """
+        check_search_size(e)
+        u, v = monideal.generator_gcd(e)
+        return (u + v, monideal.shifted(e, -u, -v)) if (u or v) else (0, e)
+
+    def cofactors(self, whole: MonIdeal, part: MonIdeal,
+                  budget: Optional[Budget] = None) -> Iterator[MonIdeal]:
+        """Each r with part * r = whole, once; part must divide whole.
+
+        Generator gcds add, so r is X^(u-i) Y^(v-j) times a cofactor of the
+        gcd-free core of part inside that of whole, (u, v) and (i, j) being
+        the gcds of whole and part.  Core cofactors come from one frame of
+        the staircase search, see _cofactor_dfs.
+        """
+        u, v = monideal.generator_gcd(whole)
+        i, j = monideal.generator_gcd(part)
+        core = monideal.shifted(whole, -u, -v) if (u or v) else whole
+        pcore = monideal.shifted(part, -i, -j) if (i or j) else part
+        if pcore.is_unit or pcore == core:
+            rs = [core if pcore.is_unit else UNIT]
+        else:
+            tick = budget.tick if budget is not None else _uncounted
+            rs = _cofactor_dfs(_Board(core), pcore, core.mdeg - pcore.mdeg,
+                               tick)
+        for r in rs:
+            yield monideal.shifted(r, u - i, v - j) if (u - i or v - j) else r
 
 
 # Boards are dense, so a search refuses ideals whose gcd-free core would need
@@ -444,6 +499,53 @@ def _frame_dfs(board: _Board, ax: int, ay: int, points,
                               deg if deg <= c + g else c + g))
 
 
+def _cofactor_dfs(board: _Board, p: MonIdeal, grade: int,
+                  tick) -> Iterator[MonIdeal]:
+    """Every r with p * r equal to the ideal of the board, both gcd-free.
+
+    Pure powers add, so r has the frame (bx, by) = (px - p.max_x,
+    py - p.max_y), and every generator of r lies in the mask of (e : p)
+    with a degree of at least grade, the grade of r.  The DFS runs over
+    antichains r = frame + points by increasing Y, as _frame_dfs does, but
+    with p fixed: reach, the mask of p * r, is the OR of p's mask shifted by
+    each generator of r, and grows with r.  A point only reaches rows at or
+    above its own, so a generator of e missed below the next point's row
+    kills the branch; no miss yields r.
+    """
+    px, py, w = board.px, board.py, board.stride
+    bx, by = px - p.max_x, py - p.max_y
+    col, pmask = board.content, 0
+    for c, g in p.gens:
+        col &= board.colon_mask(c, g)
+        pmask |= (board.row >> c << c) * board.rows >> g * w << g * w
+    if not (col >> bx & 1 and col >> by * w & 1):
+        return
+    points = []
+    for g in range(1, by):
+        row = col >> g * w & board.row
+        if row:
+            c0 = max(1, (row & -row).bit_length() - 1, grade - g)
+            points += [(c, g) for c in range(c0, bx)]
+    gens, bottom = board.gens, (0, by)
+    shifts = [g * w + c for c, g in points]
+    lows = [1 << (g * w) for _c, g in points] + [1 << ((py + 1) * w)]
+    stack = [(((bx, 0),), pmask << bx | pmask << by * w, 0)]
+    while stack:
+        acc, reach, idx = stack.pop()
+        tick()
+        miss = gens & ~reach
+        if not miss:
+            yield MonIdeal._from_antichain(acc + (bottom,))
+        elif miss & -miss < lows[idx]:
+            continue
+        last_x, last_y = acc[-1]
+        for i in range(len(points) - 1, idx - 1, -1):
+            c, g = point = points[i]
+            if g > last_y and c < last_x:
+                stack.append((acc + (point,), reach | pmask << shifts[i],
+                              i + 1))
+
+
 class FactorEngine:
     """Split, atom and length queries for one monoid.
 
@@ -454,20 +556,23 @@ class FactorEngine:
     def __init__(self, monoid: GradedMonoid, budget: Optional[Budget] = None):
         self.monoid = monoid
         self.budget = budget
-        self._divisor_memo: dict = {}
+        self._small_memo: dict = {}
+        self._split_memo: dict = {}
         self._atom_memo: dict = {}
         self._length_memo: dict = {}
 
-    def _divisors_by_grade(self, e: E) -> dict[int, list[E]]:
-        """The proper divisors of e in stream order, in lists by grade."""
+    def _small_divisors(self, e: E) -> list[tuple[E, int]]:
+        """The proper divisors of e of at most half its grade, with grades.
+
+        Some side of every split, and every atom of a factorization but the
+        largest, is among them.  Kept per element, in stream order.
+        """
         m = self.monoid
         k = m.key(e)
-        got = self._divisor_memo.get(k)
+        got = self._small_memo.get(k)
         if got is None:
-            got = defaultdict(list)
-            for a, g in m.candidate_divisors(e, self.budget):
-                got[g].append(a)
-            self._divisor_memo[k] = got
+            got = list(m.candidate_divisors(e, self.budget, m.grade(e) // 2))
+            self._small_memo[k] = got
         return got
 
     def _first_small_divisor(self, e: E, total: int) -> Optional[E]:
@@ -509,57 +614,118 @@ class FactorEngine:
     def split(self, e: E) -> list[tuple[E, E]]:
         """Every unordered pair (a, b) of nonunits with a * b = e.
 
-        Each pair has key(a) <= key(b), and the list is sorted by key.
+        Each pair has key(a) <= key(b), and the list is sorted by key.  The
+        side of at most half the grade is a small divisor, and the other
+        side runs over its cofactors; when both sides have half the grade,
+        each finds the other, and the pair is kept once.
         """
         m = self.monoid
         total = m.grade(e)
         if total == 0:
             raise ValueError("the identity is not searched for splits")
-        by_grade = self._divisors_by_grade(e)
-        ekey = m.key(e)
-        pairs = []
-        for g, divisors in by_grade.items():
-            if 2 * g > total:
-                continue
-            partners = by_grade.get(total - g, ())
-            for i, a in enumerate(divisors):
-                # within one grade, each unordered pair once
-                for b in partners[i:] if 2 * g == total else partners:
-                    if m.key(m.product(a, b)) == ekey:
-                        pairs.append((a, b) if m.key(a) <= m.key(b)
-                                     else (b, a))
-        pairs.sort(key=lambda p: (m.key(p[0]), m.key(p[1])))
-        return pairs
+        k = m.key(e)
+        pairs = self._split_memo.get(k)
+        if pairs is None:
+            pairs = []
+            for a, g in self._small_divisors(e):
+                ka = m.key(a)
+                for b in m.cofactors(e, a, self.budget):
+                    if m.key(b) >= ka:
+                        pairs.append((a, b))
+                    elif 2 * g < total:
+                        pairs.append((b, a))
+            pairs.sort(key=lambda p: (m.key(p[0]), m.key(p[1])))
+            self._split_memo[k] = pairs
+        return list(pairs)
 
     def lengths(self, e: E) -> tuple[int, ...]:
         """Sorted set of factorization lengths of e (identity gives {0}).
 
-        Recursion peels one atom at a time: a factorization of length
-        l >= 2 is an atom a times a cofactor b of length l - 1, and a * b = e
-        makes (a, b) one of the pairs of split(e).  An element without a
-        pair is an atom, of length 1.
+        Small-side algorithm.  Sort the atoms of a factorization of length
+        k >= 2 by grade: each of the first k - 1 has at most half the grade
+        of e, and their product divides e with a grade below e's.  So only
+        the small atoms, those the stream capped at grade total // 2 yields,
+        are multiplied: layer j holds the distinct products of j small
+        atoms that divide e with a grade below it, and k <= 1 + the deepest
+        layer.  k is a length exactly when some p of layer k - 1 has an atom
+        r with p * r = e.  When r is small too, the product p * r = e turns
+        up while the layers are built.  Otherwise r is tried as the maximal
+        cofactor colon(e, p) first, and, for a k still open, searched for
+        among all cofactors of p.  An element without small divisors is an
+        atom, of length 1.  Prime atoms, which every factorization holds,
+        are split off first (GradedMonoid.prime_split).
         """
         m = self.monoid
-
-        def rec(x: E) -> tuple[int, ...]:
-            k = m.key(x)
-            got = self._length_memo.get(k)
-            if got is not None:
-                return got
-            if m.grade(x) == 0:
-                res: tuple[int, ...] = (0,)
+        k = m.key(e)
+        got = self._length_memo.get(k)
+        if got is None:
+            n, rest = m.prime_split(e)
+            if n:
+                got = tuple(n + length for length in self.lengths(rest))
             else:
-                acc = set()
-                for a, b in self.split(x):
-                    if self.is_atom(a):
-                        acc.update(1 + lb for lb in rec(b))
-                    if self.is_atom(b):
-                        acc.update(1 + la for la in rec(a))
-                res = tuple(sorted(acc)) if acc else (1,)
-            self._length_memo[k] = res
-            return res
+                got = self._small_side_lengths(e)
+            self._length_memo[k] = got
+        return got
 
-        return rec(e)
+    def _small_side_lengths(self, e: E) -> tuple[int, ...]:
+        m = self.monoid
+        total = m.grade(e)
+        if total == 0:
+            return (0,)
+        half = total // 2
+        small = self._small_divisors(e)
+        if not small:
+            return (1,)
+        tick = self.budget.tick if self.budget is not None else _uncounted
+        ekey = m.key(e)
+        atoms = sorted(((a, g) for a, g in small if self.is_atom(a)),
+                       key=lambda pair: pair[1])
+        found = set()
+        # key -> [product, grade, least index of a last factor, colon(e, p)];
+        # a product extends only by atoms at or after its last factor, which
+        # still reaches every product of j + 1 atoms.  Atoms run by grade.
+        layer = {m.key(a): [a, g, i, m.colon(e, a)]
+                 for i, (a, g) in enumerate(atoms)}
+        layers = []
+        while layer:
+            layers.append(layer)
+            length = len(layers) + 1
+            nxt: dict = {}
+            for p, gp, first, col in layer.values():
+                for i in range(first, len(atoms)):
+                    a, ga = atoms[i]
+                    g = gp + ga
+                    if g > total or (g == total and length in found):
+                        break
+                    tick()
+                    q = m.product(p, a)
+                    kq = m.key(q)
+                    if g == total:
+                        if kq == ekey:
+                            found.add(length)
+                    elif kq in nxt:
+                        seen = nxt[kq]
+                        if seen is not None and i < seen[2]:
+                            seen[2] = i
+                    else:
+                        # colon(e, q) = colon(colon(e, p), a), and q divides
+                        # e when q times it is e
+                        c = m.colon(col, a)
+                        divides = c is not None and m.grade(c) == total - g \
+                            and m.key(m.product(q, c)) == ekey
+                        nxt[kq] = [q, g, i, c] if divides else None
+            layer = {kq: v for kq, v in nxt.items() if v is not None}
+        for length, layer in enumerate(layers, 2):
+            if length in found:
+                continue
+            # a small last atom was found above; look for a large one
+            ps = [(p, col) for p, gp, _i, col in layer.values()
+                  if total - gp > half]
+            if any(self.is_atom(col) for _p, col in ps) or any(
+                    self.is_atom(r) for p, _col in ps
+                    for r in m.cofactors(e, p, self.budget)):
+                found.add(length)
+        return tuple(sorted(found))
 
 
 def sumset_engine(budget: Optional[Budget] = None) -> FactorEngine:

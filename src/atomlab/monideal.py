@@ -2,9 +2,11 @@
 
 An ideal is represented by its unique minimal generating set: an antichain of
 exponent pairs (x, y) under componentwise order, kept sorted by x strictly
-descending.  Products, colons and intersections all reduce to integer
-arithmetic on exponent pairs followed by antichain minimization, so every
-operation here is exact.
+descending.  Read by increasing y, that list is a staircase: row y of the
+ideal starts at the column of the last generator at or below it.  Products
+minimize the pairwise sums of generators; intersections and colons merge
+staircases row by row.  Every operation is integer arithmetic on exponent
+pairs, so all of them are exact.
 """
 
 from __future__ import annotations
@@ -191,23 +193,81 @@ def contains_ideal(ideal: MonIdeal, other: MonIdeal) -> bool:
 def product(a: MonIdeal, b: MonIdeal) -> MonIdeal:
     if a.max_x + b.max_x > MAX_ELEMENT or a.max_y + b.max_y > MAX_ELEMENT:
         raise OverflowError("product would exceed the machine-width bound")
-    return MonIdeal((u + p, v + q) for u, v in a.gens for p, q in b.gens)
+    return MonIdeal._from_antichain(_minimal_pairs(
+        [(u + p, v + q) for u, v in a.gens for p, q in b.gens]))
 
 
-def _colon_monomial(ideal: MonIdeal, monomial: Pair) -> MonIdeal:
-    a, b = monomial
-    return MonIdeal((max(u - a, 0), max(v - b, 0)) for u, v in ideal.gens)
+def _colon_monomial(gens: tuple[Pair, ...], c: int, g: int
+                    ) -> tuple[Pair, ...]:
+    """Generators of (ideal : X^c Y^g): every generator moved down-left.
+
+    Clipping at 0 makes x nonincreasing and y nondecreasing; equal y occur
+    only at y = 0, where the later pair dominates, and the first pair with
+    x = 0 dominates all after it.  O(len(gens)).
+    """
+    out = []
+    for u, v in gens:
+        x = u - c if u > c else 0
+        y = v - g if v > g else 0
+        if out and out[-1][1] == y:
+            out[-1] = (x, y)
+        else:
+            out.append((x, y))
+        if not x:
+            break
+    return tuple(out)
+
+
+def _meet(a: tuple[Pair, ...], b: tuple[Pair, ...]) -> tuple[Pair, ...]:
+    """Generators of the intersection of two staircases, O(len(a) + len(b)).
+
+    Row y of an intersection starts at the larger of the two row starts.
+    Row starts only change at generator rows, so one pass over the
+    generators of both, by increasing y, keeps the rows where the larger
+    start drops.
+    """
+    out = []
+    i = j = 0
+    na, nb = len(a), len(b)
+    fa = fb = last = None
+    while i < na or j < nb:
+        ya = a[i][1] if i < na else None
+        yb = b[j][1] if j < nb else None
+        if yb is None or (ya is not None and ya <= yb):
+            fa = a[i][0]
+            i += 1
+            y = ya
+            if ya == yb:
+                fb = b[j][0]
+                j += 1
+        else:
+            fb = b[j][0]
+            j += 1
+            y = yb
+        if fa is None or fb is None:
+            continue
+        x = fa if fa > fb else fb
+        if last is None or x < last:
+            out.append((x, y))
+            last = x
+            if not x:
+                break
+    return tuple(out)
 
 
 def intersect(a: MonIdeal, b: MonIdeal) -> MonIdeal:
-    """Intersection: pairwise componentwise maxima, minimized."""
-    return MonIdeal((max(u, p), max(v, q)) for u, v in a.gens for p, q in b.gens)
+    """Intersection: the row-by-row larger start of two staircases."""
+    return MonIdeal._from_antichain(_meet(a.gens, b.gens))
 
 
 def colon(a: MonIdeal, b: MonIdeal) -> MonIdeal:
-    """(a : b), the largest ideal whose product with b lands inside a."""
-    return functools.reduce(intersect,
-                            (_colon_monomial(a, g) for g in b.gens))
+    """(a : b), the largest ideal whose product with b lands inside a.
+
+    The intersection of the colons by the generators of b: a fold of
+    len(b) staircase merges, O(len(b) * (len(a) + len(b))) in all.
+    """
+    return MonIdeal._from_antichain(functools.reduce(
+        _meet, [_colon_monomial(a.gens, c, g) for c, g in b.gens]))
 
 
 def generator_gcd(ideal: MonIdeal) -> Pair:
@@ -219,8 +279,17 @@ def generator_gcd(ideal: MonIdeal) -> Pair:
 
 
 def shifted(ideal: MonIdeal, dx: int, dy: int) -> MonIdeal:
-    """Multiply (or, for negative shifts, divide) by the monomial X^dx Y^dy."""
-    return MonIdeal((x + dx, y + dy) for x, y in ideal.gens)
+    """Multiply (or, for negative shifts, divide) by the monomial X^dx Y^dy.
+
+    A shift keeps the generator order, so only the smallest and largest
+    exponents need checking.
+    """
+    gens = tuple([(x + dx, y + dy) for x, y in ideal.gens])
+    if gens[-1][0] < 0 or gens[0][1] < 0:
+        raise ValueError(f"shift by ({dx}, {dy}) leaves a negative exponent")
+    if gens[0][0] > MAX_ELEMENT or gens[-1][1] > MAX_ELEMENT:
+        raise OverflowError("exponent exceeds the machine-width bound")
+    return MonIdeal._from_antichain(gens)
 
 
 def phi(a: NatSet) -> MonIdeal:

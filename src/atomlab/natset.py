@@ -65,6 +65,13 @@ class NatSet:
                 f"element {elems[-1]} exceeds the machine-width bound")
         object.__setattr__(self, "elements", elems)
 
+    @classmethod
+    def _from_sorted(cls, elems: tuple[int, ...]) -> "NatSet":
+        """Wrap a nonempty strictly increasing tuple of naturals, unchecked."""
+        obj = object.__new__(cls)
+        object.__setattr__(obj, "elements", elems)
+        return obj
+
     def __setattr__(self, name, value):
         raise AttributeError("NatSet is immutable")
 
@@ -139,7 +146,8 @@ def sumset(a: NatSet, b: NatSet) -> NatSet:
     """Setwise sum {x + y : x in a, y in b}."""
     if a.max + b.max > MAX_ELEMENT:
         raise OverflowError("sumset would exceed the machine-width bound")
-    return NatSet({x + y for x in a.elements for y in b.elements})
+    return NatSet._from_sorted(tuple(sorted(
+        {x + y for x in a.elements for y in b.elements})))
 
 
 def is_sum_free(a: NatSet) -> bool:
@@ -157,12 +165,25 @@ def is_sum_free(a: NatSet) -> bool:
 
 def set_colon(a: NatSet, b: NatSet) -> Optional[NatSet]:
     """Maximal set C with b + C a subset of a; None when no c qualifies."""
-    if b.max > a.max:
+    top = a.max - b.max
+    if top < 0:
         return None
     present = set(a.elements)
-    cs = [c for c in range(a.max - b.max + 1)
-          if all(x + c in present for x in b.elements)]
-    return NatSet(cs) if cs else None
+    # c + min(b) lies in a, so the candidates are a - min(b), ascending
+    low, rest = b.elements[0], b.elements[1:]
+    cs = []
+    for x in a.elements:
+        c = x - low
+        if c > top:
+            break
+        if c < 0:
+            continue
+        for y in rest:
+            if c + y not in present:
+                break
+        else:
+            cs.append(c)
+    return NatSet._from_sorted(tuple(cs)) if cs else None
 
 
 def reduce_shift(a: NatSet) -> tuple[int, NatSet]:
@@ -262,8 +283,42 @@ def _reduced_divisor_masks(amask: int, cap: Optional[int] = None,
         yield from grow((1 << mb) | 1, col0, free, 0)
 
 
+def _cofactor_masks(amask: int, pmask: int, tick: Tick = None
+                    ) -> Iterator[int]:
+    """Yield every mask R containing 0 with P + R = A, once.
+
+    max(R) = max(A) - max(P), and R lies in the colon set of P in A.  The
+    elements between 0 and max(R) join R in increasing order; x + P only
+    reaches elements from x on, so an element of A that R + P misses below
+    the next candidate kills the branch.
+    """
+    top = amask.bit_length() - pmask.bit_length()
+    if top < 0:
+        return
+    col = (2 << top) - 1
+    for b in _bits(pmask):
+        col &= amask >> b
+    if not col & 1 or not (col >> top) & 1:
+        return
+    free = [x for x in _bits(col) if 0 < x < top]
+    lows = [1 << x for x in free] + [1 << amask.bit_length()]
+    stack = [(1 | 1 << top, pmask | pmask << top, 0)]
+    while stack:
+        rmask, reach, idx = stack.pop()
+        if tick is not None:
+            tick()
+        miss = amask & ~reach
+        if not miss:
+            yield rmask
+        elif miss & -miss < lows[idx]:
+            continue
+        for i in range(len(free) - 1, idx - 1, -1):
+            x = free[i]
+            stack.append((rmask | 1 << x, reach | pmask << x, i + 1))
+
+
 def _mask_to_set(mask: int) -> NatSet:
-    return NatSet(_bits(mask))
+    return NatSet._from_sorted(tuple(_bits(mask)))
 
 
 # ---------------------------------------------------------------------------

@@ -362,8 +362,21 @@ def test_lengths_examples():
     assert seng.lengths(NatSet([0, 1, 2])) == (2,)
 
 
+def test_stretch_lengths_node_count_is_pinned():
+    # listing every divisor of I_C(minimal n=3) takes more than 3*10^7
+    # nodes; its small divisors, their atoms and the products of those take
+    # a fixed count, far inside the stretch claim's default budget
+    budget = Budget(max_nodes=1_000_000)
+    e = build_i_c(minimal_sequence(3))
+    assert monomial_engine(budget).lengths(e) == (2, 3, 4)
+    assert budget.nodes == 11020
+    eng = monomial_engine()
+    for k in range(2, 11):
+        assert eng.lengths(build_a(k)) == tuple(range(2, k + 1))
+
+
 def test_split_sorted_and_memoized():
-    # the divisor stream of an element runs once per engine
+    # the search behind the splits of an element runs once per engine
     budget = Budget()
     eng = sumset_engine(budget)
     a = NatSet(range(7))
@@ -447,6 +460,33 @@ def test_streams_yield_each_divisor_once_with_grade(box6):
         cap = a.max // 2
         assert list(m.candidate_divisors(a, grade_cap=cap)) == \
             [(d, g) for d, g in got if g <= cap]
+
+
+def test_cofactors_match_oracle(box6):
+    # every cofactor of every divisor, each once: split pairs small divisors
+    # with them, and lengths searches them for atoms
+    _pool, mon_map = box6
+    ideals = oracle.box_ideals(4)
+    ideals += [shifted(e, 1, 2) for e in ideals[::7]]
+    m = MonomialMonoid()
+    for e in ideals:
+        pairs = mon_map.get(e.gens, ())
+        for d, _g in m.candidate_divisors(e):
+            got = [r.gens for r in m.cofactors(e, d)]
+            assert len(got) == len(set(got))
+            assert set(got) == {b if a == d.gens else a for a, b in pairs
+                                if d.gens in (a, b)}
+
+    sum_map = oracle.naive_sumset_split_map(10)
+    m = SumsetMonoid()
+    for mask in range(1 << 10):
+        a = NatSet([0] + [i + 1 for i in range(10) if mask >> i & 1])
+        pairs = sum_map.get(a.elements, ())
+        for d, _g in m.candidate_divisors(a):
+            got = [r.elements for r in m.cofactors(a, d)]
+            assert len(got) == len(set(got))
+            assert set(got) == {y if x == d.elements else x for x, y in pairs
+                                if d.elements in (x, y)}
 
 
 def test_sumset_engine_matches_oracle_exhaustively():

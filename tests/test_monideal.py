@@ -1,5 +1,6 @@
 """Monomial ideal arithmetic against brute-force membership oracles."""
 
+import functools
 import random
 
 import pytest
@@ -67,6 +68,44 @@ def test_intersect_matches_membership_oracle(a, b):
     by = max(a.max_y, b.max_y)
     want = members_in_box(a, bx, by) & members_in_box(b, bx, by)
     assert intersect(a, b) == ideal_from_members(want)
+
+
+def _minimal(pairs):
+    keep = {p for p in pairs
+            if not any(q != p and q[0] <= p[0] and q[1] <= p[1]
+                       for q in pairs)}
+    return tuple(sorted(keep, key=lambda p: (-p[0], p[1])))
+
+
+# ideals in box 8: the unit, any antichain, and ideals with a generator gcd
+box8_ideals = st.one_of(
+    st.just(UNIT),
+    st.lists(st.tuples(st.integers(0, 8), st.integers(0, 8)),
+             min_size=1, max_size=6).map(MonIdeal),
+    st.builds(shifted,
+              st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5)),
+                       min_size=1, max_size=4).map(MonIdeal),
+              st.integers(0, 3), st.integers(0, 3)))
+
+
+@given(box8_ideals, box8_ideals)
+@settings(max_examples=300)
+def test_merge_kernels_match_quadratic_definitions(a, b):
+    # the pairwise definitions the staircase merges replace: an intersection
+    # is every componentwise maximum of two generators, minimized, and a
+    # colon intersects the colons by each generator of b
+    def meet(p, q):
+        return _minimal([(max(u, x), max(v, y)) for u, v in p for x, y in q])
+
+    by_gen = [_minimal([(max(u - c, 0), max(v - g, 0)) for u, v in a.gens])
+              for c, g in b.gens]
+    assert intersect(a, b).gens == meet(a.gens, b.gens)
+    assert colon(a, b).gens == functools.reduce(meet, by_gen)
+
+
+def test_colon_of_wide_ideal():
+    # a merge per generator of <X, Y>, not a million pairwise maxima
+    assert colon(build_a(1000), build_a(1)) == build_a(999)
 
 
 @given(ideals, ideals)
