@@ -62,6 +62,7 @@ class ClaimResult:
     statement: str
     status: str
     elapsed: float
+    nodes: int
     witness: Optional[dict]
 
     def to_json(self) -> dict:
@@ -70,6 +71,7 @@ class ClaimResult:
             "statement": self.statement,
             "status": self.status,
             "elapsed": round(self.elapsed, 3),
+            "nodes": self.nodes,
             "witness": self.witness,
         }
 
@@ -520,7 +522,7 @@ def run_claim(claim: Claim, budget_nodes: Optional[int] = None,
         witness = {"budget": {"nodes": exc.nodes,
                               "elapsed": round(exc.elapsed, 3)}}
     return ClaimResult(claim.claim_id, claim.statement, status,
-                       time.perf_counter() - start, witness)
+                       time.perf_counter() - start, rt.budget.nodes, witness)
 
 
 def run_suite(suite: Optional[str] = None,

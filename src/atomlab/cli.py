@@ -159,7 +159,7 @@ def _emit(payload: dict, fmt: str) -> None:
             print(f"{k}: {v if isinstance(v, str) else json.dumps(v)}")
 
 
-def _budget_from(args) -> Optional[Budget]:
+def _budget_from(args) -> Budget:
     try:
         return engine.make_budget(args.budget_nodes, args.budget_seconds)
     except ValueError as exc:
@@ -232,7 +232,8 @@ def _cmd_lengths(args) -> int:
 def _print_verify_table(results) -> None:
     width = max(len(r.claim_id) for r in results)
     for r in results:
-        print(f"{r.claim_id:<{width}}  {r.status:<12}  {r.elapsed:8.2f}s")
+        print(f"{r.claim_id:<{width}}  {r.status:<12}  {r.elapsed:8.2f}s"
+              f"  {r.nodes:>9} nodes")
         if r.witness is not None:
             print(f"{'':<{width}}  witness: {json.dumps(r.witness)}")
 

@@ -2,20 +2,20 @@
 
 The engine sees a monoid through a small adapter interface: product, colon
 (maximal cofactor), an additive grade that is zero exactly on the identity,
-a canonical sort key, a divisor stream that yields each proper divisor
-exactly once, with its grade, a cofactor search that yields every r with
-p * r = e for a divisor p, and a split of prime atoms.  A divisor a of e has
-maximal cofactor colon(e, a) with a * colon(e, a) = e.  The monoids are not
-cancellative, so a divisor may have many cofactors.
+a canonical sort key, a divisor stream that yields each proper divisor of
+at most half the grade exactly once, with its grade, a cofactor search that
+yields every r with p * r = e for a divisor p, and a split of prime atoms.
+A divisor a of e has maximal cofactor colon(e, a) with a * colon(e, a) = e.
+The monoids are not cancellative, so a divisor may have many cofactors.
 
 Every question starts from the small divisors of e, those of at most half
 its grade.  Some side of every split is one, so split lists pair each with
 its cofactors, and lengths multiply the small atoms (FactorEngine.lengths).
 
-Budgets bound the number of search nodes and the wall clock.  Exhaustion
-raises SearchBudgetExceeded so callers can report "inconclusive" rather than
-mistaking a truncated scan for a completed one.  Streams have a fixed order,
-so output is deterministic.
+Every search counts its nodes into the engine's Budget, which may bound
+them and the wall clock.  Exhaustion raises SearchBudgetExceeded so callers
+can report "inconclusive" rather than mistaking a truncated scan for a
+completed one.  Streams have a fixed order, so output is deterministic.
 
 The full sumset monoid of all finite nonempty subsets of N reduces to the
 engine by a shift: see find_split, is_atom and lengths at the end of this
@@ -67,12 +67,11 @@ class SearchBudgetExceeded(RuntimeError):
 
 
 class Budget:
-    """Node and wall-clock bounds shared by all searches of one engine run.
+    """Node count and bounds shared by all searches of one engine run.
 
-    None leaves a bound off; a negative bound is a ValueError.
+    None leaves a bound off; a negative bound is a ValueError.  A time bound
+    reads the clock at every node.
     """
-
-    _CLOCK_STRIDE = 1024
 
     def __init__(self, max_nodes: Optional[int] = None,
                  max_seconds: Optional[float] = None):
@@ -95,26 +94,20 @@ class Budget:
             raise SearchBudgetExceeded(
                 f"search exceeded {self.max_nodes} nodes",
                 self.nodes, self.elapsed)
-        if self.max_seconds is not None and self.nodes % self._CLOCK_STRIDE == 0:
-            if self.elapsed > self.max_seconds:
-                raise SearchBudgetExceeded(
-                    f"search exceeded {self.max_seconds} seconds",
-                    self.nodes, self.elapsed)
+        if self.max_seconds is not None and self.elapsed > self.max_seconds:
+            raise SearchBudgetExceeded(
+                f"search exceeded {self.max_seconds} seconds",
+                self.nodes, self.elapsed)
 
     def charge(self, n: int) -> None:
-        """Count n nodes at once, stopping where n calls of tick would."""
-        before = self.nodes
-        self.nodes = before + n
-        stride = self._CLOCK_STRIDE
-        if self.max_seconds is not None \
-                and self.nodes // stride > before // stride:
-            check = (before // stride + 1) * stride
-            if (self.max_nodes is None or check <= self.max_nodes) \
-                    and self.elapsed > self.max_seconds:
-                self.nodes = check
-                raise SearchBudgetExceeded(
-                    f"search exceeded {self.max_seconds} seconds",
-                    self.nodes, self.elapsed)
+        """Count n nodes at once, stopping where n calls of tick would.
+
+        The clock is read once, at the first of them.
+        """
+        if n and self.max_seconds is not None:
+            self.tick()
+            n -= 1
+        self.nodes += n
         if self.max_nodes is not None and self.nodes > self.max_nodes:
             self.nodes = self.max_nodes + 1
             raise SearchBudgetExceeded(
@@ -123,31 +116,25 @@ class Budget:
 
 
 def make_budget(max_nodes: Optional[int] = None,
-                max_seconds: Optional[float] = None) -> Optional[Budget]:
+                max_seconds: Optional[float] = None) -> Budget:
     """The Budget for a node and a time limit, where None or 0 means no cap.
 
-    Returns None when neither limit caps anything; raises ValueError for a
-    negative limit.
+    Raises ValueError for a negative limit.
     """
-    if max_nodes == 0:
-        max_nodes = None
-    if max_seconds == 0:
-        max_seconds = None
-    if max_nodes is None and max_seconds is None:
-        return None
-    return Budget(max_nodes, max_seconds)
+    return Budget(max_nodes or None, max_seconds or None)
 
 
 class GradedMonoid(Protocol[E]):
     """What the engine needs from a commutative reduced monoid.
 
     grade is additive and zero exactly on the identity.  candidate_divisors
-    must yield each proper divisor of e exactly once, as a pair (divisor,
-    grade), restricted to grade at most grade_cap when one is given.
-    cofactors must yield each r with part * r = whole exactly once, for a
-    proper divisor part of whole.  prime_split(e) = (n, rest) splits off
-    prime atoms: e is rest times n of them, and every factorization of e is
-    one of rest times those n, so the lengths of e are those of rest plus n.
+    must yield each proper divisor of e of grade at most grade(e) // 2
+    exactly once, as a pair (divisor, grade).  cofactors must yield each r
+    with part * r = whole exactly once, for a proper divisor part of whole.
+    prime_split(e) = (n, rest) splits off prime atoms: e is rest times n of
+    them, and every factorization of e is one of rest times those n, so the
+    lengths of e are those of rest plus n.  Both searches count their nodes
+    into the given budget.
     """
 
     def product(self, a: E, b: E) -> E: ...
@@ -158,12 +145,10 @@ class GradedMonoid(Protocol[E]):
 
     def key(self, e: E): ...
 
-    def candidate_divisors(self, e: E, budget: Optional[Budget] = None,
-                           grade_cap: Optional[int] = None
+    def candidate_divisors(self, e: E, budget: Budget
                            ) -> Iterator[tuple[E, int]]: ...
 
-    def cofactors(self, whole: E, part: E, budget: Optional[Budget] = None
-                  ) -> Iterator[E]: ...
+    def cofactors(self, whole: E, part: E, budget: Budget) -> Iterator[E]: ...
 
     def prime_split(self, e: E) -> tuple[int, E]: ...
 
@@ -183,25 +168,21 @@ class SumsetMonoid:
     def key(self, e: NatSet):
         return e.elements
 
-    def candidate_divisors(self, e: NatSet, budget: Optional[Budget] = None,
-                           grade_cap: Optional[int] = None
+    def candidate_divisors(self, e: NatSet, budget: Budget
                            ) -> Iterator[tuple[NatSet, int]]:
         if e.min != 0:
             raise ValueError("expected a set containing 0")
-        tick = budget.tick if budget is not None else None
-        amask = natset._mask_of(e)
-        for bmask, _col in natset._reduced_divisor_masks(amask, cap=grade_cap,
-                                                         tick=tick):
+        for bmask in natset._reduced_divisor_masks(natset._mask_of(e),
+                                                   budget.tick):
             yield natset._mask_to_set(bmask), bmask.bit_length() - 1
 
     def prime_split(self, e: NatSet) -> tuple[int, NatSet]:
         return 0, e
 
     def cofactors(self, whole: NatSet, part: NatSet,
-                  budget: Optional[Budget] = None) -> Iterator[NatSet]:
-        tick = budget.tick if budget is not None else _uncounted
-        for rmask in natset._cofactor_masks(natset._mask_of(whole),
-                                            natset._mask_of(part), tick):
+                  budget: Budget) -> Iterator[NatSet]:
+        wmask, pmask = natset._mask_of(whole), natset._mask_of(part)
+        for rmask in natset._cofactor_masks(wmask, pmask, budget.tick):
             yield natset._mask_to_set(rmask)
 
 
@@ -220,10 +201,10 @@ class MonomialMonoid:
     def key(self, e: MonIdeal):
         return e.gens
 
-    def candidate_divisors(self, e: MonIdeal, budget: Optional[Budget] = None,
-                           grade_cap: Optional[int] = None
+    def candidate_divisors(self, e: MonIdeal, budget: Budget
                            ) -> Iterator[tuple[MonIdeal, int]]:
-        """Stream each proper divisor of e once, with its grade.
+        """Stream each proper divisor of e of at most half its grade once,
+        with its grade.
 
         Generators sharing a monomial factor X^u Y^v split off as principal
         prime factors, so divisors are X^i Y^j times a divisor of the
@@ -235,12 +216,12 @@ class MonomialMonoid:
         if total == 0:
             return
         check_search_size(e)
-        cap = total - 1 if grade_cap is None else min(grade_cap, total - 1)
+        cap = total // 2
         u, v = monideal.generator_gcd(e)
         if not (u or v):
             # the core is e: the unit and e itself are not proper divisors,
             # and the core stream yields only proper ones
-            for pair in _gcdfree_divisors(e, total, budget, grade_cap):
+            for pair in _gcdfree_divisors(e, total, budget, cap):
                 if pair[1] <= cap:
                     yield pair
             return
@@ -250,7 +231,7 @@ class MonomialMonoid:
         if core_deg:
             stream = itertools.chain(stream, [(core, core_deg)],
                                      _gcdfree_divisors(core, core_deg, budget,
-                                                       grade_cap))
+                                                       cap))
         for a, g in stream:
             for i in range(u + 1):
                 # the j that keep the grade g + i + j within [1, cap]
@@ -270,7 +251,7 @@ class MonomialMonoid:
         return (u + v, monideal.shifted(e, -u, -v)) if (u or v) else (0, e)
 
     def cofactors(self, whole: MonIdeal, part: MonIdeal,
-                  budget: Optional[Budget] = None) -> Iterator[MonIdeal]:
+                  budget: Budget) -> Iterator[MonIdeal]:
         """Each r with part * r = whole, once; part must divide whole.
 
         Generator gcds add, so r is X^(u-i) Y^(v-j) times a cofactor of the
@@ -285,9 +266,8 @@ class MonomialMonoid:
         if pcore.is_unit or pcore == core:
             rs = [core if pcore.is_unit else UNIT]
         else:
-            tick = budget.tick if budget is not None else _uncounted
             rs = _cofactor_dfs(_Board(core), pcore, core.mdeg - pcore.mdeg,
-                               tick)
+                               budget.tick)
         for r in rs:
             yield monideal.shifted(r, u - i, v - j) if (u - i or v - j) else r
 
@@ -382,13 +362,12 @@ class _Board:
         return out
 
 
-def _gcdfree_divisors(e: MonIdeal, total: int, budget: Optional[Budget],
-                      cap: Optional[int] = None
+def _gcdfree_divisors(e: MonIdeal, total: int, budget: Budget, cap: int
                       ) -> Iterator[tuple[MonIdeal, int]]:
     """Proper divisors of a gcd-free nonunit ideal with their grades.
 
-    total is mdeg(e), and cap, when given, a grade bound that lets whole
-    frames be skipped (divisors above it may still be yielded).
+    total is mdeg(e), and cap a grade bound that lets whole frames be
+    skipped (divisors above it may still be yielded).
 
     Any factor pair of e carries pure powers X^ax, Y^ay and X^bx, Y^by with
     ax + bx = px and ay + by = py, the pure exponents of e, so the search
@@ -415,8 +394,7 @@ def _gcdfree_divisors(e: MonIdeal, total: int, budget: Optional[Budget],
     in bulk, in scan order, so node counts and the point where a budget
     stops the stream do not depend on the ranges.
     """
-    tick = budget.tick if budget is not None else _uncounted
-    charge = budget.charge if budget is not None else _uncounted
+    tick, charge = budget.tick, budget.charge
     board = _Board(e)
     px, py, starts = board.px, board.py, board.starts
     skipped = 0
@@ -434,7 +412,7 @@ def _gcdfree_divisors(e: MonIdeal, total: int, budget: Optional[Budget],
             if ax < starts[by] or bx < starts[ay]:
                 continue
             lo = total - (bx if bx < by else by)
-            if cap is not None and min(ax, ay) > cap and lo > cap:
+            if min(ax, ay) > cap and lo > cap:
                 continue
             # points (c, g) with 1 <= c < ax, 1 <= g < ay and c + g >= lo,
             # in (g, c) order
@@ -455,10 +433,6 @@ def _frame_ays(px: int, py: int, total: int, ax: int) -> range:
     ay + px - ax >= total.
     """
     return range(max(1, total - px + ax), min(py, ax + py - total + 1))
-
-
-def _uncounted(*_nodes) -> None:
-    pass
 
 
 def _frame_dfs(board: _Board, ax: int, ay: int, points,
@@ -550,12 +524,13 @@ class FactorEngine:
     """Split, atom and length queries for one monoid.
 
     Each engine owns one budget and one memo cache; create a fresh engine to
-    search under different budgets.
+    search under different budgets.  Without a budget the engine counts
+    into a Budget of its own that sets no limit.
     """
 
     def __init__(self, monoid: GradedMonoid, budget: Optional[Budget] = None):
         self.monoid = monoid
-        self.budget = budget
+        self.budget = Budget() if budget is None else budget
         self._small_memo: dict = {}
         self._split_memo: dict = {}
         self._atom_memo: dict = {}
@@ -571,14 +546,13 @@ class FactorEngine:
         k = m.key(e)
         got = self._small_memo.get(k)
         if got is None:
-            got = list(m.candidate_divisors(e, self.budget, m.grade(e) // 2))
+            got = list(m.candidate_divisors(e, self.budget))
             self._small_memo[k] = got
         return got
 
-    def _first_small_divisor(self, e: E, total: int) -> Optional[E]:
+    def _first_small_divisor(self, e: E) -> Optional[E]:
         # some side of any split has at most half the grade
-        for a, _g in self.monoid.candidate_divisors(e, self.budget,
-                                                    total // 2):
+        for a, _g in self.monoid.candidate_divisors(e, self.budget):
             return a
         return None
 
@@ -588,11 +562,10 @@ class FactorEngine:
         total = m.grade(e)
         if total == 0:
             raise ValueError("the identity is not searched for splits")
-        a = self._first_small_divisor(e, total)
+        a = self._first_small_divisor(e)
         if a is None:
             return None
-        if self.budget is not None:
-            self.budget.tick()
+        self.budget.tick()
         col = m.colon(e, a)
         if col is None or m.key(m.product(a, col)) != m.key(e):
             raise AssertionError("stream produced a non-divisor")
@@ -607,7 +580,7 @@ class FactorEngine:
         got = self._atom_memo.get(k)
         if got is not None:
             return got
-        res = self._first_small_divisor(e, total) is None
+        res = self._first_small_divisor(e) is None
         self._atom_memo[k] = res
         return res
 
@@ -644,12 +617,12 @@ class FactorEngine:
         Small-side algorithm.  Sort the atoms of a factorization of length
         k >= 2 by grade: each of the first k - 1 has at most half the grade
         of e, and their product divides e with a grade below e's.  So only
-        the small atoms, those the stream capped at grade total // 2 yields,
-        are multiplied: layer j holds the distinct products of j small
-        atoms that divide e with a grade below it, and k <= 1 + the deepest
-        layer.  k is a length exactly when some p of layer k - 1 has an atom
-        r with p * r = e.  When r is small too, the product p * r = e turns
-        up while the layers are built.  Otherwise r is tried as the maximal
+        the small atoms, those the divisor stream yields, are multiplied:
+        layer j holds the distinct products of j small atoms that divide e
+        with a grade below it, and k <= 1 + the deepest layer.  k is a
+        length exactly when some p of layer k - 1 has an atom r with
+        p * r = e.  When r is small too, the product p * r = e turns up
+        while the layers are built.  Otherwise r is tried as the maximal
         cofactor colon(e, p) first, and, for a k still open, searched for
         among all cofactors of p.  An element without small divisors is an
         atom, of length 1.  Prime atoms, which every factorization holds,
@@ -676,7 +649,7 @@ class FactorEngine:
         small = self._small_divisors(e)
         if not small:
             return (1,)
-        tick = self.budget.tick if self.budget is not None else _uncounted
+        tick = self.budget.tick
         ekey = m.key(e)
         atoms = sorted(((a, g) for a, g in small if self.is_atom(a)),
                        key=lambda pair: pair[1])

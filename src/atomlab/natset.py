@@ -35,7 +35,7 @@ MAX_ELEMENT = 2**63 - 1
 # accept must have a modest maximum.  Plain arithmetic has no such limit.
 SEARCH_LIMIT = 1 << 16
 
-Tick = Optional[Callable[[], None]]
+Tick = Callable[[], None]
 
 
 @functools.total_ordering
@@ -223,15 +223,12 @@ def _mask_sumset(bmask: int, cmask: int) -> int:
     return acc
 
 
-def _reduced_divisor_masks(amask: int, cap: Optional[int] = None,
-                           tick: Tick = None) -> Iterator[tuple[int, int]]:
-    """Yield (B, colon) masks for every proper divisor B of A, 0 in A.
+def _reduced_divisor_masks(amask: int, tick: Tick) -> Iterator[int]:
+    """Yield the mask of every proper divisor B of A with max(B) <= max(A)/2.
 
     A proper divisor is a set B containing 0, distinct from {0}, such that
-    B + C = A for some C containing 0 with C != {0}.  The colon mask handed
-    back is the maximal such C.  When cap is given only divisors with
-    max(B) <= cap are produced (enough for existence checks, since some side
-    of any split has max at most max(A)/2).
+    B + C = A for some C containing 0 with C != {0}.  Some side of any split
+    has max at most max(A)/2, so these are the small sides of all splits.
 
     Enumeration is grouped by max(B) ascending.  Within a group, subsets grow
     depth-first in increasing element order under two sound prunes: every
@@ -242,14 +239,13 @@ def _reduced_divisor_masks(amask: int, cap: Optional[int] = None,
     m = amask.bit_length() - 1
     if m <= 0:
         return
-    limit = m - 1 if cap is None else min(cap, m - 1)
+    limit = m // 2
 
     def grow(bmask: int, colmask: int, free: list[int], idx: int
-             ) -> Iterator[tuple[int, int]]:
-        if tick is not None:
-            tick()
+             ) -> Iterator[int]:
+        tick()
         if _mask_sumset(bmask, colmask) == amask:
-            yield bmask, colmask
+            yield bmask
         for i in range(idx, len(free)):
             x = free[i]
             b2 = bmask | (1 << x)
@@ -283,8 +279,7 @@ def _reduced_divisor_masks(amask: int, cap: Optional[int] = None,
         yield from grow((1 << mb) | 1, col0, free, 0)
 
 
-def _cofactor_masks(amask: int, pmask: int, tick: Tick = None
-                    ) -> Iterator[int]:
+def _cofactor_masks(amask: int, pmask: int, tick: Tick) -> Iterator[int]:
     """Yield every mask R containing 0 with P + R = A, once.
 
     max(R) = max(A) - max(P), and R lies in the colon set of P in A.  The
@@ -305,8 +300,7 @@ def _cofactor_masks(amask: int, pmask: int, tick: Tick = None
     stack = [(1 | 1 << top, pmask | pmask << top, 0)]
     while stack:
         rmask, reach, idx = stack.pop()
-        if tick is not None:
-            tick()
+        tick()
         miss = amask & ~reach
         if not miss:
             yield rmask

@@ -190,6 +190,14 @@ def test_verify_inconclusive_exit(capsys):
     assert lines[0]["witness"]["budget"]["nodes"] > 2000
 
 
+def test_verify_reports_nodes(capsys):
+    # every claim counts its search nodes, a pass as well as a stop
+    code, out, _ = run(capsys, "verify", "--only", "lengths-monomial-stretch")
+    assert code == 0
+    line = json.loads(out.strip().splitlines()[0])
+    assert (line["status"], line["nodes"]) == ("pass", 11020)
+
+
 @pytest.mark.parametrize("flag", ["--budget-nodes", "--budget-seconds"])
 def test_verify_zero_budget_means_no_cap(capsys, flag):
     code, out, _ = run(capsys, "verify", "--only", "lengths-monomial",
@@ -223,7 +231,7 @@ def test_verify_table_smoke(capsys):
     code, out, _ = run(capsys, "verify", "--only", "atoms-monomial",
                        "--table")
     assert code == 0
-    assert "atoms-monomial" in out and "pass" in out
+    assert "atoms-monomial" in out and "pass" in out and " nodes" in out
 
 
 # -- experiments -----------------------------------------------------------------

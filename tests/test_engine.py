@@ -1,11 +1,14 @@
 """Factor search engine: budgets, determinism, and oracle agreement."""
 
+import inspect
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from atomlab import engine, natset, oracle
-from atomlab.engine import (MAX_BOARD_CELLS, Budget, MonomialMonoid,
-                            SearchBudgetExceeded, SumsetMonoid, board_cells,
+from atomlab.engine import (MAX_BOARD_CELLS, Budget, GradedMonoid,
+                            MonomialMonoid, SearchBudgetExceeded,
+                            SumsetMonoid, board_cells,
                             check_search_size, make_budget, monomial_engine,
                             sumset_engine)
 from atomlab.families import minimal_sequence
@@ -26,22 +29,37 @@ wide_zero_sets = st.sets(st.integers(1, 14), max_size=8).map(
 # -- candidate streams are exact divisor enumerations -------------------------
 
 
+def test_adapters_hold_exactly_the_protocol():
+    # the engine calls only what GradedMonoid declares, with these parameters
+    def methods(cls):
+        return {name: [(p.name, p.kind, p.default) for p in
+                       inspect.signature(fn).parameters.values()]
+                for name, fn in vars(cls).items()
+                if callable(fn) and not name.startswith("_")}
+
+    protocol = methods(GradedMonoid)
+    assert set(protocol) == {"product", "colon", "grade", "key",
+                             "candidate_divisors", "cofactors", "prime_split"}
+    assert methods(SumsetMonoid) == protocol
+    assert methods(MonomialMonoid) == protocol
+
+
 @given(small_ideals)
 @settings(max_examples=80)
 def test_monomial_stream_yields_only_divisors(e):
     m = MonomialMonoid()
-    for cand, grade in m.candidate_divisors(e):
+    for cand, grade in m.candidate_divisors(e, Budget()):
         cof = colon(e, cand)
         assert product(cand, cof) == e
-        assert 1 <= cand.mdeg == grade <= e.mdeg - 1
+        assert 1 <= cand.mdeg == grade <= e.mdeg // 2
 
 
 @given(zero_sets)
 @settings(max_examples=80)
 def test_sumset_stream_yields_only_divisors(a):
     m = SumsetMonoid()
-    for cand, grade in m.candidate_divisors(a):
-        assert grade == cand.max
+    for cand, grade in m.candidate_divisors(a, Budget()):
+        assert 1 <= grade == cand.max <= a.max // 2
         cof = natset.set_colon(a, cand)
         assert cof is not None and natset.sumset(cand, cof) == a
 
@@ -51,11 +69,12 @@ def test_sumset_stream_yields_only_divisors(a):
 def test_monomial_stream_on_phi_matches_sumset(a):
     # phi(A) has exponents up to 14: multi-point frames and wide boards
     e = phi(a)
-    divisors = [d for d, _g in MonomialMonoid().candidate_divisors(e)]
+    divisors = [d for d, _g in
+                MonomialMonoid().candidate_divisors(e, Budget())]
     for d in divisors:
         assert product(d, colon(e, d)) == e
     found = set(divisors)
-    for b, _g in SumsetMonoid().candidate_divisors(a):
+    for b, _g in SumsetMonoid().candidate_divisors(a, Budget()):
         assert phi(b) in found
     assert monomial_engine().is_atom(e) == sumset_engine().is_atom(a)
 
@@ -63,27 +82,34 @@ def test_monomial_stream_on_phi_matches_sumset(a):
 def test_monomial_stream_is_pinned():
     # exact counts pin the order of the stream and of its ticks
     e = build_i_c(minimal_sequence(3))
-    budget = Budget(max_nodes=20000)
-    got = []
-    with pytest.raises(SearchBudgetExceeded):
-        for d, _g in MonomialMonoid().candidate_divisors(e, budget):
-            got.append(d)
-    assert len(got) == 13643 and budget.nodes == 20001
-    assert got[-1].gens == ((22, 0), (21, 9), (19, 10), (18, 12), (16, 14),
-                            (15, 17), (13, 19), (11, 20), (10, 21), (0, 22))
-    for a in got[:200]:
+    budget = Budget()
+    got = list(MonomialMonoid().candidate_divisors(e, budget))
+    assert len(got) == 79 and budget.nodes == 2003
+    assert got[-1] == (MonIdeal([(13, 0), (12, 1), (10, 3), (9, 4), (4, 9),
+                                 (3, 10), (1, 12), (0, 13)]), 13)
+    for a, _g in got:
         assert product(a, colon(e, a)) == e
+    # every divisor comes before the last frames, which a budget stops
+    budget = Budget(max_nodes=1000)
+    capped = []
+    with pytest.raises(SearchBudgetExceeded):
+        for pair in MonomialMonoid().candidate_divisors(e, budget):
+            capped.append(pair)
+    assert capped == got and budget.nodes == 1001
 
 
 def _reference_frame_stream(e, tick):
-    """Divisors of a gcd-free e, with grades, from a frame loop that visits
-    every frame.
+    """Divisors of a gcd-free e of at most half its grade, with grades, from
+    a frame loop that visits every frame.
 
     Each frame is ticked and then filtered, and each point is tested cell by
-    cell with `in`; the DFS is the engine's own.
+    cell with `in`; the DFS is the engine's own.  A frame whose divisors all
+    exceed half the grade is skipped, and so is any larger divisor of the
+    others.
     """
     board = engine._Board(e)
     total, px, py = e.mdeg, board.px, board.py
+    cap = total // 2
 
     def member(x, y):
         return (min(x, px), min(y, py)) in e
@@ -98,11 +124,15 @@ def _reference_frame_stream(e, tick):
             if not member(ax, by) or not member(bx, ay):
                 continue
             lo = total - min(bx, by)
+            if min(ax, ay) > cap and lo > cap:
+                continue
             points = sorted((g, c) for c in range(1, ax)
                             for g in range(max(1, lo - c), ay)
                             if member(c + bx, g) and member(c, g + by))
-            yield from engine._frame_dfs(board, ax, ay,
-                                         [(c, g) for g, c in points], tick)
+            for d, g in engine._frame_dfs(board, ax, ay,
+                                          [(c, g) for g, c in points], tick):
+                if g <= cap:
+                    yield d, g
 
 
 def _run_stream(stream, budget):
@@ -206,7 +236,7 @@ def test_board_limit():
     huge = MonIdeal([(99999999999, 0), (0, 99999999999)])
     assert board_cells(huge) > MAX_BOARD_CELLS
     with pytest.raises(ValueError):
-        next(MonomialMonoid().candidate_divisors(huge))
+        next(MonomialMonoid().candidate_divisors(huge, Budget()))
     # only the gcd-free core is searched, so a monomial factor is free
     assert board_cells(shifted(build_a(1), 10**10, 10**10)) == 2 * 3
     assert board_cells(build_a(1000)) == 1001 * 2001 <= MAX_BOARD_CELLS
@@ -242,7 +272,7 @@ def test_principal_part_limit_in_library():
 
 def test_sumset_stream_requires_zero():
     with pytest.raises(ValueError):
-        list(SumsetMonoid().candidate_divisors(NatSet([1, 2])))
+        list(SumsetMonoid().candidate_divisors(NatSet([1, 2]), Budget()))
 
 
 # -- budgets ------------------------------------------------------------------
@@ -261,10 +291,11 @@ def test_budget_nodes_exhaustion():
 
 
 def test_budget_seconds_exhaustion():
+    # the clock is read at every node, so a spent time budget stops at node 1
     eng = monomial_engine(Budget(max_seconds=0.0))
-    with pytest.raises(SearchBudgetExceeded):
-        # needs enough nodes to reach a clock check
+    with pytest.raises(SearchBudgetExceeded) as info:
         eng.split(build_i_c(minimal_sequence(3)))
+    assert info.value.nodes == 1
 
 
 def test_budget_rejects_negative_limits():
@@ -277,9 +308,19 @@ def test_budget_rejects_negative_limits():
     assert info.value.nodes == 1
 
 
+def test_budget_seconds_bound_time():
+    # the clock is read at every node, so the stop comes just past the limit
+    eng = monomial_engine(Budget(max_seconds=0.5))
+    with pytest.raises(SearchBudgetExceeded) as info:
+        eng.lengths(build_a(1000))
+    assert 0.5 < info.value.elapsed < 0.7
+
+
 def test_make_budget_reads_zero_as_no_cap():
-    assert make_budget() is None
-    assert make_budget(0, 0) is None and make_budget(None, 0.0) is None
+    for uncapped in (make_budget(), make_budget(0, 0),
+                     make_budget(None, 0.0)):
+        assert isinstance(uncapped, Budget)
+        assert (uncapped.max_nodes, uncapped.max_seconds) == (None, None)
     capped = make_budget(5, 0)
     assert (capped.max_nodes, capped.max_seconds) == (5, None)
     timed = make_budget(0, 1.5)
@@ -431,62 +472,59 @@ def _factors(pairs):
 
 def test_streams_yield_each_divisor_once_with_grade(box6):
     # the engine pairs divisors by grade without deduplicating, so each
-    # stream must list every divisor exactly once, with its true grade,
-    # capped or not
+    # stream must list every divisor of at most half the grade exactly
+    # once, with its true grade
     _pool, mon_map = box6
     ideals = oracle.box_ideals(4)
     ideals += [shifted(e, i, j) for e in ideals
                for i, j in ((1, 0), (0, 2), (2, 1))]
     m = MonomialMonoid()
     for e in ideals:
-        got = list(m.candidate_divisors(e))
+        got = list(m.candidate_divisors(e, Budget()))
         keys = [d.gens for d, _g in got]
         assert len(keys) == len(set(keys))
-        assert set(keys) == _factors(mon_map.get(e.gens, ()))
+        assert set(keys) == {d for d in _factors(mon_map.get(e.gens, ()))
+                             if MonIdeal(d).mdeg <= e.mdeg // 2}
         assert all(g == d.mdeg for d, g in got)
-        cap = e.mdeg // 2
-        assert list(m.candidate_divisors(e, grade_cap=cap)) == \
-            [(d, g) for d, g in got if g <= cap]
 
     sum_map = oracle.naive_sumset_split_map(10)
     m = SumsetMonoid()
     for mask in range(1 << 10):
         a = NatSet([0] + [i + 1 for i in range(10) if mask >> i & 1])
-        got = list(m.candidate_divisors(a))
+        got = list(m.candidate_divisors(a, Budget()))
         keys = [d.elements for d, _g in got]
         assert len(keys) == len(set(keys))
-        assert set(keys) == _factors(sum_map.get(a.elements, ()))
+        assert set(keys) == {d for d in _factors(sum_map.get(a.elements, ()))
+                             if d[-1] <= a.max // 2}
         assert all(g == d.max for d, g in got)
-        cap = a.max // 2
-        assert list(m.candidate_divisors(a, grade_cap=cap)) == \
-            [(d, g) for d, g in got if g <= cap]
 
 
 def test_cofactors_match_oracle(box6):
-    # every cofactor of every divisor, each once: split pairs small divisors
-    # with them, and lengths searches them for atoms
+    # every cofactor of every divisor, each once, on both sides of half the
+    # grade: split pairs small divisors with them, and lengths searches them
+    # for atoms
     _pool, mon_map = box6
     ideals = oracle.box_ideals(4)
     ideals += [shifted(e, 1, 2) for e in ideals[::7]]
     m = MonomialMonoid()
     for e in ideals:
         pairs = mon_map.get(e.gens, ())
-        for d, _g in m.candidate_divisors(e):
-            got = [r.gens for r in m.cofactors(e, d)]
+        for d in _factors(pairs):
+            got = [r.gens for r in m.cofactors(e, MonIdeal(d), Budget())]
             assert len(got) == len(set(got))
-            assert set(got) == {b if a == d.gens else a for a, b in pairs
-                                if d.gens in (a, b)}
+            assert set(got) == {b if a == d else a for a, b in pairs
+                                if d in (a, b)}
 
     sum_map = oracle.naive_sumset_split_map(10)
     m = SumsetMonoid()
     for mask in range(1 << 10):
         a = NatSet([0] + [i + 1 for i in range(10) if mask >> i & 1])
         pairs = sum_map.get(a.elements, ())
-        for d, _g in m.candidate_divisors(a):
-            got = [r.elements for r in m.cofactors(a, d)]
+        for d in _factors(pairs):
+            got = [r.elements for r in m.cofactors(a, NatSet(d), Budget())]
             assert len(got) == len(set(got))
-            assert set(got) == {y if x == d.elements else x for x, y in pairs
-                                if d.elements in (x, y)}
+            assert set(got) == {y if x == d else x for x, y in pairs
+                                if d in (x, y)}
 
 
 def test_sumset_engine_matches_oracle_exhaustively():
@@ -495,8 +533,14 @@ def test_sumset_engine_matches_oracle_exhaustively():
     cache: dict = {}
     for mask in range(1, 1 << 12):
         a = NatSet([0] + [i + 1 for i in range(12) if mask >> i & 1])
+        want_pairs = split_map.get(a.elements, set())
         got = {(p.elements, q.elements) for p, q in eng.split(a)}
-        assert got == split_map.get(a.elements, set())
+        assert got == want_pairs
+        assert eng.is_atom(a) == (not want_pairs)
+        pair = eng.find_split(a)
+        assert (pair is None) == (not want_pairs)
+        if pair is not None:
+            assert tuple(sorted(s.elements for s in pair)) in want_pairs
         want = tuple(sorted(oracle.naive_lengths(a.elements, split_map,
                                                  cache)))
         assert eng.lengths(a) == want
@@ -537,8 +581,14 @@ def test_monomial_engine_matches_oracle_exhaustively(box6):
     eng = monomial_engine()
     cache: dict = {}
     for e in pool:
+        want_pairs = split_map.get(e.gens, set())
         pairs = [(a.gens, b.gens) for a, b in eng.split(e)]
         assert len(set(pairs)) == len(pairs)
-        assert set(pairs) == split_map.get(e.gens, set())
+        assert set(pairs) == want_pairs
+        assert eng.is_atom(e) == (not want_pairs)
+        pair = eng.find_split(e)
+        assert (pair is None) == (not want_pairs)
+        if pair is not None:
+            assert tuple(sorted(d.gens for d in pair)) in want_pairs
         want = tuple(sorted(oracle.naive_lengths(e.gens, split_map, cache)))
         assert eng.lengths(e) == want

@@ -114,7 +114,7 @@ def test_reduce_shift():
 
 def test_decompose_reduced_small_cases():
     eng = sumset_engine()
-    assert list(SumsetMonoid().candidate_divisors(NatSet([0]))) == []
+    assert list(SumsetMonoid().candidate_divisors(NatSet([0]), Budget())) == []
     assert eng.split(NatSet([0, 1])) == []
     assert eng.split(NatSet([0, 1, 2])) == [
         (NatSet([0, 1]), NatSet([0, 1]))]
