@@ -15,8 +15,8 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Optional
 
 from . import families, graded, monideal, natset, oracle
-from .engine import (FactorEngine, SearchBudgetExceeded, make_budget,
-                     monomial_engine, sumset_engine)
+from .engine import (SearchBudgetExceeded, make_budget, monomial_engine,
+                     sumset_engine)
 from .families import build_B, build_C, minimal_sequence, subset_sum
 from .graded import GradedIdeal, HomPoly, min_piece_product_check
 from .monideal import (MonIdeal, build_a, build_b, build_c, build_i_b,
@@ -35,9 +35,9 @@ __all__ = [
 
 # Default node budget for the stretch claim.  Enumerating every divisor of
 # I_C(minimal n=3) would take more than 3*10^7 nodes; the small-side length
-# search needs about 11,000, so the default run passes in well under a
-# second.  A budget below the 2,003 nodes of its first stream, the divisors
-# of at most half the grade, stops it inconclusive.
+# search needs 3,920, so the default run passes in well under a second.  Its
+# first stream, the divisors of at most half the grade, takes 864 of them;
+# a budget of 2,000 stops it inconclusive in the layer products.
 _STRETCH_NODES = 1_000_000
 
 # Fixed seeds keep the sampled claims reproducible run to run.
@@ -77,23 +77,13 @@ class ClaimResult:
 
 
 class _Runtime:
-    """One budget and one engine cache for a single claim run."""
+    """One budget and its two engines for a single claim run."""
 
     def __init__(self, budget_nodes: Optional[int],
                  budget_seconds: Optional[float]):
         self.budget = make_budget(budget_nodes, budget_seconds)
-        self._mon: Optional[FactorEngine] = None
-        self._sum: Optional[FactorEngine] = None
-
-    def mon(self) -> FactorEngine:
-        if self._mon is None:
-            self._mon = monomial_engine(self.budget)
-        return self._mon
-
-    def sum(self) -> FactorEngine:
-        if self._sum is None:
-            self._sum = sumset_engine(self.budget)
-        return self._sum
+        self.mon = monomial_engine(self.budget)
+        self.sum = sumset_engine(self.budget)
 
 
 def _verdict(bad: list) -> Optional[dict]:
@@ -112,7 +102,7 @@ def _subsets(items: Iterable[int]):
 
 
 def _check_atoms_monomial(rt: _Runtime) -> Optional[dict]:
-    eng = rt.mon()
+    eng = rt.mon
     targets: list[tuple[str, MonIdeal]] = []
     for i in range(1, 9):
         targets.append((f"b_{i}", build_b(i)))
@@ -137,7 +127,7 @@ def _check_atoms_monomial(rt: _Runtime) -> Optional[dict]:
 
 
 def _check_splits_monomial(rt: _Runtime) -> Optional[dict]:
-    eng = rt.mon()
+    eng = rt.mon
     bad = []
     for k in range(2, 7):
         e = build_a(k)
@@ -171,7 +161,7 @@ def _check_splits_monomial(rt: _Runtime) -> Optional[dict]:
 
 
 def _check_lengths_monomial(rt: _Runtime) -> Optional[dict]:
-    eng = rt.mon()
+    eng = rt.mon
     bad = []
     for k in range(2, 7):
         want = tuple(range(2, k + 1))
@@ -187,7 +177,7 @@ def _check_lengths_monomial(rt: _Runtime) -> Optional[dict]:
 
 
 def _check_lengths_monomial_stretch(rt: _Runtime) -> Optional[dict]:
-    got = rt.mon().lengths(build_i_c(minimal_sequence(3)))
+    got = rt.mon.lengths(build_i_c(minimal_sequence(3)))
     if got != (2, 3, 4):
         return {"target": "I_C(minimal n=3)", "want": [2, 3, 4],
                 "got": list(got)}
@@ -195,7 +185,7 @@ def _check_lengths_monomial_stretch(rt: _Runtime) -> Optional[dict]:
 
 
 def _check_lengths_sumset(rt: _Runtime) -> Optional[dict]:
-    eng = rt.sum()
+    eng = rt.sum
     bad = []
     for n in (2, 3, 4):
         seq = minimal_sequence(n)
@@ -336,7 +326,7 @@ def _check_seed_sum_membership(rt: _Runtime) -> Optional[dict]:
 
 
 def _check_sum_free_atoms(rt: _Runtime) -> Optional[dict]:
-    sum_eng, mon_eng = rt.sum(), rt.mon()
+    sum_eng, mon_eng = rt.sum, rt.mon
     bad = []
     for s in natset.iter_sum_free(12):
         a = NatSet((0,) + s.elements)
@@ -349,7 +339,7 @@ def _check_sum_free_atoms(rt: _Runtime) -> Optional[dict]:
 
 def _check_oracle_equivalence(rt: _Runtime) -> Optional[dict]:
     bad = []
-    eng = rt.sum()
+    eng = rt.sum
     split_map = oracle.naive_sumset_split_map(10)
     length_cache: dict = {}
     for mask in range(1, 1 << 10):
@@ -370,7 +360,7 @@ def _check_oracle_equivalence(rt: _Runtime) -> Optional[dict]:
             bad.append({"side": "sumset", "target": a.to_json(),
                         "want": list(want_lengths),
                         "got": list(eng.lengths(a))})
-    meng = rt.mon()
+    meng = rt.mon
     pool = oracle.box_ideals(4)
     mon_map = oracle.naive_mon_split_map(pool)
     mon_cache: dict = {}
@@ -529,17 +519,20 @@ def run_suite(suite: Optional[str] = None,
               only: Optional[Iterable[str]] = None,
               budget_nodes: Optional[int] = None,
               budget_seconds: Optional[float] = None) -> list[ClaimResult]:
-    """Run the registered claims, filtered by suite and/or claim id."""
+    """Run the registered claims, filtered by suite and/or claim id.
+
+    Raises KeyError for an unknown claim id, or when the filters select no
+    claim.
+    """
     wanted = None if only is None else set(only)
     if wanted is not None:
         unknown = wanted - set(claim_ids())
         if unknown:
             raise KeyError(f"unknown claims: {sorted(unknown)}")
-    out = []
-    for claim in _CLAIMS:
-        if suite is not None and claim.suite != suite:
-            continue
-        if wanted is not None and claim.claim_id not in wanted:
-            continue
-        out.append(run_claim(claim, budget_nodes, budget_seconds))
-    return out
+    selected = [c for c in _CLAIMS
+                if (suite is None or c.suite == suite)
+                and (wanted is None or c.claim_id in wanted)]
+    if not selected:
+        only_ids = None if wanted is None else sorted(wanted)
+        raise KeyError(f"no claim matches suite={suite!r} and only={only_ids}")
+    return [run_claim(c, budget_nodes, budget_seconds) for c in selected]

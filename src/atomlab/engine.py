@@ -99,21 +99,6 @@ class Budget:
                 f"search exceeded {self.max_seconds} seconds",
                 self.nodes, self.elapsed)
 
-    def charge(self, n: int) -> None:
-        """Count n nodes at once, stopping where n calls of tick would.
-
-        The clock is read once, at the first of them.
-        """
-        if n and self.max_seconds is not None:
-            self.tick()
-            n -= 1
-        self.nodes += n
-        if self.max_nodes is not None and self.nodes > self.max_nodes:
-            self.nodes = self.max_nodes + 1
-            raise SearchBudgetExceeded(
-                f"search exceeded {self.max_nodes} nodes",
-                self.nodes, self.elapsed)
-
 
 def make_budget(max_nodes: Optional[int] = None,
                 max_seconds: Optional[float] = None) -> Budget:
@@ -218,14 +203,7 @@ class MonomialMonoid:
         check_search_size(e)
         cap = total // 2
         u, v = monideal.generator_gcd(e)
-        if not (u or v):
-            # the core is e: the unit and e itself are not proper divisors,
-            # and the core stream yields only proper ones
-            for pair in _gcdfree_divisors(e, total, budget, cap):
-                if pair[1] <= cap:
-                    yield pair
-            return
-        core = monideal.shifted(e, -u, -v)
+        core = monideal.shifted(e, -u, -v) if (u or v) else e
         core_deg = total - u - v
         stream = [(UNIT, 0)]
         if core_deg:
@@ -366,8 +344,9 @@ def _gcdfree_divisors(e: MonIdeal, total: int, budget: Budget, cap: int
                       ) -> Iterator[tuple[MonIdeal, int]]:
     """Proper divisors of a gcd-free nonunit ideal with their grades.
 
-    total is mdeg(e), and cap a grade bound that lets whole frames be
-    skipped (divisors above it may still be yielded).
+    total is mdeg(e), and cap a grade bound: frames whose divisors all
+    exceed it are not visited, though divisors above it may still be
+    yielded from the others.
 
     Any factor pair of e carries pure powers X^ax, Y^ay and X^bx, Y^by with
     ax + bx = px and ay + by = py, the pure exponents of e, so the search
@@ -380,40 +359,32 @@ def _gcdfree_divisors(e: MonIdeal, total: int, budget: Budget, cap: int
 
     Three sound filters shrink the frame and point sets.  The grade identity
     mdeg(e) = mdeg(factor) + mdeg(cofactor) with mdeg <= min(pure exponents)
-    forces min(ax, ay) + min(bx, by) >= mdeg(e), which holds on one range
-    of ay for each ax (see _frame_ays).  Each generator of a factor stays in
-    e after multiplying by the partner's pure powers, so the corners
-    X^ax Y^by and X^bx Y^ay lie in e, and a point (c, g) of a frame lies in
-    both (e : X^bx) and (e : Y^by).  Those colons are ideals, so row g of
-    their intersection is the columns from max(start[g] - bx, start[g + by])
-    on, start[y] being the first column of row y of e.  And every generator
-    degree of the factor is at least mdeg(e) - min(bx, by).
+    forces min(ax, ay) + min(bx, by) >= mdeg(e), so every generator degree
+    of the factor is at least lo = mdeg(e) - min(bx, by); with the cap this
+    leaves one range of ay for each ax (see _frame_ays).  Each generator of
+    a factor stays in e after multiplying by the partner's pure powers, so
+    the corners X^ax Y^by and X^bx Y^ay lie in e, and a point (c, g) of a
+    frame lies in both (e : X^bx) and (e : Y^by).  Those colons are ideals,
+    so row g of their intersection is the columns from max(start[g] - bx,
+    start[g + by]) on, start[y] being the first column of row y of e.
 
-    Each of the (px-1)(py-1) frames costs one search node, as it did when
-    every frame was visited: the frames outside the ay ranges are charged
-    in bulk, in scan order, so node counts and the point where a budget
-    stops the stream do not depend on the ranges.
+    Each visited frame costs one search node, so a budget stops a loop over
+    many frames even when none of them holds a point.
     """
-    tick, charge = budget.tick, budget.charge
+    tick = budget.tick
     board = _Board(e)
     px, py, starts = board.px, board.py, board.starts
-    skipped = 0
-    for ax in range(1, px):
+    # a proper divisor has a grade below total; lo <= cap needs
+    # bx >= total - cap
+    cap = min(cap, total - 1)
+    for ax in range(1, px - total + cap + 1):
         bx = px - ax
-        ays = _frame_ays(px, py, total, ax)
-        if not ays:
-            skipped += py - 1
-            continue
-        charge(skipped + ays.start - 1)
-        skipped = py - ays.stop
-        for ay in ays:
+        for ay in _frame_ays(px, py, total, cap, ax):
             by = py - ay
             tick()
             if ax < starts[by] or bx < starts[ay]:
                 continue
             lo = total - (bx if bx < by else by)
-            if min(ax, ay) > cap and lo > cap:
-                continue
             # points (c, g) with 1 <= c < ax, 1 <= g < ay and c + g >= lo,
             # in (g, c) order
             points = []
@@ -422,17 +393,19 @@ def _gcdfree_divisors(e: MonIdeal, total: int, budget: Budget, cap: int
                 if c0 < ax:
                     points += [(c, g) for c in range(c0, ax)]
             yield from _frame_dfs(board, ax, ay, points, tick)
-    charge(skipped)
 
 
-def _frame_ays(px: int, py: int, total: int, ax: int) -> range:
-    """The ay in [1, py) with min(ax, ay) + min(px-ax, py-ay) >= total.
+def _frame_ays(px: int, py: int, total: int, cap: int, ax: int) -> range:
+    """The ay in [1, py) with min(ax, ay) + min(px-ax, py-ay) >= total and
+    lo = total - min(px-ax, py-ay) <= cap, for 0 <= cap < total and an ax
+    with px - ax >= total - cap (the ax that _gcdfree_divisors visits).
 
     min(a, b) + min(c, d) = min(a + c, a + d, b + c, b + d), and px and py
-    are at least total, so the test is ax + py - ay >= total and
-    ay + px - ax >= total.
+    are at least total, so the grade test is ax + py - ay >= total and
+    ay + px - ax >= total.  Under it lo <= min(ax, ay), and the cap test
+    is py - ay >= total - cap.
     """
-    return range(max(1, total - px + ax), min(py, ax + py - total + 1))
+    return range(max(1, total - px + ax), py - total + 1 + min(ax, cap))
 
 
 def _frame_dfs(board: _Board, ax: int, ay: int, points,

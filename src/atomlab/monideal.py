@@ -21,7 +21,6 @@ from .natset import MAX_ELEMENT, NatSet
 __all__ = [
     "MonIdeal",
     "UNIT",
-    "contains_ideal",
     "product",
     "colon",
     "intersect",
@@ -183,11 +182,6 @@ def _parse_monomial(token: str) -> Pair:
 
 
 UNIT = MonIdeal([(0, 0)])
-
-
-def contains_ideal(ideal: MonIdeal, other: MonIdeal) -> bool:
-    """True when other is a subset of ideal."""
-    return all(g in ideal for g in other.gens)
 
 
 def product(a: MonIdeal, b: MonIdeal) -> MonIdeal:

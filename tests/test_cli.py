@@ -110,6 +110,14 @@ def test_lengths_budget_inconclusive(capsys):
     assert last_json(out)["lengths"] == "inconclusive"
 
 
+def test_lengths_time_budget_inconclusive(capsys):
+    code, out, _ = run(capsys, "lengths", "a_1000", "--budget-seconds", "0.5")
+    assert code == 2
+    got = last_json(out)
+    assert got["lengths"] == "inconclusive"
+    assert got["budget"]["elapsed"] >= 0.5
+
+
 def test_monoid_flag_is_gone(capsys):
     # the monoid follows from the target; there is no flag to name it
     code, out, err = run(capsys, "atom", "--monoid", "mon", "c_4")
@@ -195,7 +203,7 @@ def test_verify_reports_nodes(capsys):
     code, out, _ = run(capsys, "verify", "--only", "lengths-monomial-stretch")
     assert code == 0
     line = json.loads(out.strip().splitlines()[0])
-    assert (line["status"], line["nodes"]) == ("pass", 11020)
+    assert (line["status"], line["nodes"]) == ("pass", 3920)
 
 
 @pytest.mark.parametrize("flag", ["--budget-nodes", "--budget-seconds"])
@@ -225,6 +233,15 @@ def test_negative_budget_is_a_usage_error(capsys, argv, budget):
 def test_verify_unknown_claim(capsys):
     code, _, err = run(capsys, "verify", "--only", "no-such-claim")
     assert code == 1 and "no-such-claim" in err
+
+
+@pytest.mark.parametrize("fmt", [[], ["--table"]])
+def test_verify_empty_selection_is_a_usage_error(capsys, fmt):
+    # the stretch claim is not in the core suite, so nothing is selected
+    code, out, err = run(capsys, "verify", "--suite", "core", "--only",
+                         "lengths-monomial-stretch", *fmt)
+    assert code == 1 and not out
+    assert err.startswith("error: ") and "no claim" in err
 
 
 def test_verify_table_smoke(capsys):
