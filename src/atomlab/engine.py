@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import itertools
 import time
+from bisect import bisect_left, bisect_right
 from typing import Iterator, Optional, Protocol, TypeVar
 
 from . import monideal, natset
@@ -592,8 +593,16 @@ class FactorEngine:
         of e, and their product divides e with a grade below e's.  So only
         the small atoms, those the divisor stream yields, are multiplied:
         layer j holds the distinct products of j small atoms that divide e
-        with a grade below it, and k <= 1 + the deepest layer.  k is a
-        length exactly when some p of layer k - 1 has an atom r with
+        with a grade below it, and k <= 1 + the deepest layer.  Products
+        grow in sorted order: p, of grade gp, extends only by atoms a at or
+        after its last factor, and only when gp + 2 * grade(a) <= grade(e)
+        or when grade(a) = grade(e) - gp, which closes a length.  Every atom
+        after a sorts no smaller, so a product q = p * a with
+        0 < grade(e) - grade(q) < grade(a) can never complete; nor can a
+        colon or cofactor complete it, since a smaller last atom would sort
+        before a.  With the atoms sorted by grade, the allowed a form two
+        index ranges, and each product formed costs a node.  k is a length
+        exactly when some p of layer k - 1 has an atom r with
         p * r = e.  When r is small too, the product p * r = e turns up
         while the layers are built.  Otherwise r is tried as the maximal
         cofactor colon(e, p) first, and, for a k still open, searched for
@@ -626,22 +635,32 @@ class FactorEngine:
         ekey = m.key(e)
         atoms = sorted(((a, g) for a, g in small if self.is_atom(a)),
                        key=lambda pair: pair[1])
+        grades = [g for _a, g in atoms]
         found = set()
         # key -> [product, grade, least index of a last factor, colon(e, p)];
         # a product extends only by atoms at or after its last factor, which
-        # still reaches every product of j + 1 atoms.  Atoms run by grade.
-        layer = {m.key(a): [a, g, i, m.colon(e, a)]
-                 for i, (a, g) in enumerate(atoms)}
+        # still reaches every sorted factorization.  Atoms run by grade, and
+        # each product, of one atom or more, costs a node.
+        layer = {}
+        for i, (a, g) in enumerate(atoms):
+            tick()
+            layer[m.key(a)] = [a, g, i, m.colon(e, a)]
         layers = []
         while layer:
             layers.append(layer)
             length = len(layers) + 1
             nxt: dict = {}
             for p, gp, first, col in layer.values():
-                for i in range(first, len(atoms)):
+                # the atoms that leave room for one no smaller, then those
+                # that close a length; the rest cannot complete
+                rest = total - gp
+                mid = bisect_right(grades, rest // 2, first)
+                lo = bisect_left(grades, rest, mid)
+                for i in itertools.chain(range(first, mid), range(
+                        lo, bisect_right(grades, rest, lo))):
                     a, ga = atoms[i]
                     g = gp + ga
-                    if g > total or (g == total and length in found):
+                    if g == total and length in found:
                         break
                     tick()
                     q = m.product(p, a)

@@ -118,6 +118,26 @@ def test_lengths_time_budget_inconclusive(capsys):
     assert got["budget"]["elapsed"] >= 0.5
 
 
+def test_lengths_time_budget_stops_on_time_on_long_layers(capsys):
+    # a_20 has 21,877 small atoms and takes 383,226 nodes; every atom test
+    # and every layer product ticks, so wherever the limit falls the clock
+    # is read soon after it
+    code, out, _ = run(capsys, "lengths", "a_20", "--budget-seconds", "0.5")
+    assert code == 2
+    got = last_json(out)
+    assert got["lengths"] == "inconclusive"
+    assert 0.5 <= got["budget"]["elapsed"] < 0.7
+
+
+@pytest.mark.parametrize("target, top", [
+    ("a_16", 16), ("{" + ",".join(map(str, range(25))) + "}", 24)])
+def test_long_lengths_conclusive_under_default_budget(capsys, target, top):
+    # products that cannot complete in sorted order are never formed
+    code, out, _ = run(capsys, "lengths", target)
+    assert code == 0
+    assert last_json(out)["lengths"] == list(range(2, top + 1))
+
+
 def test_monoid_flag_is_gone(capsys):
     # the monoid follows from the target; there is no flag to name it
     code, out, err = run(capsys, "atom", "--monoid", "mon", "c_4")
@@ -203,7 +223,7 @@ def test_verify_reports_nodes(capsys):
     code, out, _ = run(capsys, "verify", "--only", "lengths-monomial-stretch")
     assert code == 0
     line = json.loads(out.strip().splitlines()[0])
-    assert (line["status"], line["nodes"]) == ("pass", 3920)
+    assert (line["status"], line["nodes"]) == ("pass", 3945)
 
 
 @pytest.mark.parametrize("flag", ["--budget-nodes", "--budget-seconds"])

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from atomlab import engine, natset, oracle
-from atomlab.engine import (MAX_BOARD_CELLS, Budget, GradedMonoid,
-                            MonomialMonoid, SearchBudgetExceeded,
+from atomlab.engine import (MAX_BOARD_CELLS, Budget, FactorEngine,
+                            GradedMonoid, MonomialMonoid, SearchBudgetExceeded,
                             SumsetMonoid, board_cells,
                             check_search_size, make_budget, monomial_engine,
                             sumset_engine)
@@ -397,9 +397,9 @@ def test_stretch_lengths_node_count_is_pinned():
     budget = Budget(max_nodes=1_000_000)
     e = build_i_c(minimal_sequence(3))
     assert monomial_engine(budget).lengths(e) == (2, 3, 4)
-    assert budget.nodes == 3920
+    assert budget.nodes == 3945
     eng = monomial_engine()
-    for k in range(2, 11):
+    for k in range(2, 15):
         assert eng.lengths(build_a(k)) == tuple(range(2, k + 1))
 
 
@@ -442,6 +442,56 @@ def test_one_in_lengths_iff_atom(e):
     if e.is_unit:
         return
     assert (1 in eng.lengths(e)) == eng.is_atom(e)
+
+
+_sets_to_8 = st.sets(st.integers(1, 8)).map(lambda s: NatSet(s | {0}))
+_box3 = st.sampled_from(oracle.box_ideals(3))
+_length_pairs = st.one_of(
+    st.tuples(st.just(SumsetMonoid()), _sets_to_8, _sets_to_8),
+    st.tuples(st.just(MonomialMonoid()), _box3, _box3))
+
+
+@given(_length_pairs)
+@settings(max_examples=80, deadline=None)
+def test_lengths_add_under_products(pair):
+    # oracle-free: factorizations of a and b concatenate to ones of a * b,
+    # and every atom has a grade of at least 1.  Sumsets reach [0,16], past
+    # the exhaustive oracle pools, where long length sets are pruned most.
+    m, a, b = pair
+    eng = FactorEngine(m)
+    ab = m.product(a, b)
+    la, lb, lab = eng.lengths(a), eng.lengths(b), eng.lengths(ab)
+    assert {x + y for x in la for y in lb} <= set(lab)
+    for e, ls in ((a, la), (b, lb), (ab, lab)):
+        assert max(ls) <= m.grade(e)
+
+
+@pytest.mark.parametrize("monoid, e", [
+    (MonomialMonoid, build_a(8)),
+    (MonomialMonoid, build_i_c(minimal_sequence(3))),
+    (SumsetMonoid, NatSet(range(13)))])
+def test_lengths_read_the_clock_between_kernel_calls(monoid, e):
+    # a time budget reads the clock at a node, so no loop of lengths may
+    # run kernel calls without one: a node forms at most a product q, its
+    # colon and the check that q times it is e
+    runs = [0]
+
+    class Counting(monoid):
+        def product(self, a, b):
+            runs[-1] += 1
+            return super().product(a, b)
+
+        def colon(self, whole, part):
+            runs[-1] += 1
+            return super().colon(whole, part)
+
+    class Ticking(Budget):
+        def tick(self):
+            runs.append(0)
+            super().tick()
+
+    FactorEngine(Counting(), Ticking()).lengths(e)
+    assert len(runs) > 1 and max(runs) <= 3
 
 
 # -- agreement with the naive all-pairs oracle ----------------------------------
