@@ -11,6 +11,9 @@ The monoids are not cancellative, so a divisor may have many cofactors.
 Every question starts from the small divisors of e, those of at most half
 its grade.  Some side of every split is one, so split lists pair each with
 its cofactors, and lengths multiply the small atoms (FactorEngine.lengths).
+The four divisor and cofactor searches, over sets and over ideals, run one
+walk (_walk): a preorder DFS that holds one lazy child iterator per level,
+so no search recurses and a deep one holds only the nodes on its path.
 
 Every search counts its nodes into the engine's Budget, which may bound
 them and the wall clock.  Exhaustion raises SearchBudgetExceeded so callers
@@ -27,7 +30,7 @@ from __future__ import annotations
 import itertools
 import time
 from bisect import bisect_left, bisect_right
-from typing import Iterator, Optional, Protocol, TypeVar
+from typing import Callable, Iterator, Optional, Protocol, TypeVar
 
 from . import monideal, natset
 from .monideal import MonIdeal, UNIT
@@ -139,6 +142,41 @@ class GradedMonoid(Protocol[E]):
     def prime_split(self, e: E) -> tuple[int, E]: ...
 
 
+def _walk(target: int, lows: list[int], root: tuple, children: Callable,
+          tick: Callable) -> Iterator[tuple]:
+    """Preorder DFS from root, holding one lazy child iterator per level.
+
+    A node is a tuple (reach, idx, ...): reach is the mask of what the node
+    covers, and its descendants only add candidates from index idx on, none
+    of which reaches an element below lows[idx].  Each node visited ticks.
+    A node whose reach covers target is yielded and then expanded; a node
+    that misses an element below lows[idx] is dropped with its subtree,
+    since no descendant can cover that element.  children(node) yields the
+    children of a node in order, and is advanced one child at a time; a
+    node at the last index, past every candidate, has none, and a search
+    may give that index to any node it knows to be childless.
+    """
+    last = len(lows) - 1
+    stack = []
+    level = iter((root,))
+    while True:
+        for node in level:
+            tick()
+            miss = target & ~node[0]
+            if not miss:
+                yield node
+            elif miss & -miss < lows[node[1]]:
+                continue
+            if node[1] < last:
+                stack.append(level)
+                level = children(node)
+                break
+        else:
+            if not stack:
+                return
+            level = stack.pop()
+
+
 class SumsetMonoid:
     """Reduced sumset monoid: finite subsets of N containing 0."""
 
@@ -158,18 +196,93 @@ class SumsetMonoid:
                            ) -> Iterator[tuple[NatSet, int]]:
         if e.min != 0:
             raise ValueError("expected a set containing 0")
-        for bmask in natset._reduced_divisor_masks(natset._mask_of(e),
-                                                   budget.tick):
-            yield natset._mask_to_set(bmask), bmask.bit_length() - 1
+        return _sumset_divisors(natset._mask_of(e), budget.tick)
 
     def prime_split(self, e: NatSet) -> tuple[int, NatSet]:
         return 0, e
 
     def cofactors(self, whole: NatSet, part: NatSet,
                   budget: Budget) -> Iterator[NatSet]:
-        wmask, pmask = natset._mask_of(whole), natset._mask_of(part)
-        for rmask in natset._cofactor_masks(wmask, pmask, budget.tick):
-            yield natset._mask_to_set(rmask)
+        return _sumset_cofactors(natset._mask_of(whole),
+                                 natset._mask_of(part), budget.tick)
+
+
+def _sumset_divisors(amask: int, tick: Callable
+                     ) -> Iterator[tuple[NatSet, int]]:
+    """Every proper divisor B of A with max(B) <= max(A)/2, with max(B).
+
+    A proper divisor is a set B containing 0, distinct from {0}, such that
+    B + C = A for some C containing 0 with C != {0}.  Some side of any split
+    has max at most max(A)/2, so these are the small sides of all splits.
+    Sets are bitmasks here (bit e set when e is in the set): a sumset is an
+    OR of shifted masks, and the colon set of B in A is the AND of A >> b
+    over b in B, truncated to [0, max(A) - max(B)].
+
+    Divisors come grouped by max(B) = mb ascending.  The cofactor maximum is
+    mc = max(A) - mb, so every element x of B has x + mc in A.  Within a
+    group, B grows from {0, mb} by such x in increasing order, and its
+    maximal cofactor col, the colon set of B in A, shrinks: a node's reach
+    is B + col, and B divides A exactly when reach is A.  A later x and any
+    cofactor element only reach elements from x on, so an element of A
+    missed below the next x stays missed (see _walk).
+    """
+    m = amask.bit_length() - 1
+    mb, free = 0, []
+
+    def children(node):
+        # mb and free are those of the group being walked
+        _reach, idx, elems, col = node
+        for i in range(idx, len(free)):
+            x = free[i]
+            col2 = col & amask >> x
+            elems2 = elems + (x,)
+            reach = col2 << mb
+            for b in elems2:
+                reach |= col2 << b
+            yield reach, i + 1, elems2, col2
+
+    for mb in natset._bits(amask & (2 << m // 2) - 2):
+        mc = m - mb
+        if not amask >> mc & 1:
+            continue
+        col = amask & amask >> mb & (2 << mc) - 1
+        # the x between 0 and mb with x + mc in A
+        free = list(natset._bits(amask & amask >> mc & (1 << mb) - 2))
+        lows = [1 << x for x in free] + [2 << m]
+        for node in _walk(amask, lows, (col | col << mb, 0, (0,), col),
+                          children, tick):
+            yield NatSet._from_sorted(node[2] + (mb,)), mb
+
+
+def _sumset_cofactors(amask: int, pmask: int, tick: Callable
+                      ) -> Iterator[NatSet]:
+    """Every R containing 0 with P + R = A, once.
+
+    max(R) = max(A) - max(P), and R lies in the colon set of P in A.  The
+    elements between 0 and max(R) join R in increasing order, and a node's
+    reach P + R only grows; x + P reaches elements from x on, so an element
+    of A that R + P misses below the next candidate kills the branch.
+    """
+    top = amask.bit_length() - pmask.bit_length()
+    if top < 0:
+        return
+    col = (2 << top) - 1
+    for b in natset._bits(pmask):
+        col &= amask >> b
+    if not col & 1 or not col >> top & 1:
+        return
+    free = list(natset._bits(col & (1 << top) - 2))
+    lows = [1 << x for x in free] + [1 << amask.bit_length()]
+
+    def children(node):
+        reach, idx, rmask = node
+        for i in range(idx, len(free)):
+            x = free[i]
+            yield reach | pmask << x, i + 1, rmask | 1 << x
+
+    for node in _walk(amask, lows, (pmask | pmask << top, 0, 1 | 1 << top),
+                      children, tick):
+        yield NatSet._from_sorted(tuple(natset._bits(node[2])))
 
 
 class MonomialMonoid:
@@ -387,13 +500,13 @@ def _gcdfree_divisors(e: MonIdeal, total: int, budget: Budget, cap: int
                 continue
             lo = total - (bx if bx < by else by)
             # points (c, g) with 1 <= c < ax, 1 <= g < ay and c + g >= lo,
-            # in (g, c) order
-            points = []
+            # row by row
+            rows = []
             for g in range(1, ay):
                 c0 = max(1, lo - g, starts[g] - bx, starts[g + by])
                 if c0 < ax:
-                    points += [(c, g) for c in range(c0, ax)]
-            yield from _frame_dfs(board, ax, ay, points, tick)
+                    rows.append((g, c0))
+            yield from _frame_dfs(board, ax, ay, rows, tick)
 
 
 def _frame_ays(px: int, py: int, total: int, cap: int, ax: int) -> range:
@@ -409,42 +522,77 @@ def _frame_ays(px: int, py: int, total: int, cap: int, ax: int) -> range:
     return range(max(1, total - px + ax), py - total + 1 + min(ax, cap))
 
 
-def _frame_dfs(board: _Board, ax: int, ay: int, points,
-               tick) -> Iterator[tuple[MonIdeal, int]]:
+def _numbered(rows: list[tuple[int, int]], cmax: int, board: _Board
+              ) -> tuple[list[int], list[int], list[int]]:
+    """Number the points of rows (g, c0), the (c, g) with c0 <= c < cmax.
+
+    Rows run by increasing g, so the numbers follow (g, c) order, and point
+    (c, g) of row k is number firsts[k] + c.  lefts[k] is the least column
+    of the rows after row k, so that point has a point above and left of
+    it exactly when c > lefts[k].  lows[n] is bit 0 of the row of point n,
+    and of row py + 1 for n past the last point, since a point reaches no
+    row below its own.
+    """
+    w = board.stride
+    firsts, lows = [], []
+    for g, c0 in rows:
+        firsts.append(len(lows) - c0)
+        lows += [1 << g * w] * (cmax - c0)
+    lows.append(1 << (board.py + 1) * w)
+    lefts, least = [], cmax
+    for _g, c0 in reversed(rows):
+        lefts.append(least)
+        least = min(least, c0)
+    lefts.reverse()
+    return firsts, lefts, lows
+
+
+def _frame_dfs(board: _Board, ax: int, ay: int, rows, tick
+               ) -> Iterator[tuple[MonIdeal, int]]:
     """Preorder DFS over antichains B = frame + points by increasing Y.
 
-    points are (c, g) pairs sorted by (g, c).  miss = generators of e outside
-    B * cof, cof the mask of (e : B): the OR of cof << (sy*stride + sx) over
-    the generators (sx, sy) of B.  Points still to come lie at or above the
-    next point's row and only shrink cof, so a miss below that row kills the
-    branch; no miss emits B with its grade, min(ax, ay, c + g over points).
+    The points are those of rows (g, c0), by increasing g: (c, g) with
+    c0 <= c < ax (see _numbered).  A child of B adds a point above and left
+    of its last generator: one of a later row, left of that generator's
+    column.  A node whose last generator has no such point has no children,
+    and takes the last number.  A node keeps each generator (sx, sy) of B
+    as its shift sy*stride + sx, (0, ay) first and then by decreasing x.
+    Its reach is the mask of B * cof, cof the mask of (e : B): the OR of
+    cof shifted by each generator.  Points still to come lie at or above
+    the next point's row and only shrink cof, so a generator of e missed
+    below that row kills the branch (see _walk); reach covering the
+    generators of e emits B with its grade, min(ax, ay, c + g over points).
     """
-    w, gens, bottom = board.stride, board.gens, (0, ay)
-    colons = [board.colon_mask(c, g) for c, g in points]
-    shifts = [g * w + c for c, g in points]
-    # bit 0 of the next point's row (row py+1 past the last): misses below die
-    lows = [1 << (g * w) for _c, g in points] + [1 << ((board.py + 1) * w)]
-    stack = [(((ax, 0),), (ax, ay * w),
-              board.colon_mask(ax, 0) & board.colon_mask(0, ay), 0,
-              min(ax, ay))]
-    while stack:
-        acc, sh, cof, idx, deg = stack.pop()
-        tick()
-        reach = 0
-        for s in sh:
-            reach |= cof << s
-        miss = gens & ~reach
-        if not miss:
-            yield MonIdeal._from_antichain(acc + (bottom,)), deg
-        elif miss & -miss < lows[idx]:
-            continue
-        last_x, last_y = acc[-1]
-        for i in range(len(points) - 1, idx - 1, -1):
-            c, g = point = points[i]
-            if g > last_y and c < last_x:
-                stack.append((acc + (point,), sh + (shifts[i],),
-                              cof & colons[i], i + 1,
-                              deg if deg <= c + g else c + g))
+    w, bottom, colon = board.stride, (0, ay), board.colon_mask
+    firsts, lefts, lows = _numbered(rows, ax, board)
+    last = len(lows) - 1
+    # the colon mask of each point once it is reached (never 0: the last
+    # column of the box is in every colon)
+    colons = [0] * last
+
+    def children(node):
+        _reach, _idx, sh, cof, deg, row = node
+        last_x = sh[-1] % w
+        for k in range(row + 1, len(rows)):
+            g, c0 = rows[k]
+            first, left = firsts[k], lefts[k]
+            for c in range(c0, last_x):
+                cm = colons[first + c]
+                if not cm:
+                    cm = colons[first + c] = colon(c, g)
+                cof2 = cof & cm
+                sh2 = sh + (g * w + c,)
+                reach = 0
+                for s in sh2:
+                    reach |= cof2 << s
+                yield (reach, first + c + 1 if c > left else last, sh2, cof2,
+                       deg if deg <= c + g else c + g, k)
+
+    cof = colon(ax, 0) & colon(0, ay)
+    root = (cof << ax | cof << ay * w, 0, (ay * w, ax), cof, min(ax, ay), -1)
+    for node in _walk(board.gens, lows, root, children, tick):
+        yield MonIdeal._from_antichain(
+            tuple((s % w, s // w) for s in node[2][1:]) + (bottom,)), node[4]
 
 
 def _cofactor_dfs(board: _Board, p: MonIdeal, grade: int,
@@ -458,7 +606,7 @@ def _cofactor_dfs(board: _Board, p: MonIdeal, grade: int,
     with p fixed: reach, the mask of p * r, is the OR of p's mask shifted by
     each generator of r, and grows with r.  A point only reaches rows at or
     above its own, so a generator of e missed below the next point's row
-    kills the branch; no miss yields r.
+    kills the branch; reach covering the generators of e yields r.
     """
     px, py, w = board.px, board.py, board.stride
     bx, by = px - p.max_x, py - p.max_y
@@ -468,30 +616,31 @@ def _cofactor_dfs(board: _Board, p: MonIdeal, grade: int,
         pmask |= (board.row >> c << c) * board.rows >> g * w << g * w
     if not (col >> bx & 1 and col >> by * w & 1):
         return
-    points = []
+    rows = []
     for g in range(1, by):
         row = col >> g * w & board.row
         if row:
             c0 = max(1, (row & -row).bit_length() - 1, grade - g)
-            points += [(c, g) for c in range(c0, bx)]
-    gens, bottom = board.gens, (0, by)
-    shifts = [g * w + c for c, g in points]
-    lows = [1 << (g * w) for _c, g in points] + [1 << ((py + 1) * w)]
-    stack = [(((bx, 0),), pmask << bx | pmask << by * w, 0)]
-    while stack:
-        acc, reach, idx = stack.pop()
-        tick()
-        miss = gens & ~reach
-        if not miss:
-            yield MonIdeal._from_antichain(acc + (bottom,))
-        elif miss & -miss < lows[idx]:
-            continue
-        last_x, last_y = acc[-1]
-        for i in range(len(points) - 1, idx - 1, -1):
-            c, g = point = points[i]
-            if g > last_y and c < last_x:
-                stack.append((acc + (point,), reach | pmask << shifts[i],
-                              i + 1))
+            if c0 < bx:
+                rows.append((g, c0))
+    bottom = (0, by)
+    firsts, lefts, lows = _numbered(rows, bx, board)
+    last = len(lows) - 1
+
+    def children(node):
+        reach, _idx, acc, row = node
+        last_x = acc[-1][0]
+        for k in range(row + 1, len(rows)):
+            g, c0 = rows[k]
+            first, left = firsts[k], lefts[k]
+            for c in range(c0, last_x):
+                yield (reach | pmask << g * w + c,
+                       first + c + 1 if c > left else last,
+                       acc + ((c, g),), k)
+
+    root = (pmask << bx | pmask << by * w, 0, ((bx, 0),), -1)
+    for node in _walk(board.gens, lows, root, children, tick):
+        yield MonIdeal._from_antichain(node[2] + (bottom,))
 
 
 class FactorEngine:

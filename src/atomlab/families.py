@@ -66,12 +66,6 @@ class SumSequence:
     def to_json(self) -> list[int]:
         return list(self.values)
 
-    @classmethod
-    def from_json(cls, data) -> "SumSequence":
-        if not isinstance(data, list):
-            raise ValueError("sequence JSON form is an array of integers")
-        return cls(tuple(data))
-
 
 def subset_sum(seq: SumSequence, indices: Iterable[int]) -> int:
     """Sum of a_i over a set of 1-based indices; the empty sum is 0."""

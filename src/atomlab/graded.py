@@ -93,12 +93,6 @@ class HomPoly:
         return {"deg": self.degree, "coeffs": [str(c) for c in self.coeffs]}
 
     @classmethod
-    def from_json(cls, data) -> "HomPoly":
-        if not isinstance(data, dict) or "deg" not in data or "coeffs" not in data:
-            raise ValueError('polynomial JSON form is {"deg": t, "coeffs": [...]}')
-        return cls(int(data["deg"]), data["coeffs"])
-
-    @classmethod
     def from_monomial(cls, x: int, y: int) -> "HomPoly":
         coeffs = [Fraction(0)] * (x + y + 1)
         coeffs[y] = Fraction(1)
@@ -136,12 +130,6 @@ class GradedIdeal:
 
     def to_json(self) -> dict:
         return {"gens": [g.to_json() for g in self.gens]}
-
-    @classmethod
-    def from_json(cls, data) -> "GradedIdeal":
-        if not isinstance(data, dict) or "gens" not in data:
-            raise ValueError('graded ideal JSON form is {"gens": [...]}')
-        return cls(HomPoly.from_json(g) for g in data["gens"])
 
 
 def _rref(rows: Iterable[Sequence[Fraction]]) -> tuple[Row, ...]:

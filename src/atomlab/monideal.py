@@ -23,7 +23,6 @@ __all__ = [
     "UNIT",
     "product",
     "colon",
-    "intersect",
     "generator_gcd",
     "shifted",
     "phi",
@@ -115,11 +114,6 @@ class MonIdeal:
     def __hash__(self) -> int:
         return hash(self.gens)
 
-    def __mul__(self, other) -> "MonIdeal":
-        if not isinstance(other, MonIdeal):
-            return NotImplemented
-        return product(self, other)
-
     def __repr__(self) -> str:
         return f"MonIdeal({list(self.gens)})"
 
@@ -128,12 +122,6 @@ class MonIdeal:
 
     def to_json(self) -> dict:
         return {"gens": [list(g) for g in self.gens]}
-
-    @classmethod
-    def from_json(cls, data) -> "MonIdeal":
-        if not isinstance(data, dict) or "gens" not in data:
-            raise ValueError('ideal JSON form is {"gens": [[x, y], ...]}')
-        return cls((int(x), int(y)) for x, y in data["gens"])
 
     def to_text(self) -> str:
         return ", ".join(_monomial_text(g) for g in self.gens)
@@ -247,11 +235,6 @@ def _meet(a: tuple[Pair, ...], b: tuple[Pair, ...]) -> tuple[Pair, ...]:
             if not x:
                 break
     return tuple(out)
-
-
-def intersect(a: MonIdeal, b: MonIdeal) -> MonIdeal:
-    """Intersection: the row-by-row larger start of two staircases."""
-    return MonIdeal._from_antichain(_meet(a.gens, b.gens))
 
 
 def colon(a: MonIdeal, b: MonIdeal) -> MonIdeal:

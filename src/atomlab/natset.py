@@ -4,17 +4,18 @@ The monoid of finite nonempty subsets of the naturals with
 A + B = {a + b : a in A, b in B}, and its reduced flavor consisting of the
 sets that contain 0.  Factor searches are organised around the colon set
 {c : B + c subset of A}, which is the unique maximal candidate cofactor of B
-inside A: B divides A exactly when B + set_colon(A, B) = A.  The divisor
-stream built on it feeds atomlab.engine, which answers atom and length
-queries in both the reduced and the full monoid.
+inside A: B divides A exactly when B + set_colon(A, B) = A.  This module
+holds the set arithmetic and the bitmask helpers; the divisor and cofactor
+searches built on the colon set are in atomlab.engine, next to
+SumsetMonoid, which answers atom and length queries in both the reduced
+and the full monoid.
 """
 
 from __future__ import annotations
 
-import functools
 from fractions import Fraction
 from math import inf
-from typing import Callable, Iterable, Iterator, Optional
+from typing import Iterable, Iterator, Optional
 
 __all__ = [
     "MAX_ELEMENT",
@@ -35,16 +36,12 @@ MAX_ELEMENT = 2**63 - 1
 # accept must have a modest maximum.  Plain arithmetic has no such limit.
 SEARCH_LIMIT = 1 << 16
 
-Tick = Callable[[], None]
-
-
-@functools.total_ordering
 class NatSet:
     """Canonical finite nonempty subset of N.
 
     Elements are stored as a strictly increasing tuple, so structural
-    equality is set equality; instances are immutable, hashable and ordered
-    by their element tuples.
+    equality is set equality; instances are immutable, hashable and sort by
+    their element tuples.
     """
 
     __slots__ = ("elements",)
@@ -107,11 +104,6 @@ class NatSet:
     def __hash__(self) -> int:
         return hash(self.elements)
 
-    def __add__(self, other) -> "NatSet":
-        if not isinstance(other, NatSet):
-            return NotImplemented
-        return sumset(self, other)
-
     def __repr__(self) -> str:
         return f"NatSet({list(self.elements)})"
 
@@ -120,12 +112,6 @@ class NatSet:
 
     def to_json(self) -> list[int]:
         return list(self.elements)
-
-    @classmethod
-    def from_json(cls, data) -> "NatSet":
-        if not isinstance(data, list):
-            raise ValueError("set JSON form is an array of integers")
-        return cls(data)
 
     def to_text(self) -> str:
         return ",".join(map(str, self.elements))
@@ -192,11 +178,8 @@ def reduce_shift(a: NatSet) -> tuple[int, NatSet]:
 
 
 # ---------------------------------------------------------------------------
-# Reduced-monoid divisor stream.
-#
-# Everything below works on dense bitmasks (bit e set <=> element e present).
-# A sumset is an OR of shifted masks, and the colon set of B in A is the AND
-# of A >> b over b in B, truncated to [0, max(A) - max(B)].
+# Dense bitmasks (bit e set <=> element e present), for the factor searches
+# in atomlab.engine.
 
 
 def _mask_of(a: NatSet) -> int:
@@ -214,105 +197,6 @@ def _bits(mask: int) -> Iterator[int]:
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
-
-
-def _mask_sumset(bmask: int, cmask: int) -> int:
-    acc = 0
-    for b in _bits(bmask):
-        acc |= cmask << b
-    return acc
-
-
-def _reduced_divisor_masks(amask: int, tick: Tick) -> Iterator[int]:
-    """Yield the mask of every proper divisor B of A with max(B) <= max(A)/2.
-
-    A proper divisor is a set B containing 0, distinct from {0}, such that
-    B + C = A for some C containing 0 with C != {0}.  Some side of any split
-    has max at most max(A)/2, so these are the small sides of all splits.
-
-    Enumeration is grouped by max(B) ascending.  Within a group, subsets grow
-    depth-first in increasing element order under two sound prunes: every
-    element of B must remain summable against the forced maximal cofactor
-    element, and every already-scanned element of A must stay coverable by
-    B + colon, since the true cofactor only shrinks as B grows.
-    """
-    m = amask.bit_length() - 1
-    if m <= 0:
-        return
-    limit = m // 2
-
-    def grow(bmask: int, colmask: int, free: list[int], idx: int
-             ) -> Iterator[int]:
-        tick()
-        if _mask_sumset(bmask, colmask) == amask:
-            yield bmask
-        for i in range(idx, len(free)):
-            x = free[i]
-            b2 = bmask | (1 << x)
-            col2 = colmask & (amask >> x)
-            if not col2 & 1:
-                continue
-            need = amask & ((2 << x) - 1)
-            cov = 0
-            for b in _bits(b2):
-                cov |= col2 << b
-                if need & ~cov == 0:
-                    break
-            if need & ~cov:
-                continue
-            yield from grow(b2, col2, free, i + 1)
-
-    for mb in _bits(amask):
-        if mb == 0:
-            continue
-        if mb > limit:
-            break
-        mc = m - mb
-        if not (amask >> mc) & 1:
-            continue
-        # b + mc must land in A for every b in B (mc is the cofactor maximum)
-        fmask = amask & (amask >> mc) & ((2 << mb) - 1)
-        if not fmask & 1 or not (fmask >> mb) & 1:
-            continue
-        col0 = amask & (amask >> mb) & ((2 << mc) - 1)
-        free = [x for x in _bits(fmask) if 0 < x < mb]
-        yield from grow((1 << mb) | 1, col0, free, 0)
-
-
-def _cofactor_masks(amask: int, pmask: int, tick: Tick) -> Iterator[int]:
-    """Yield every mask R containing 0 with P + R = A, once.
-
-    max(R) = max(A) - max(P), and R lies in the colon set of P in A.  The
-    elements between 0 and max(R) join R in increasing order; x + P only
-    reaches elements from x on, so an element of A that R + P misses below
-    the next candidate kills the branch.
-    """
-    top = amask.bit_length() - pmask.bit_length()
-    if top < 0:
-        return
-    col = (2 << top) - 1
-    for b in _bits(pmask):
-        col &= amask >> b
-    if not col & 1 or not (col >> top) & 1:
-        return
-    free = [x for x in _bits(col) if 0 < x < top]
-    lows = [1 << x for x in free] + [1 << amask.bit_length()]
-    stack = [(1 | 1 << top, pmask | pmask << top, 0)]
-    while stack:
-        rmask, reach, idx = stack.pop()
-        tick()
-        miss = amask & ~reach
-        if not miss:
-            yield rmask
-        elif miss & -miss < lows[idx]:
-            continue
-        for i in range(len(free) - 1, idx - 1, -1):
-            x = free[i]
-            stack.append((rmask | 1 << x, reach | pmask << x, i + 1))
-
-
-def _mask_to_set(mask: int) -> NatSet:
-    return NatSet._from_sorted(tuple(_bits(mask)))
 
 
 # ---------------------------------------------------------------------------

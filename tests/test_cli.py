@@ -7,7 +7,7 @@ import pytest
 from atomlab import cli
 from atomlab.engine import MAX_BOARD_CELLS
 from atomlab.monideal import MonIdeal, build_a, build_c
-from atomlab.natset import NatSet
+from atomlab.natset import NatSet, sumset
 
 
 def run(capsys, *argv):
@@ -101,6 +101,28 @@ def test_lengths_examples(capsys):
     code, out, _ = run(capsys, "lengths", "{0,1,2}")
     assert code == 0
     assert last_json(out) == {"lengths": [2], "delta": [], "rho": "1"}
+
+
+# ([0,1199] u {2500}) + {0,6000}: its divisor search runs about 1,200
+# levels deep, past the interpreter's recursion limit
+DEEP = NatSet(list(range(1200)) + [2500] + list(range(6000, 7200)) + [8500])
+
+
+def test_deep_search_atom_answers(capsys):
+    code, out, _ = run(capsys, "atom", str(DEEP))
+    assert code == 0
+    payload = last_json(out)
+    assert payload["atom"] is False
+    b, c = (NatSet(side) for side in payload["witness"])
+    assert sumset(b, c) == DEEP
+
+
+@pytest.mark.parametrize("budget", [("--budget-seconds", "1"),
+                                    ("--budget-nodes", "1500")])
+def test_deep_search_lengths_stop_on_budget(capsys, budget):
+    code, out, err = run(capsys, "lengths", str(DEEP), *budget)
+    assert code == 2 and "Traceback" not in err
+    assert last_json(out)["lengths"] == "inconclusive"
 
 
 def test_lengths_budget_inconclusive(capsys):

@@ -1,6 +1,7 @@
 """Factor search engine: budgets, determinism, and oracle agreement."""
 
 import inspect
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -99,6 +100,46 @@ def test_monomial_stream_is_pinned():
     assert capped == got and budget.nodes == 701
 
 
+def test_sumset_stream_is_pinned():
+    # exact counts pin the order of the stream and of its ticks, nodes that
+    # the lows test drops included
+    a = NatSet([0, 1, 2, 3, 5, 6, 7, 8, 9, 10, 11, 12, 13, 15])
+    budget = Budget()
+    got = list(SumsetMonoid().candidate_divisors(a, budget))
+    assert [(d.elements, g) for d, g in got] == [
+        ((0, 2), 2), ((0, 1, 3), 3), ((0, 1, 5), 5), ((0, 1, 2, 5), 5),
+        ((0, 1, 2, 3, 5), 5), ((0, 1, 3, 5), 5), ((0, 2, 5), 5),
+        ((0, 1, 6), 6), ((0, 1, 2, 6), 6), ((0, 1, 2, 3, 6), 6),
+        ((0, 1, 3, 6), 6), ((0, 1, 2, 3, 7), 7), ((0, 1, 2, 3, 5, 7), 7),
+        ((0, 1, 2, 5, 7), 7), ((0, 1, 3, 5, 7), 7), ((0, 1, 5, 7), 7),
+        ((0, 5, 7), 7)]
+    assert budget.nodes == 33
+    for d, _g in got:
+        assert natset.sumset(d, natset.set_colon(a, d)) == a
+    # the last node yields the last divisor, so a budget one short stops
+    # just before it
+    budget = Budget(max_nodes=32)
+    capped = []
+    with pytest.raises(SearchBudgetExceeded):
+        for pair in SumsetMonoid().candidate_divisors(a, budget):
+            capped.append(pair)
+    assert capped == got[:-1] and budget.nodes == 33
+
+
+def test_cofactor_search_holds_one_frame_per_level():
+    # the first cofactor of [0,1000] by {0,1} lies 998 levels deep; a stack
+    # of every pushed sibling traced about 200 MB for it
+    whole, part = NatSet(range(1001)), NatSet([0, 1])
+    tracemalloc.start()
+    try:
+        r = next(SumsetMonoid().cofactors(whole, part, Budget()))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert natset.sumset(part, r) == whole
+    assert peak < 8 * 2**20
+
+
 def _reference_frame_stream(e, tick):
     """Divisors of a gcd-free e of at most half its grade, with grades, from
     a frame loop that tests every frame.
@@ -130,8 +171,12 @@ def _reference_frame_stream(e, tick):
             points = sorted((g, c) for c in range(1, ax)
                             for g in range(max(1, lo - c), ay)
                             if member(c + bx, g) and member(c, g + by))
-            for d, g in engine._frame_dfs(board, ax, ay,
-                                          [(c, g) for g, c in points], tick):
+            # each row's points run from its least column to ax - 1
+            rows = sorted({g: min(c for h, c in points if h == g)
+                           for g, _c in points}.items())
+            assert points == [(g, c) for g, c0 in rows
+                              for c in range(c0, ax)]
+            for d, g in engine._frame_dfs(board, ax, ay, rows, tick):
                 if g <= cap:
                     yield d, g
 

@@ -1,6 +1,7 @@
 """Seed sequences and the named set families built from them."""
 
 import itertools
+import json
 
 import pytest
 from hypothesis import given, strategies as st
@@ -46,7 +47,7 @@ def test_sequence_accessors():
         seq.term(0)
     with pytest.raises(IndexError):
         seq.term(5)
-    assert SumSequence.from_json(seq.to_json()) == seq
+    assert SumSequence(tuple(json.loads(json.dumps(seq.to_json())))) == seq
 
 
 def test_subset_sum():
