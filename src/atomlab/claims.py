@@ -35,7 +35,7 @@ __all__ = [
 
 # Default node budget for the stretch claim.  Enumerating every divisor of
 # I_C(minimal n=3) would take more than 3*10^7 nodes; the small-side length
-# search needs 3,945, so the default run passes in well under a second.  Its
+# search needs 3,893, so the default run passes in well under a second.  Its
 # first stream, the divisors of at most half the grade, takes 864 of them;
 # a budget of 2,000 stops it inconclusive in the layer products.
 _STRETCH_NODES = 1_000_000

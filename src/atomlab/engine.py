@@ -224,22 +224,36 @@ def _sumset_divisors(amask: int, tick: Callable
     maximal cofactor col, the colon set of B in A, shrinks: a node's reach
     is B + col, and B divides A exactly when reach is A.  A later x and any
     cofactor element only reach elements from x on, so an element of A
-    missed below the next x stays missed (see _walk).
+    missed below the next x stays missed (see _walk).  A node's reach
+    shifts the side with fewer elements, B or col, since B may grow far
+    past its colon.
+
+    Every B of a group lies in {0, mb} and the free x, and its colon in
+    that of {0, mb}, so B + col lies in their sum.  A group whose sum
+    misses an element of A holds no divisor and is not walked; it costs
+    one node, as the root of its walk would.
     """
     m = amask.bit_length() - 1
     mb, free = 0, []
 
     def children(node):
         # mb and free are those of the group being walked
-        _reach, idx, elems, col = node
+        _reach, idx, elems, col, bmask = node
         for i in range(idx, len(free)):
             x = free[i]
             col2 = col & amask >> x
             elems2 = elems + (x,)
-            reach = col2 << mb
-            for b in elems2:
-                reach |= col2 << b
-            yield reach, i + 1, elems2, col2
+            bmask2 = bmask | 1 << x
+            # B + col2, shifting by each element of the smaller side
+            if col2.bit_count() > len(elems2):
+                reach = col2 << mb
+                for b in elems2:
+                    reach |= col2 << b
+            else:
+                reach = 0
+                for c in natset._bits(col2):
+                    reach |= bmask2 << c
+            yield reach, i + 1, elems2, col2, bmask2
 
     for mb in natset._bits(amask & (2 << m // 2) - 2):
         mc = m - mb
@@ -248,8 +262,15 @@ def _sumset_divisors(amask: int, tick: Callable
         col = amask & amask >> mb & (2 << mc) - 1
         # the x between 0 and mb with x + mc in A
         free = list(natset._bits(amask & amask >> mc & (1 << mb) - 2))
+        # ({0, mb} + free) + col, one shift per child of the root
+        cover = root = col | col << mb
+        for x in free:
+            cover |= col << x
+        if amask & ~cover:
+            tick()
+            continue
         lows = [1 << x for x in free] + [2 << m]
-        for node in _walk(amask, lows, (col | col << mb, 0, (0,), col),
+        for node in _walk(amask, lows, (root, 0, (0,), col, 1 | 1 << mb),
                           children, tick):
             yield NatSet._from_sorted(node[2] + (mb,)), mb
 
@@ -471,7 +492,7 @@ def _gcdfree_divisors(e: MonIdeal, total: int, budget: Budget, cap: int
     mask shifted by each generator of B.  The DFS threads that coverage test
     through the antichain enumeration (see _frame_dfs).
 
-    Three sound filters shrink the frame and point sets.  The grade identity
+    Four sound filters shrink the frame and point sets.  The grade identity
     mdeg(e) = mdeg(factor) + mdeg(cofactor) with mdeg <= min(pure exponents)
     forces min(ax, ay) + min(bx, by) >= mdeg(e), so every generator degree
     of the factor is at least lo = mdeg(e) - min(bx, by); with the cap this
@@ -481,6 +502,10 @@ def _gcdfree_divisors(e: MonIdeal, total: int, budget: Budget, cap: int
     frame lies in both (e : X^bx) and (e : Y^by).  Those colons are ideals,
     so row g of their intersection is the columns from max(start[g] - bx,
     start[g + by]) on, start[y] being the first column of row y of e.
+    Last, a factor B of the frame lies in the ideal U of the frame and its
+    points, and its cofactor (e : B) in cof = (e : X^ax) & (e : Y^ay), so
+    e = B * (e : B) lies in U * cof; a frame whose U * cof misses a
+    generator of e holds no factor, and is not walked (see _frame_dfs).
 
     Each visited frame costs one search node, so a budget stops a loop over
     many frames even when none of them holds a point.
@@ -562,8 +587,21 @@ def _frame_dfs(board: _Board, ax: int, ay: int, rows, tick
     the next point's row and only shrink cof, so a generator of e missed
     below that row kills the branch (see _walk); reach covering the
     generators of e emits B with its grade, min(ax, ay, c + g over points).
+
+    Before the walk, one product bound: B lies in the ideal U of the frame
+    and all its points, and (e : B) in the root's cof, so B * (e : B) lies
+    in U * cof.  The points of a row (g, c0) lie in the ideal of its first
+    point, so U * cof has the mask of cof shifted by (ax, 0), (0, ay) and
+    each (c0, g).  When that mask misses a generator of e, no B of the
+    frame divides e, and the frame is not walked.
     """
     w, bottom, colon = board.stride, (0, ay), board.colon_mask
+    cof = colon(ax, 0) & colon(0, ay)
+    cover = reach = cof << ax | cof << ay * w
+    for g, c0 in rows:
+        cover |= cof << g * w + c0
+    if board.gens & ~cover:
+        return
     firsts, lefts, lows = _numbered(rows, ax, board)
     last = len(lows) - 1
     # the colon mask of each point once it is reached (never 0: the last
@@ -588,8 +626,7 @@ def _frame_dfs(board: _Board, ax: int, ay: int, rows, tick
                 yield (reach, first + c + 1 if c > left else last, sh2, cof2,
                        deg if deg <= c + g else c + g, k)
 
-    cof = colon(ax, 0) & colon(0, ay)
-    root = (cof << ax | cof << ay * w, 0, (ay * w, ax), cof, min(ax, ay), -1)
+    root = (reach, 0, (ay * w, ax), cof, min(ax, ay), -1)
     for node in _walk(board.gens, lows, root, children, tick):
         yield MonIdeal._from_antichain(
             tuple((s % w, s // w) for s in node[2][1:]) + (bottom,)), node[4]

@@ -273,12 +273,14 @@ def phi(a: NatSet) -> MonIdeal:
     """Embed a 0-containing set as the ideal with generators (max-e, e).
 
     Monoid homomorphism from the reduced sumset monoid into monomial ideals;
-    it is injective and preserves products.
+    it is injective and preserves products.  Sorted elements give the
+    generators by x descending, an antichain, and NatSet has checked their
+    range, so no check runs.
     """
     if a.min != 0:
         raise ValueError("phi expects a set containing 0")
     top = a.max
-    return MonIdeal((top - e, e) for e in a.elements)
+    return MonIdeal._from_antichain(tuple([(top - e, e) for e in a.elements]))
 
 
 # ---------------------------------------------------------------------------

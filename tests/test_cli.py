@@ -245,7 +245,7 @@ def test_verify_reports_nodes(capsys):
     code, out, _ = run(capsys, "verify", "--only", "lengths-monomial-stretch")
     assert code == 0
     line = json.loads(out.strip().splitlines()[0])
-    assert (line["status"], line["nodes"]) == ("pass", 3945)
+    assert (line["status"], line["nodes"]) == ("pass", 3893)
 
 
 @pytest.mark.parametrize("flag", ["--budget-nodes", "--budget-seconds"])

@@ -241,7 +241,7 @@ def test_phi_atom_node_count_is_pinned():
     atoms = sum(eng.is_atom(phi(NatSet([0] + [i + 1 for i in range(10)
                                               if mask >> i & 1])))
                 for mask in range(1 << 10))
-    assert (atoms, budget.nodes) == (645, 5170)
+    assert (atoms, budget.nodes) == (645, 4143)
 
 
 @given(small_ideals)
@@ -442,7 +442,7 @@ def test_stretch_lengths_node_count_is_pinned():
     budget = Budget(max_nodes=1_000_000)
     e = build_i_c(minimal_sequence(3))
     assert monomial_engine(budget).lengths(e) == (2, 3, 4)
-    assert budget.nodes == 3945
+    assert budget.nodes == 3893
     eng = monomial_engine()
     for k in range(2, 15):
         assert eng.lengths(build_a(k)) == tuple(range(2, k + 1))
@@ -607,6 +607,66 @@ def test_cofactors_match_oracle(box6):
             assert len(got) == len(set(got))
             assert set(got) == {y if x == d else x for x, y in pairs
                                 if d in (x, y)}
+
+
+def test_skipped_frames_and_groups_hold_no_divisor(box6, monkeypatch):
+    # a frame or sumset group that the divisor streams enter but do not walk
+    # was skipped by the product bound, and must hold no divisor at all
+    _pool, mon_map = box6
+    sum_map = oracle.naive_sumset_split_map(12)
+    frames, roots = [], []
+    frame_dfs, walk = engine._frame_dfs, engine._walk
+
+    def record_frame(board, ax, ay, rows, tick):
+        frames.append((ax, ay, board.stride))
+        return frame_dfs(board, ax, ay, rows, tick)
+
+    def record_walk(target, lows, root, children, tick):
+        roots.append(root)
+        return walk(target, lows, root, children, tick)
+
+    monkeypatch.setattr(engine, "_frame_dfs", record_frame)
+    monkeypatch.setattr(engine, "_walk", record_walk)
+
+    def skipped_frames(e):
+        # a frame's walk starts from the shifts of (0, ay) and (ax, 0)
+        frames.clear()
+        roots.clear()
+        list(MonomialMonoid().candidate_divisors(e, Budget()))
+        walked = {root[2] for root in roots}
+        return {(ax, ay) for ax, ay, w in frames
+                if (ay * w, ax) not in walked}
+
+    def frame_of(gens):
+        d = MonIdeal(gens)
+        return d.max_x, d.max_y
+
+    skipped_box = skipped_phi = skipped_groups = 0
+    for e in oracle.box_ideals(5):
+        u, v = generator_gcd(e)
+        core = shifted(e, -u, -v)
+        got = skipped_frames(e)
+        assert not got & {frame_of(d)
+                          for d in _factors(mon_map.get(core.gens, ()))}
+        skipped_box += len(got)
+    for mask in range(1 << 12):
+        a = NatSet([0] + [i + 1 for i in range(12) if mask >> i & 1])
+        pairs = sum_map.get(a.elements, ())
+        got = skipped_frames(phi(a))
+        assert not got & {(d[-1], d[-1]) for d in _factors(pairs)}
+        if a.max <= 6:
+            assert not got & {frame_of(d) for d in
+                              _factors(mon_map.get(phi(a).gens, ()))}
+        skipped_phi += len(got)
+        # a group's walk starts from B = {0, mb}, held as a mask
+        roots.clear()
+        list(SumsetMonoid().candidate_divisors(a, Budget()))
+        groups = {mb for mb in a.elements[1:]
+                  if 2 * mb <= a.max and a.max - mb in a.elements}
+        got = groups - {root[4].bit_length() - 1 for root in roots}
+        assert not got & {d[-1] for d in _factors(pairs)}
+        skipped_groups += len(got)
+    assert skipped_box and skipped_phi and skipped_groups
 
 
 def test_sumset_engine_matches_oracle_exhaustively():

@@ -218,6 +218,15 @@ def test_phi_examples():
         phi(NatSet([1, 2]))
 
 
+def test_phi_matches_checked_constructor():
+    # phi wraps its generators unchecked; the checked constructor must agree
+    for mask in range(1 << 12):
+        a = NatSet([0] + [i + 1 for i in range(12) if mask >> i & 1])
+        img = phi(a)
+        assert img.gens == MonIdeal((a.max - e, e) for e in a.elements).gens
+        assert type(img.gens) is tuple
+
+
 @given(zero_sets, zero_sets)
 def test_phi_is_a_monoid_homomorphism(a, b):
     assert phi(sumset(a, b)) == product(phi(a), phi(b))
