@@ -1,8 +1,9 @@
 """Exact factorization experiments in two reduced monoids.
 
 The package computes atoms, factorizations and sets of lengths in the
-reduced finitary power monoid of the naturals (finite 0-containing subsets
-under sumset) and in the multiplicative monoid of nonzero monomial ideals
+finitary power monoid of the naturals (finite nonempty subsets under
+sumset, with its reduced part of 0-containing subsets) and in the
+multiplicative monoid of nonzero monomial ideals
 of a two-variable polynomial ring, linked by the embedding that sends a set
 to the ideal generated by the corresponding staircase corners.
 """
@@ -13,8 +14,6 @@ from .engine import (
     MonomialMonoid,
     SearchBudgetExceeded,
     SumsetMonoid,
-    is_atom,
-    lengths,
     monomial_engine,
     sumset_engine,
 )
@@ -37,7 +36,6 @@ from .natset import (
     elasticity,
     is_sum_free,
     iter_sum_free,
-    reduce_shift,
     set_colon,
     sumset,
 )
@@ -68,15 +66,12 @@ __all__ = [
     "build_tilde_b",
     "delta_set",
     "elasticity",
-    "is_atom",
     "is_sum_free",
     "iter_sum_free",
-    "lengths",
     "min_piece_product_check",
     "minimal_sequence",
     "monomial_engine",
     "phi",
-    "reduce_shift",
     "set_colon",
     "sumset",
     "sumset_engine",

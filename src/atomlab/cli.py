@@ -22,7 +22,6 @@ for that n) or from an explicit --seq a1,a2,...,a{n+1}.
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import re
 import shlex
@@ -184,17 +183,15 @@ _IDENTITIES = (UNIT, NatSet([0]))
 def _query(args, question: str, answer) -> int:
     """Print answer(target, search) for the target, search being question.
 
-    A set is searched in the full monoid (engine.find_split and
-    engine.lengths), an ideal by a monomial engine.  A budget that runs out
-    prints "inconclusive" under the subcommand's key (exit 2); a target past
-    the search's size limits raises ValueError, a usage error.
+    The engine's method of that name answers: a monomial engine for an
+    ideal, a sumset engine for a set, in the full monoid of finite nonempty
+    subsets of N.  A budget that runs out prints "inconclusive" under the
+    subcommand's key (exit 2); a target past the search's size limits
+    raises ValueError, a usage error.
     """
     kind, target = parse_target(args.target)
-    budget = _budget_from(args)
-    if kind == "ideal":
-        search = getattr(monomial_engine(budget), question)
-    else:
-        search = functools.partial(getattr(engine, question), budget=budget)
+    make_engine = monomial_engine if kind == "ideal" else sumset_engine
+    search = getattr(make_engine(_budget_from(args)), question)
     try:
         payload = answer(target, search)
     except SearchBudgetExceeded as exc:

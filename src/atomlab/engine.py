@@ -20,9 +20,9 @@ them and the wall clock.  Exhaustion raises SearchBudgetExceeded so callers
 can report "inconclusive" rather than mistaking a truncated scan for a
 completed one.  Streams have a fixed order, so output is deterministic.
 
-The full sumset monoid of all finite nonempty subsets of N reduces to the
-engine by a shift: see find_split, is_atom and lengths at the end of this
-module.
+Both adapters split off prime atoms inside the adapter, so one engine
+answers every question in each monoid: X and Y for ideals, and {1} for
+sets, where a set without 0 is min(A) copies of {1} plus its 0-set.
 """
 
 from __future__ import annotations
@@ -49,9 +49,6 @@ __all__ = [
     "MAX_BOARD_CELLS",
     "board_cells",
     "check_search_size",
-    "find_split",
-    "is_atom",
-    "lengths",
 ]
 
 E = TypeVar("E")
@@ -178,7 +175,11 @@ def _walk(target: int, lows: list[int], root: tuple, children: Callable,
 
 
 class SumsetMonoid:
-    """Reduced sumset monoid: finite subsets of N containing 0."""
+    """Sumset monoid of the finite nonempty subsets of N.
+
+    {1} is a prime atom that cancels and every other atom contains 0, so a
+    set is min(A) copies of {1} plus its 0-set core, A - min(A).
+    """
 
     def product(self, a: NatSet, b: NatSet) -> NatSet:
         return natset.sumset(a, b)
@@ -194,26 +195,56 @@ class SumsetMonoid:
 
     def candidate_divisors(self, e: NatSet, budget: Budget
                            ) -> Iterator[tuple[NatSet, int]]:
-        if e.min != 0:
-            raise ValueError("expected a set containing 0")
-        return _sumset_divisors(natset._mask_of(e), budget.tick)
+        """Minima add, so the divisors of {u} + core are {i} + B, i in
+        [0, u] and B = {0}, the core or a core divisor, of grade
+        i + max(B).  The {i} come first, before the core is searched."""
+        u, cap = e.min, e.max // 2
+        if not u:
+            return _sumset_divisors(natset._mask_of(e), cap, budget.tick)
+        return ((b.shifted(i) if i else b, g + i)
+                for b, g in _core_divisors(e, cap, budget.tick)
+                for i in range(max(0, 1 - g), min(u, cap - g) + 1))
 
     def prime_split(self, e: NatSet) -> tuple[int, NatSet]:
-        return 0, e
+        return e.min, (e.shifted(-e.min) if e.min else e)
 
     def cofactors(self, whole: NatSet, part: NatSet,
                   budget: Budget) -> Iterator[NatSet]:
-        return _sumset_cofactors(natset._mask_of(whole),
-                                 natset._mask_of(part), budget.tick)
+        """R is {u - i} plus a cofactor of the core of part inside that of
+        whole, u and i being their minima."""
+        if not whole.min:
+            return _sumset_cofactors(natset._mask_of(whole),
+                                     natset._mask_of(part), budget.tick)
+        u, core = self.prime_split(whole)
+        i, pcore = self.prime_split(part)
+        rs = [_ZERO] if pcore == core else self.cofactors(core, pcore, budget)
+        return (r.shifted(u - i) for r in rs)
 
 
-def _sumset_divisors(amask: int, tick: Callable
+_ZERO = NatSet([0])
+
+
+def _core_divisors(e: NatSet, cap: int, tick: Callable
+                   ) -> Iterator[tuple[NatSet, int]]:
+    """{0}, the 0-set core e - min(e) and its divisors of grade at most cap,
+    with their grades; the core is formed only when they are reached."""
+    yield _ZERO, 0
+    core = e.shifted(-e.min)
+    if core.max:
+        yield core, core.max
+        yield from _sumset_divisors(natset._mask_of(core),
+                                    min(cap, core.max - 1), tick)
+
+
+def _sumset_divisors(amask: int, cap: int, tick: Callable
                      ) -> Iterator[tuple[NatSet, int]]:
-    """Every proper divisor B of A with max(B) <= max(A)/2, with max(B).
+    """Every proper divisor B of A with max(B) <= cap, with max(B).
 
     A proper divisor is a set B containing 0, distinct from {0}, such that
-    B + C = A for some C containing 0 with C != {0}.  Some side of any split
-    has max at most max(A)/2, so these are the small sides of all splits.
+    B + C = A for some C containing 0 with C != {0}; cap must lie below
+    max(A).  Some side of any split has max at most max(A)/2, so with that
+    cap these are the small sides of all splits.  The small divisors of
+    {u} + A, u > 0, need the divisors of A up to (u + max(A))/2 instead.
     Sets are bitmasks here (bit e set when e is in the set): a sumset is an
     OR of shifted masks, and the colon set of B in A is the AND of A >> b
     over b in B, truncated to [0, max(A) - max(B)].
@@ -255,7 +286,7 @@ def _sumset_divisors(amask: int, tick: Callable
                     reach |= bmask2 << c
             yield reach, i + 1, elems2, col2, bmask2
 
-    for mb in natset._bits(amask & (2 << m // 2) - 2):
+    for mb in natset._bits(amask & (2 << cap) - 2):
         mc = m - mb
         if not amask >> mc & 1:
             continue
@@ -886,34 +917,3 @@ def sumset_engine(budget: Optional[Budget] = None) -> FactorEngine:
 def monomial_engine(budget: Optional[Budget] = None) -> FactorEngine:
     return FactorEngine(MonomialMonoid(), budget=budget)
 
-
-# ---------------------------------------------------------------------------
-# Full sumset monoid: every set is min(A) copies of {1} plus its zero-based
-# part, and every atom is either {1} or contains 0.
-
-
-def find_split(a: NatSet, budget: Optional[Budget] = None
-               ) -> Optional[tuple[NatSet, NatSet]]:
-    """Some split a = b + c into nonunits of the full monoid, or None.
-
-    None means a is an atom.  For min(a) >= 1 no search runs: a = {1} + (a-1),
-    and only {1} itself is an atom.  Like FactorEngine.find_split, raises
-    ValueError on the identity {0}.
-    """
-    if a.min:
-        rest = a.shifted(-1)
-        return None if rest.max == 0 else (NatSet([1]), rest)
-    return sumset_engine(budget).find_split(a)
-
-
-def is_atom(a: NatSet, budget: Optional[Budget] = None) -> bool:
-    """Atom test in the full monoid of finite nonempty subsets of N."""
-    if a.min:
-        return find_split(a) is None
-    return sumset_engine(budget).is_atom(a)
-
-
-def lengths(a: NatSet, budget: Optional[Budget] = None) -> tuple[int, ...]:
-    """Factorization lengths in the full monoid of finite nonempty subsets."""
-    shift, a0 = natset.reduce_shift(a)
-    return tuple(shift + l for l in sumset_engine(budget).lengths(a0))

@@ -7,8 +7,8 @@ sets that contain 0.  Factor searches are organised around the colon set
 inside A: B divides A exactly when B + set_colon(A, B) = A.  This module
 holds the set arithmetic and the bitmask helpers; the divisor and cofactor
 searches built on the colon set are in atomlab.engine, next to
-SumsetMonoid, which answers atom and length queries in both the reduced
-and the full monoid.
+SumsetMonoid, which answers atom and length queries in the full monoid by
+splitting a set into min(A) copies of the prime atom {1} and a 0-set.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ __all__ = [
     "sumset",
     "is_sum_free",
     "set_colon",
-    "reduce_shift",
     "delta_set",
     "elasticity",
     "iter_sum_free",
@@ -170,11 +169,6 @@ def set_colon(a: NatSet, b: NatSet) -> Optional[NatSet]:
         else:
             cs.append(c)
     return NatSet._from_sorted(tuple(cs)) if cs else None
-
-
-def reduce_shift(a: NatSet) -> tuple[int, NatSet]:
-    """Split a as (shift, zero-based set) with a = {shift} + zero-based set."""
-    return a.min, a.shifted(-a.min)
 
 
 # ---------------------------------------------------------------------------

@@ -299,11 +299,6 @@ def test_principal_part_limit_in_library():
     assert not eng.is_atom(at_limit)
 
 
-def test_sumset_stream_requires_zero():
-    with pytest.raises(ValueError):
-        list(SumsetMonoid().candidate_divisors(NatSet([1, 2]), Budget()))
-
-
 # -- budgets ------------------------------------------------------------------
 
 
@@ -607,6 +602,51 @@ def test_cofactors_match_oracle(box6):
             assert len(got) == len(set(got))
             assert set(got) == {y if x == d else x for x, y in pairs
                                 if d in (x, y)}
+
+
+@pytest.fixture(scope="module")
+def full9():
+    # the factor pairs of every set in [0,9] but {0}, by raw enumeration:
+    # sets listed by mask, so max never decreases, and every pair of them
+    # whose sum stays in the box multiplied out, as the oracle does for
+    # 0-sets
+    sets = [(tuple(x for x in range(10) if mask >> x & 1), mask)
+            for mask in range(2, 1 << 10)]
+    out: dict = {}
+    for i, (a, amask) in enumerate(sets):
+        for b, _ in sets[i:]:
+            if a[-1] + b[-1] > 9:
+                break
+            pbits = 0
+            for x in b:
+                pbits |= amask << x
+            key = tuple(x for x in range(pbits.bit_length()) if pbits >> x & 1)
+            out.setdefault(key, set()).add((a, b) if a <= b else (b, a))
+    return [NatSet(elems) for elems, _ in sets], out
+
+
+def test_full_monoid_streams_match_brute_force(full9):
+    # a set {k} + A0 splits off k copies of the prime {1}: its divisors,
+    # cofactors and splits are shifts of its 0-set's, and its small
+    # divisors reach up to half its own max, past half that of A0
+    sets, pairs_of = full9
+    m = SumsetMonoid()
+    for a in sets:
+        pairs = pairs_of.get(a.elements, set())
+        got = list(m.candidate_divisors(a, Budget()))
+        keys = [d.elements for d, _g in got]
+        assert len(keys) == len(set(keys))
+        assert set(keys) == {d for d in _factors(pairs) if d[-1] <= a.max // 2}
+        assert all(1 <= g == d.max for d, g in got)
+        if a.min > 3:
+            continue
+        for d in _factors(pairs):
+            got = [r.elements for r in m.cofactors(a, NatSet(d), Budget())]
+            assert len(got) == len(set(got))
+            assert set(got) == {y if x == d else x for x, y in pairs
+                                if d in (x, y)}
+        split = [(p.elements, q.elements) for p, q in sumset_engine().split(a)]
+        assert split == sorted(pairs)
 
 
 def test_skipped_frames_and_groups_hold_no_divisor(box6, monkeypatch):

@@ -7,9 +7,9 @@ from hypothesis import given, settings, strategies as st
 
 from atomlab import natset
 from atomlab.engine import (Budget, SearchBudgetExceeded, SumsetMonoid,
-                            find_split, is_atom, lengths, sumset_engine)
+                            sumset_engine)
 from atomlab.natset import (NatSet, delta_set, elasticity, is_sum_free,
-                            iter_sum_free, reduce_shift, set_colon, sumset)
+                            iter_sum_free, set_colon, sumset)
 
 
 small_zero_sets = st.sets(st.integers(0, 9), min_size=0, max_size=6).map(
@@ -110,8 +110,10 @@ def test_set_colon_is_maximal_cofactor(a, b):
 
 
 def test_reduce_shift():
-    assert reduce_shift(NatSet([3, 5])) == (3, NatSet([0, 2]))
-    assert reduce_shift(NatSet([0, 1])) == (0, NatSet([0, 1]))
+    # {1} is a prime atom: a set is min(A) copies of it plus its 0-set
+    m = SumsetMonoid()
+    assert m.prime_split(NatSet([3, 5])) == (3, NatSet([0, 2]))
+    assert m.prime_split(NatSet([0, 1])) == (0, NatSet([0, 1]))
 
 
 def test_decompose_reduced_small_cases():
@@ -154,27 +156,30 @@ def test_lengths_reduced_examples():
 
 
 def test_full_monoid_shift_reduction():
-    assert is_atom(NatSet([1]))
-    assert not is_atom(NatSet([2]))
-    assert not is_atom(NatSet([1, 2]))
-    assert is_atom(NatSet([0, 1]))
-    assert lengths(NatSet([2, 5])) == (3,)
-    assert lengths(NatSet([1])) == (1,)
-    assert lengths(NatSet([0])) == (0,)
-    assert find_split(NatSet([2, 5])) == (NatSet([1]), NatSet([1, 4]))
-    assert find_split(NatSet([1])) is None
-    assert find_split(NatSet([0, 1, 2])) == (NatSet([0, 1]), NatSet([0, 1]))
+    eng = sumset_engine()
+    assert eng.is_atom(NatSet([1]))
+    assert not eng.is_atom(NatSet([2]))
+    assert not eng.is_atom(NatSet([1, 2]))
+    assert eng.is_atom(NatSet([0, 1]))
+    assert eng.lengths(NatSet([2, 5])) == (3,)
+    assert eng.lengths(NatSet([1])) == (1,)
+    assert eng.lengths(NatSet([0])) == (0,)
+    assert eng.find_split(NatSet([2, 5])) == (NatSet([1]), NatSet([1, 4]))
+    assert eng.find_split(NatSet([1])) is None
+    assert eng.find_split(NatSet([0, 1, 2])) == (NatSet([0, 1]),
+                                                 NatSet([0, 1]))
     with pytest.raises(ValueError):
-        find_split(NatSet([0]))
+        eng.find_split(NatSet([0]))
 
 
 @given(small_sets)
 def test_full_monoid_find_split_witness(a):
+    eng = sumset_engine()
     if a == NatSet([0]):
-        assert not is_atom(a)
+        assert not eng.is_atom(a)
         return
-    pair = find_split(a)
-    assert is_atom(a) == (pair is None)
+    pair = eng.find_split(a)
+    assert eng.is_atom(a) == (pair is None)
     if pair is not None:
         b, c = pair
         assert sumset(b, c) == a and NatSet([0]) not in (b, c)
@@ -182,7 +187,8 @@ def test_full_monoid_find_split_witness(a):
 
 @given(small_zero_sets, st.integers(0, 4))
 def test_full_monoid_lengths_shift_invariant(a, k):
-    assert lengths(a.shifted(k)) == tuple(k + l for l in lengths(a))
+    eng = sumset_engine()
+    assert eng.lengths(a.shifted(k)) == tuple(k + l for l in eng.lengths(a))
 
 
 def test_delta_and_elasticity():
