@@ -197,13 +197,12 @@ class SumsetMonoid:
                            ) -> Iterator[tuple[NatSet, int]]:
         """Minima add, so the divisors of {u} + core are {i} + B, i in
         [0, u] and B = {0}, the core or a core divisor, of grade
-        i + max(B).  The {i} come first, before the core is searched."""
+        i + max(B).  The {i} come first, before the core is searched.
+        Each shifted divisor costs a node, as a searched one does."""
         u, cap = e.min, e.max // 2
         if not u:
             return _sumset_divisors(natset._mask_of(e), cap, budget.tick)
-        return ((b.shifted(i) if i else b, g + i)
-                for b, g in _core_divisors(e, cap, budget.tick)
-                for i in range(max(0, 1 - g), min(u, cap - g) + 1))
+        return _shifted_divisors(e, u, cap, budget.tick)
 
     def prime_split(self, e: NatSet) -> tuple[int, NatSet]:
         return e.min, (e.shifted(-e.min) if e.min else e)
@@ -222,6 +221,18 @@ class SumsetMonoid:
 
 
 _ZERO = NatSet([0])
+
+
+def _shifted_divisors(e: NatSet, u: int, cap: int, tick: Callable
+                      ) -> Iterator[tuple[NatSet, int]]:
+    """{i} + B for the B of _core_divisors, with the i in [0, u] that keep
+    the grade i + max(B) within [1, cap]; each i > 0 ticks."""
+    for b, g in _core_divisors(e, cap, tick):
+        if 0 < g <= cap:
+            yield b, g
+        for i in range(1, min(u, cap - g) + 1):
+            tick()
+            yield b.shifted(i), g + i
 
 
 def _core_divisors(e: NatSet, cap: int, tick: Callable
@@ -359,16 +370,16 @@ class MonomialMonoid:
 
         Generators sharing a monomial factor X^u Y^v split off as principal
         prime factors, so divisors are X^i Y^j times a divisor of the
-        gcd-free core, of grade mdeg + i + j.  Core divisors come from a
-        pruned staircase search, see _gcdfree_divisors.  Raises ValueError
-        for an ideal beyond the limits of check_search_size.
+        gcd-free core, of grade mdeg + i + j, and each shift by i + j > 0
+        costs a node.  Core divisors come from a pruned staircase search,
+        see _gcdfree_divisors.  Raises ValueError for an ideal beyond the
+        limits of check_search_size.
         """
         total = e.mdeg
         if total == 0:
             return
-        check_search_size(e)
+        u, v = check_search_size(e)
         cap = total // 2
-        u, v = monideal.generator_gcd(e)
         core = monideal.shifted(e, -u, -v) if (u or v) else e
         core_deg = total - u - v
         stream = [(UNIT, 0)]
@@ -376,12 +387,16 @@ class MonomialMonoid:
             stream = itertools.chain(stream, [(core, core_deg)],
                                      _gcdfree_divisors(core, core_deg, budget,
                                                        cap))
+        tick = budget.tick
         for a, g in stream:
             for i in range(u + 1):
                 # the j that keep the grade g + i + j within [1, cap]
                 for j in range(max(0, 1 - g - i), min(v, cap - g - i) + 1):
-                    yield (monideal.shifted(a, i, j) if (i or j) else a,
-                           g + i + j)
+                    if i or j:
+                        tick()
+                        yield monideal.shifted(a, i, j), g + i + j
+                    else:
+                        yield a, g
 
     def prime_split(self, e: MonIdeal) -> tuple[int, MonIdeal]:
         """X and Y are prime and cancel, and every other atom is gcd-free.
@@ -390,8 +405,7 @@ class MonomialMonoid:
         factorization of core.  Raises ValueError for an ideal beyond the
         limits of check_search_size, as every search does.
         """
-        check_search_size(e)
-        u, v = monideal.generator_gcd(e)
+        u, v = check_search_size(e)
         return (u + v, monideal.shifted(e, -u, -v)) if (u or v) else (0, e)
 
     def cofactors(self, whole: MonIdeal, part: MonIdeal,
@@ -429,25 +443,28 @@ def board_cells(e: MonIdeal) -> int:
     return (e.max_y - v + 1) * (2 * (e.max_x - u) + 1)
 
 
-def check_search_size(e: MonIdeal) -> None:
-    """Raise ValueError when a factor search of e would exceed the limits.
+def check_search_size(e: MonIdeal) -> tuple[int, int]:
+    """Raise ValueError when a factor search of e would exceed the limits,
+    and otherwise return the generator gcd (u, v) of e.
 
     The board of the gcd-free core may have at most MAX_BOARD_CELLS padded
-    cells, and the generator gcd X^u Y^v at most MAX_BOARD_CELLS monomial
-    divisors.  Both are checked before anything of that size is built.
+    cells (board_cells), and the generator gcd X^u Y^v at most
+    MAX_BOARD_CELLS monomial divisors.  Both are checked before anything
+    of that size is built.
     """
-    cells = board_cells(e)
+    u, v = monideal.generator_gcd(e)
+    cells = (e.max_y - v + 1) * (2 * (e.max_x - u) + 1)
     if cells > MAX_BOARD_CELLS:
         raise ValueError(
             f"factor search supports ideals whose gcd-free core needs "
             f"at most {MAX_BOARD_CELLS} board cells, got {cells}")
-    u, v = monideal.generator_gcd(e)
     shifts = (u + 1) * (v + 1)
     if shifts > MAX_BOARD_CELLS:
         raise ValueError(
             f"factor search supports ideals whose generator gcd X^u Y^v "
             f"has at most {MAX_BOARD_CELLS} monomial divisors, "
             f"got (u+1)(v+1) = {shifts}")
+    return u, v
 
 
 class _Board:
@@ -463,31 +480,51 @@ class _Board:
     sx <= px moves bits past column px into the padding, never into the
     next row.  gens is the mask of the ideal's own generators, and
     starts[y] the first column of row y in the ideal (px+1 for none).
+
+    Every mask takes time linear in its bits, with no division, product or
+    digit string: rows, bit 0 of each row, comes from doubling; a block of
+    columns in every row is a difference of two shifts of rows (see cols);
+    and region, row by row the columns from start to px, is bit px+1 of
+    each nonempty row less one bit at each start.
     """
 
     def __init__(self, e: MonIdeal):
         self.px = px = e.max_x
         self.py = py = e.max_y
         self.stride = w = 2 * px + 1
-        # a row pattern times `rows` repeats it in every row, without carries
-        self.rows = rows = ((1 << (py + 1) * w) - 1) // ((1 << w) - 1)
-        self.row = full_row = (1 << (px + 1)) - 1
-        self.content = full_row * rows
+        n = py + 1
+        # bit 0 of each row, doubled to a power of two of rows and cut
+        rows, k = 1, 1
+        while k < n:
+            rows |= rows << k * w
+            k += k
+        self.rows = rows = rows >> (k - n) * w
+        self.row = (1 << px + 1) - 1
+        self.content = self.cols(0, px + 1)
         # rows between two generators (x descending, y ascending) start at
         # the column of the lower one; rows below every generator are empty
         gens = e.gens
-        self.starts = starts = [px + 1] * gens[0][1]
-        zeros = "0" * px
-        ones = "1" * (px + 1) + zeros
-        runs = ["0" * (w * len(starts))]
-        for (x, y), (_, top) in zip(gens, gens[1:] + ((0, py + 1),)):
+        low = gens[0][1]
+        self.starts = starts = [px + 1] * low
+        for (x, y), (_, top) in zip(gens, gens[1:] + ((0, n),)):
             starts += [x] * (top - y)
-            # binary digits of the run's rows, column px first
-            runs.append((zeros + ones[x:x + px + 1]) * (top - y))
-        self.region = region = int("".join(reversed(runs)), 2)
+        # from the lowest generator's row on, a row is 2**(px+1) - 2**start
+        firsts = bytearray((n * w >> 3) + 1)
+        at = low * w
+        for x in starts[low:]:
+            x += at
+            firsts[x >> 3] |= 1 << (x & 7)
+            at += w
+        self.region = region = (rows >> low * w << low * w + px + 1) \
+            - int.from_bytes(firsts, "little")
         # generators are the cells whose left and lower neighbours are out
         self.gens = region & ~(region << 1 | region << w)
         self._colon_cache: dict[tuple[int, int], int] = {}
+
+    def cols(self, lo: int, hi: int) -> int:
+        """Mask of columns lo to hi - 1 in every row."""
+        rows = self.rows
+        return ((rows << hi - lo) - rows) << lo
 
     def colon_mask(self, c: int, g: int) -> int:
         """Membership mask of (ideal : X^c Y^g), clipped to the same box."""
@@ -500,7 +537,7 @@ class _Board:
         # the generators (px, 0) and (0, py) fill, so the last c columns and
         # the last g rows are full
         out = (self.region >> (g * w + c)) & self.content
-        out |= (self.row >> (px + 1 - c) << (px + 1 - c)) * self.rows
+        out |= self.cols(px + 1 - c, px + 1)
         out |= self.content >> ((py + 1 - g) * w) << ((py + 1 - g) * w)
         self._colon_cache[(c, g)] = out
         return out
@@ -681,7 +718,7 @@ def _cofactor_dfs(board: _Board, p: MonIdeal, grade: int,
     col, pmask = board.content, 0
     for c, g in p.gens:
         col &= board.colon_mask(c, g)
-        pmask |= (board.row >> c << c) * board.rows >> g * w << g * w
+        pmask |= board.cols(c, px + 1) >> g * w << g * w
     if not (col >> bx & 1 and col >> by * w & 1):
         return
     rows = []
@@ -714,9 +751,13 @@ def _cofactor_dfs(board: _Board, p: MonIdeal, grade: int,
 class FactorEngine:
     """Split, atom and length queries for one monoid.
 
-    Each engine owns one budget and one memo cache; create a fresh engine to
-    search under different budgets.  Without a budget the engine counts
-    into a Budget of its own that sets no limit.
+    Each engine owns one budget; create a fresh engine to search under
+    different budgets.  Without a budget the engine counts into a Budget of
+    its own that sets no limit.  An engine retains, per element, the pairs
+    that split found, the lengths that lengths found, the small divisors
+    that either searched, and the atom tests that lengths made (of small
+    divisors, colons and cofactors, which recur across its targets).  A
+    bare is_atom or find_split retains nothing.
     """
 
     def __init__(self, monoid: GradedMonoid, budget: Optional[Budget] = None):
@@ -763,17 +804,21 @@ class FactorEngine:
         return a, col
 
     def is_atom(self, e: E) -> bool:
-        m = self.monoid
-        total = m.grade(e)
-        if total == 0:
-            return False
-        k = m.key(e)
+        """True when e is no identity and no product of two nonunits.
+
+        The answer is not kept (see FactorEngine).  The grade is read only
+        when the divisor stream is empty, to tell an atom from the identity.
+        """
+        return self._first_small_divisor(e) is None \
+            and self.monoid.grade(e) > 0
+
+    def _kept_atom(self, e: E) -> bool:
+        """is_atom, kept per element for the atom tests of lengths."""
+        k = self.monoid.key(e)
         got = self._atom_memo.get(k)
-        if got is not None:
-            return got
-        res = self._first_small_divisor(e) is None
-        self._atom_memo[k] = res
-        return res
+        if got is None:
+            got = self._atom_memo[k] = self.is_atom(e)
+        return got
 
     def split(self, e: E) -> list[tuple[E, E]]:
         """Every unordered pair (a, b) of nonunits with a * b = e.
@@ -850,7 +895,7 @@ class FactorEngine:
             return (1,)
         tick = self.budget.tick
         ekey = m.key(e)
-        atoms = sorted(((a, g) for a, g in small if self.is_atom(a)),
+        atoms = sorted(((a, g) for a, g in small if self._kept_atom(a)),
                        key=lambda pair: pair[1])
         grades = [g for _a, g in atoms]
         found = set()
@@ -903,8 +948,8 @@ class FactorEngine:
             # a small last atom was found above; look for a large one
             ps = [(p, col) for p, gp, _i, col in layer.values()
                   if total - gp > half]
-            if any(self.is_atom(col) for _p, col in ps) or any(
-                    self.is_atom(r) for p, _col in ps
+            if any(self._kept_atom(col) for _p, col in ps) or any(
+                    self._kept_atom(r) for p, _col in ps
                     for r in m.cofactors(e, p, self.budget)):
                 found.add(length)
         return tuple(sorted(found))

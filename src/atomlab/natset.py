@@ -80,8 +80,18 @@ class NatSet:
         return self.elements[-1]
 
     def shifted(self, k: int) -> "NatSet":
-        """Translate every element by k (the result must stay in N)."""
-        return NatSet(e + k for e in self.elements)
+        """Translate every element by k (the result must stay in N).
+
+        A shift keeps the elements sorted, so only the ends are checked.
+        """
+        elems = self.elements
+        if elems[0] + k < 0:
+            raise ValueError(
+                f"set elements must be nonnegative, got {elems[0] + k}")
+        if elems[-1] + k > MAX_ELEMENT:
+            raise OverflowError(
+                f"element {elems[-1] + k} exceeds the machine-width bound")
+        return NatSet._from_sorted(tuple([e + k for e in elems]))
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -219,7 +229,8 @@ def iter_sum_free(limit: int) -> Iterator[NatSet]:
     """All nonempty sum-free subsets of [1, limit], in mask order."""
     if limit < 1:
         return
-    for mask in range(1, 1 << limit):
-        cand = NatSet(i + 1 for i in _bits(mask))
-        if is_sum_free(cand):
-            yield cand
+    for mask in range(2, 2 << limit, 2):
+        # bit e of mask is element e: x + A meets A exactly when some
+        # x + y lies in A
+        if not any(mask << x & mask for x in _bits(mask)):
+            yield NatSet._from_sorted(tuple(_bits(mask)))

@@ -1,6 +1,7 @@
 """Command line behavior: target parsing, output shapes, exit codes."""
 
 import json
+import time
 
 import pytest
 
@@ -149,6 +150,16 @@ def test_lengths_time_budget_stops_on_time_on_long_layers(capsys):
     got = last_json(out)
     assert got["lengths"] == "inconclusive"
     assert 0.5 <= got["budget"]["elapsed"] < 0.7
+
+
+def test_time_budget_covers_board_set_up(capsys):
+    # a 66.7M-cell board, under MAX_BOARD_CELLS, is built in linear time
+    # before the first node, so the limit is read soon after it
+    start = time.monotonic()
+    code, out, _ = run(capsys, "atom", "<X^2800, X^1400 Y^5000, Y^11900>",
+                       "--budget-seconds", "0.1")
+    assert time.monotonic() - start < 0.7
+    assert code == 2 and last_json(out)["atom"] == "inconclusive"
 
 
 @pytest.mark.parametrize("target, top", [

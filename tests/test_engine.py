@@ -1,6 +1,7 @@
 """Factor search engine: budgets, determinism, and oracle agreement."""
 
 import inspect
+import random
 import tracemalloc
 
 import pytest
@@ -272,19 +273,53 @@ def test_board_limit():
 
 
 def test_board_region_matches_membership():
+    # runs of several rows, empty rows below the lowest generator, and
+    # one-column boards (px = 0)
     wide = [build_a(40), phi(NatSet([0, 7, 30, 61])), build_i_c(
         minimal_sequence(3)), MonIdeal([(60, 0), (5, 2), (0, 9)]),
-        MonIdeal([(30, 4), (2, 11)])]
+        MonIdeal([(30, 4), (2, 11)]), MonIdeal([(9, 3), (4, 8), (0, 20)]),
+        MonIdeal([(0, 7)]), MonIdeal([(6, 5)]),
+        MonIdeal([(13, 0), (12, 6), (1, 7), (0, 17)])]
     for e in oracle.box_ideals(4) + wide:
         board = engine._Board(e)
         px, py, w = board.px, board.py, board.stride
         cells = {(x, y) for y in range(py + 1) for x in range(px + 1)
                  if (x, y) in e}
+        assert board.rows == sum(1 << y * w for y in range(py + 1))
+        assert board.content == sum(1 << (y * w + x) for y in range(py + 1)
+                                    for x in range(px + 1))
         assert board.region == sum(1 << (y * w + x) for x, y in cells)
         assert board.gens == sum(1 << (y * w + x) for x, y in e.gens)
         assert board.starts == [min((x for x in range(px + 1)
                                      if (x, y) in cells), default=px + 1)
                                 for y in range(py + 1)]
+
+
+def test_near_limit_board_matches_membership():
+    # 11,901 rows of 5,601 bits, 66.7M cells: each mask is read once as
+    # bytes, and random cells are checked against the generators
+    e = MonIdeal([(2800, 0), (1400, 5000), (0, 11900)])
+    assert board_cells(e) <= MAX_BOARD_CELLS
+    board = engine._Board(e)
+    px, py, w = board.px, board.py, board.stride
+    size = ((py + 1) * w + 7) // 8
+    region, rows, content = (m.to_bytes(size, "little") for m in (
+        board.region, board.rows, board.content))
+
+    def bit(data, k):
+        return data[k >> 3] >> (k & 7) & 1
+
+    rng = random.Random(15)
+    cells = [(rng.randrange(w), rng.randrange(py + 1)) for _ in range(3000)]
+    cells += [(x, y) for x, _ in e.gens for y in range(py + 1)
+              if y % 997 == 0] + [(x - 1, y) for x, y in e.gens if x]
+    for x, y in cells:
+        k = y * w + x
+        assert bit(region, k) == (x <= px and (x, y) in e)
+        assert bit(content, k) == (x <= px)
+        assert bit(rows, k) == (x == 0)
+    assert board.gens == sum(1 << (y * w + x) for x, y in e.gens)
+    assert board.starts == [2800] * 5000 + [1400] * 6900 + [0]
 
 
 def test_principal_part_limit_in_library():
@@ -312,6 +347,40 @@ def test_budget_nodes_exhaustion():
     eng = sumset_engine(Budget(max_nodes=10))
     with pytest.raises(SearchBudgetExceeded):
         eng.split(NatSet(range(21)))
+
+
+def test_shift_loops_tick():
+    # the shifts of {0} and of the unit ideal are found without a search,
+    # and each costs a node
+    cases = [(sumset_engine, NatSet([100000])),
+             (monomial_engine, MonIdeal([(300, 300)]))]
+    for make, e in cases:
+        with pytest.raises(SearchBudgetExceeded) as info:
+            make(Budget(max_nodes=10)).split(e)
+        assert info.value.nodes == 11
+    # cores too small to search: every node is a shifted divisor
+    for monoid, e, shifts in [
+            (SumsetMonoid(), NatSet([9]), 4),
+            (SumsetMonoid(), NatSet([4, 6]), 4),  # and {0, 2} unshifted
+            (MonomialMonoid(), MonIdeal([(4, 5)]), 2 + 3 + 4 + 5)]:
+        budget = Budget()
+        got = list(monoid.candidate_divisors(e, budget))
+        assert budget.nodes == shifts
+        assert len(got) == shifts + (e == NatSet([4, 6]))
+
+
+def test_is_atom_retains_nothing():
+    # no query repeats, so a memo of atom answers would only grow
+    sets = [NatSet([0] + [i + 1 for i in range(11) if mask >> i & 1])
+            for mask in range(1, 1 << 11)]
+    for eng, targets in [(sumset_engine(), sets),
+                         (monomial_engine(), [phi(a) for a in sets])]:
+        assert sum(map(eng.is_atom, targets[:2000])) > 0
+        assert not any(v for k, v in vars(eng).items() if k.endswith("memo"))
+    # lengths keeps its atom tests, which recur across its targets
+    eng = sumset_engine()
+    eng.lengths(NatSet(range(6)))
+    assert eng._atom_memo
 
 
 def test_budget_seconds_exhaustion():

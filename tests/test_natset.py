@@ -58,6 +58,18 @@ def test_rejects_bad_input():
         NatSet([0]).elements = (1,)
 
 
+def test_shifted_checks_only_its_ends():
+    a = NatSet([2, 5, 9])
+    assert a.shifted(3) == NatSet([5, 8, 12])
+    assert a.shifted(-2) == NatSet([0, 3, 7])
+    assert a.shifted(0) == a
+    with pytest.raises(ValueError):
+        a.shifted(-3)  # 2 - 3 would be negative
+    with pytest.raises(OverflowError):
+        a.shifted(natset.MAX_ELEMENT - 8)  # 9 + that is past the bound
+    assert a.shifted(natset.MAX_ELEMENT - 9).max == natset.MAX_ELEMENT
+
+
 def test_json_and_text_round_trip():
     a = NatSet([0, 2, 7])
     assert NatSet(json.loads(json.dumps(a.to_json()))) == a
@@ -96,6 +108,15 @@ def test_iter_sum_free_matches_brute_filter():
         if all(x + y not in s for x in s for y in s):
             want.add(s)
     assert got == want
+
+
+def test_iter_sum_free_matches_is_sum_free_in_order():
+    for limit in range(-1, 13):
+        want = [s for mask in range(1, 1 << max(limit, 0))
+                for s in [NatSet(i + 1 for i in range(limit) if mask >> i & 1)]
+                if is_sum_free(s)]
+        assert list(iter_sum_free(limit)) == want
+    assert len(want) == 368
 
 
 @given(small_sets, small_sets)
