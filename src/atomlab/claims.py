@@ -27,7 +27,6 @@ __all__ = [
     "Claim",
     "ClaimResult",
     "claim_ids",
-    "get_claim",
     "registry",
     "run_claim",
     "run_suite",
@@ -484,13 +483,6 @@ def registry() -> tuple[Claim, ...]:
 
 def claim_ids() -> list[str]:
     return [c.claim_id for c in _CLAIMS]
-
-
-def get_claim(claim_id: str) -> Claim:
-    for c in _CLAIMS:
-        if c.claim_id == claim_id:
-            return c
-    raise KeyError(f"unknown claim {claim_id!r}")
 
 
 def run_claim(claim: Claim, budget_nodes: Optional[int] = None,

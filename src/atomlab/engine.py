@@ -47,8 +47,6 @@ __all__ = [
     "sumset_engine",
     "monomial_engine",
     "MAX_BOARD_CELLS",
-    "board_cells",
-    "check_search_size",
 ]
 
 E = TypeVar("E")
@@ -372,13 +370,13 @@ class MonomialMonoid:
         prime factors, so divisors are X^i Y^j times a divisor of the
         gcd-free core, of grade mdeg + i + j, and each shift by i + j > 0
         costs a node.  Core divisors come from a pruned staircase search,
-        see _gcdfree_divisors.  Raises ValueError for an ideal beyond the
-        limits of check_search_size.
+        see _gcdfree_divisors, whose board raises ValueError for a core
+        past MAX_BOARD_CELLS when the stream reaches it.
         """
         total = e.mdeg
         if total == 0:
             return
-        u, v = check_search_size(e)
+        u, v = monideal.generator_gcd(e)
         cap = total // 2
         core = monideal.shifted(e, -u, -v) if (u or v) else e
         core_deg = total - u - v
@@ -402,10 +400,9 @@ class MonomialMonoid:
         """X and Y are prime and cancel, and every other atom is gcd-free.
 
         So a factorization of e = X^u Y^v * core holds u X's, v Y's and a
-        factorization of core.  Raises ValueError for an ideal beyond the
-        limits of check_search_size, as every search does.
+        factorization of core.  Nothing is searched, so any size is split.
         """
-        u, v = check_search_size(e)
+        u, v = monideal.generator_gcd(e)
         return (u + v, monideal.shifted(e, -u, -v)) if (u or v) else (0, e)
 
     def cofactors(self, whole: MonIdeal, part: MonIdeal,
@@ -430,41 +427,9 @@ class MonomialMonoid:
             yield monideal.shifted(r, u - i, v - j) if (u - i or v - j) else r
 
 
-# Boards are dense, so a search refuses ideals whose gcd-free core would need
-# more padded cells than this (about 8 MB per mask), and ideals whose
-# generator gcd has more monomial divisors than this, since
-# candidate_divisors lists them all.
+# Boards are dense, so a board of more padded cells than this (about 8 MB per
+# mask) is refused where it is built, before any mask.
 MAX_BOARD_CELLS = 1 << 26
-
-
-def board_cells(e: MonIdeal) -> int:
-    """Padded cells of the board of e's gcd-free core: (py+1) * (2px+1)."""
-    u, v = monideal.generator_gcd(e)
-    return (e.max_y - v + 1) * (2 * (e.max_x - u) + 1)
-
-
-def check_search_size(e: MonIdeal) -> tuple[int, int]:
-    """Raise ValueError when a factor search of e would exceed the limits,
-    and otherwise return the generator gcd (u, v) of e.
-
-    The board of the gcd-free core may have at most MAX_BOARD_CELLS padded
-    cells (board_cells), and the generator gcd X^u Y^v at most
-    MAX_BOARD_CELLS monomial divisors.  Both are checked before anything
-    of that size is built.
-    """
-    u, v = monideal.generator_gcd(e)
-    cells = (e.max_y - v + 1) * (2 * (e.max_x - u) + 1)
-    if cells > MAX_BOARD_CELLS:
-        raise ValueError(
-            f"factor search supports ideals whose gcd-free core needs "
-            f"at most {MAX_BOARD_CELLS} board cells, got {cells}")
-    shifts = (u + 1) * (v + 1)
-    if shifts > MAX_BOARD_CELLS:
-        raise ValueError(
-            f"factor search supports ideals whose generator gcd X^u Y^v "
-            f"has at most {MAX_BOARD_CELLS} monomial divisors, "
-            f"got (u+1)(v+1) = {shifts}")
-    return u, v
 
 
 class _Board:
@@ -479,7 +444,9 @@ class _Board:
     are padded to 2px+1 bits so that shifting a mask by any (sx, sy) with
     sx <= px moves bits past column px into the padding, never into the
     next row.  gens is the mask of the ideal's own generators, and
-    starts[y] the first column of row y in the ideal (px+1 for none).
+    starts[y] the first column of row y in the ideal (px+1 for none).  A
+    board of more than MAX_BOARD_CELLS padded cells, (py+1)(2px+1), is a
+    ValueError, raised before any mask is built.
 
     Every mask takes time linear in its bits, with no division, product or
     digit string: rows, bit 0 of each row, comes from doubling; a block of
@@ -493,6 +460,10 @@ class _Board:
         self.py = py = e.max_y
         self.stride = w = 2 * px + 1
         n = py + 1
+        if n * w > MAX_BOARD_CELLS:
+            raise ValueError(
+                f"factor search supports ideals whose gcd-free core needs "
+                f"at most {MAX_BOARD_CELLS} board cells, got {n * w}")
         # bit 0 of each row, doubled to a power of two of rows and cut
         rows, k = 1, 1
         while k < n:
@@ -753,18 +724,17 @@ class FactorEngine:
 
     Each engine owns one budget; create a fresh engine to search under
     different budgets.  Without a budget the engine counts into a Budget of
-    its own that sets no limit.  An engine retains, per element, the pairs
-    that split found, the lengths that lengths found, the small divisors
-    that either searched, and the atom tests that lengths made (of small
-    divisors, colons and cofactors, which recur across its targets).  A
-    bare is_atom or find_split retains nothing.
+    its own that sets no limit.  An engine retains, per element, the lengths
+    that lengths found, the small divisors that split or lengths searched,
+    and the atom tests that lengths made (of small divisors, colons and
+    cofactors, which recur across its targets).  A bare is_atom or
+    find_split retains nothing.
     """
 
     def __init__(self, monoid: GradedMonoid, budget: Optional[Budget] = None):
         self.monoid = monoid
         self.budget = Budget() if budget is None else budget
         self._small_memo: dict = {}
-        self._split_memo: dict = {}
         self._atom_memo: dict = {}
         self._length_memo: dict = {}
 
@@ -832,20 +802,16 @@ class FactorEngine:
         total = m.grade(e)
         if total == 0:
             raise ValueError("the identity is not searched for splits")
-        k = m.key(e)
-        pairs = self._split_memo.get(k)
-        if pairs is None:
-            pairs = []
-            for a, g in self._small_divisors(e):
-                ka = m.key(a)
-                for b in m.cofactors(e, a, self.budget):
-                    if m.key(b) >= ka:
-                        pairs.append((a, b))
-                    elif 2 * g < total:
-                        pairs.append((b, a))
-            pairs.sort(key=lambda p: (m.key(p[0]), m.key(p[1])))
-            self._split_memo[k] = pairs
-        return list(pairs)
+        pairs = []
+        for a, g in self._small_divisors(e):
+            ka = m.key(a)
+            for b in m.cofactors(e, a, self.budget):
+                if m.key(b) >= ka:
+                    pairs.append((a, b))
+                elif 2 * g < total:
+                    pairs.append((b, a))
+        pairs.sort(key=lambda p: (m.key(p[0]), m.key(p[1])))
+        return pairs
 
     def lengths(self, e: E) -> tuple[int, ...]:
         """Sorted set of factorization lengths of e (identity gives {0}).

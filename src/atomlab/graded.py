@@ -22,12 +22,10 @@ __all__ = [
     "HomPoly",
     "GradedIdeal",
     "graded_piece",
-    "piece_dim",
     "product",
     "equals",
     "from_mon_ideal",
     "min_piece_product_check",
-    "next_piece_from",
 ]
 
 Row = tuple[Fraction, ...]
@@ -182,19 +180,6 @@ def graded_piece(ideal: GradedIdeal, t: int) -> tuple[Row, ...]:
             for k, c in enumerate(g.coeffs):
                 row[j + k] += c
             rows.append(row)
-    return _rref(rows)
-
-
-def piece_dim(ideal: GradedIdeal, t: int) -> int:
-    return len(graded_piece(ideal, t))
-
-
-def next_piece_from(piece: Iterable[Row], t: int) -> tuple[Row, ...]:
-    """Degree-(t+1) span generated by X and Y times a degree-t basis."""
-    rows = []
-    for r in piece:
-        rows.append(tuple(r) + (Fraction(0),))   # multiply by X
-        rows.append((Fraction(0),) + tuple(r))   # multiply by Y
     return _rref(rows)
 
 

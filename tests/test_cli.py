@@ -7,7 +7,7 @@ import pytest
 
 from atomlab import cli
 from atomlab.engine import MAX_BOARD_CELLS
-from atomlab.monideal import MonIdeal, build_a, build_c
+from atomlab.monideal import MonIdeal, build_a, build_c, product
 from atomlab.natset import NatSet, sumset
 
 
@@ -203,14 +203,27 @@ def test_board_limit_is_a_usage_error(capsys, command):
     assert err.startswith("error: ") and str(MAX_BOARD_CELLS) in err
 
 
-@pytest.mark.parametrize("command", ["atom", "lengths"])
-def test_principal_part_limit_is_a_usage_error(capsys, command):
-    # the gcd-free core is one cell, but X^9999999 Y^9999999 has 10**14
-    # monomial divisors, each a shift the search would list
-    code, out, err = run(capsys, command, "<X^9999999 Y^9999999>")
+@pytest.mark.parametrize("target, limit", [
+    ("<X^99999999999, X Y^99999999999>", str(MAX_BOARD_CELLS)),
+    ("{100000, 300000}", "65536")])
+def test_prime_part_shifted_and_core_refused_where_searched(capsys, target,
+                                                            limit):
+    # the prime part (X, or {1}^100000) splits off without a search, but
+    # the lengths of the core need a search past the limit
+    code, out, _ = run(capsys, "atom", target)
+    assert code == 0
+    got = last_json(out)
+    kind, e = cli.parse_target(target)
+    if kind == "ideal":
+        a, b = (MonIdeal(map(tuple, w["gens"])) for w in got["witness"])
+        assert product(a, b) == e
+    else:
+        a, b = map(NatSet, got["witness"])
+        assert sumset(a, b) == e
+    assert got["atom"] is False
+    code, out, err = run(capsys, "lengths", target)
     assert code == 1 and not out
-    assert err.startswith("error: ") and str(MAX_BOARD_CELLS) in err
-    assert str(10**14) in err
+    assert err.startswith("error: ") and limit in err
 
 
 def test_table_output(capsys):

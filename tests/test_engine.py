@@ -10,8 +10,7 @@ from hypothesis import given, settings, strategies as st
 from atomlab import engine, natset, oracle
 from atomlab.engine import (MAX_BOARD_CELLS, Budget, FactorEngine,
                             GradedMonoid, MonomialMonoid, SearchBudgetExceeded,
-                            SumsetMonoid, board_cells,
-                            check_search_size, make_budget, monomial_engine,
+                            SumsetMonoid, make_budget, monomial_engine,
                             sumset_engine)
 from atomlab.families import minimal_sequence
 from atomlab.monideal import (MonIdeal, build_a, build_b, build_c, build_i_b,
@@ -264,12 +263,29 @@ def test_board_colon_masks_match_membership(e):
 
 def test_board_limit():
     huge = MonIdeal([(99999999999, 0), (0, 99999999999)])
-    assert board_cells(huge) > MAX_BOARD_CELLS
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=str(MAX_BOARD_CELLS)):
         next(MonomialMonoid().candidate_divisors(huge, Budget()))
     # only the gcd-free core is searched, so a monomial factor is free
-    assert board_cells(shifted(build_a(1), 10**10, 10**10)) == 2 * 3
-    assert board_cells(build_a(1000)) == 1001 * 2001 <= MAX_BOARD_CELLS
+    assert monomial_engine().lengths(
+        shifted(build_a(1), 10**10, 10**10)) == (2 * 10**10 + 1,)
+
+
+def test_board_refused_where_built():
+    # 11,565 rows of 5,803 bits: one row past the limit.  Both searches
+    # that build a board refuse it before any mask is built.
+    e = MonIdeal([(2901, 0), (0, 11564)])
+    assert 11565 * 5803 > MAX_BOARD_CELLS >= 11564 * 5803
+    m = MonomialMonoid()
+    for search in (m.candidate_divisors(e, Budget()),
+                   m.cofactors(e, build_a(1), Budget())):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=str(MAX_BOARD_CELLS)):
+                next(search)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
 
 def test_board_region_matches_membership():
@@ -299,9 +315,9 @@ def test_near_limit_board_matches_membership():
     # 11,901 rows of 5,601 bits, 66.7M cells: each mask is read once as
     # bytes, and random cells are checked against the generators
     e = MonIdeal([(2800, 0), (1400, 5000), (0, 11900)])
-    assert board_cells(e) <= MAX_BOARD_CELLS
     board = engine._Board(e)
     px, py, w = board.px, board.py, board.stride
+    assert (py + 1) * w <= MAX_BOARD_CELLS
     size = ((py + 1) * w + 7) // 8
     region, rows, content = (m.to_bytes(size, "little") for m in (
         board.region, board.rows, board.content))
@@ -322,16 +338,17 @@ def test_near_limit_board_matches_membership():
     assert board.starts == [2800] * 5000 + [1400] * 6900 + [0]
 
 
-def test_principal_part_limit_in_library():
-    # (u+1)(v+1) shifts of X^u Y^v: refused before any of them is listed
+def test_principal_part_is_only_shifted():
+    # X^9999999 Y^9999999 has a one-cell core and 10**14 monomial
+    # divisors; each shift costs a node, so only the budget bounds them
+    e = MonIdeal([(9999999, 9999999)])
     eng = monomial_engine()
-    with pytest.raises(ValueError, match=str(10**14)):
-        eng.is_atom(MonIdeal([(9999999, 9999999)]))
-    with pytest.raises(ValueError):
-        check_search_size(MonIdeal([(8192, 8191)]))
-    at_limit = MonIdeal([(8191, 8191)])
-    check_search_size(at_limit)
-    assert not eng.is_atom(at_limit)
+    assert not eng.is_atom(e)
+    assert product(*eng.find_split(e)) == e
+    assert eng.lengths(e) == (19999998,)
+    with pytest.raises(SearchBudgetExceeded) as info:
+        monomial_engine(Budget(max_nodes=10)).split(e)
+    assert info.value.nodes == 11
 
 
 # -- budgets ------------------------------------------------------------------
@@ -513,17 +530,15 @@ def test_stretch_lengths_node_count_is_pinned():
 
 
 def test_split_sorted_and_memoized():
-    # the search behind the splits of an element runs once per engine
-    budget = Budget()
-    eng = sumset_engine(budget)
+    # sorted, each pair oriented and kept once, the same on every engine
+    eng = sumset_engine()
     a = NatSet(range(7))
     first = eng.split(a)
     assert first == sorted(first, key=lambda p: (p[0].elements,
                                                  p[1].elements))
     assert all(p.elements <= q.elements for p, q in first)
     assert len(set(first)) == len(first)
-    nodes = budget.nodes
-    assert eng.split(a) == first and budget.nodes == nodes
+    assert eng.split(a) == first
     assert sumset_engine().split(a) == first
 
 
