@@ -15,8 +15,8 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Optional
 
 from . import families, graded, monideal, natset, oracle
-from .engine import (SearchBudgetExceeded, make_budget, monomial_engine,
-                     sumset_engine)
+from .engine import (DEFAULT_BUDGET_NODES, SearchBudgetExceeded, make_budget,
+                     monomial_engine, sumset_engine)
 from .families import build_B, build_C, minimal_sequence, subset_sum
 from .graded import GradedIdeal, HomPoly, min_piece_product_check
 from .monideal import (MonIdeal, build_a, build_b, build_c, build_i_b,
@@ -32,13 +32,6 @@ __all__ = [
     "run_suite",
 ]
 
-# Default node budget for the stretch claim.  Enumerating every divisor of
-# I_C(minimal n=3) would take more than 3*10^7 nodes; the small-side length
-# search needs 3,893, so the default run passes in well under a second.  Its
-# first stream, the divisors of at most half the grade, takes 864 of them;
-# a budget of 2,000 stops it inconclusive in the layer products.
-_STRETCH_NODES = 1_000_000
-
 # Fixed seeds keep the sampled claims reproducible run to run.
 _GRADED_SEED = 61
 _PHI_SEED = 75
@@ -52,7 +45,6 @@ class Claim:
     suite: str
     statement: str
     runner: Callable[["_Runtime"], Optional[dict]]
-    default_budget_nodes: Optional[int] = None
 
 
 @dataclass(frozen=True)
@@ -472,8 +464,7 @@ _CLAIMS: tuple[Claim, ...] = (
         "L(I_C) = {2,3,4} for the minimal sequence with n=3.  Its divisors "
         "are too many to list, but products of the atoms of at most half "
         "the grade settle it within the 1,000,000-node default budget.",
-        _check_lengths_monomial_stretch,
-        default_budget_nodes=_STRETCH_NODES),
+        _check_lengths_monomial_stretch),
 )
 
 
@@ -485,15 +476,14 @@ def claim_ids() -> list[str]:
     return [c.claim_id for c in _CLAIMS]
 
 
-def run_claim(claim: Claim, budget_nodes: Optional[int] = None,
+def run_claim(claim: Claim,
+              budget_nodes: Optional[int] = DEFAULT_BUDGET_NODES,
               budget_seconds: Optional[float] = None) -> ClaimResult:
-    """Run one claim; budget_nodes None keeps the claim's own default.
+    """Run one claim under a node and a time limit.
 
-    The limits follow engine.make_budget: 0 means no cap, and a negative
-    limit raises ValueError before the claim runs.
+    The limits follow engine.make_budget: None or 0 means no cap, and a
+    negative limit raises ValueError before the claim runs.
     """
-    if budget_nodes is None:
-        budget_nodes = claim.default_budget_nodes
     rt = _Runtime(budget_nodes, budget_seconds)
     start = time.perf_counter()
     try:
@@ -509,7 +499,7 @@ def run_claim(claim: Claim, budget_nodes: Optional[int] = None,
 
 def run_suite(suite: Optional[str] = None,
               only: Optional[Iterable[str]] = None,
-              budget_nodes: Optional[int] = None,
+              budget_nodes: Optional[int] = DEFAULT_BUDGET_NODES,
               budget_seconds: Optional[float] = None) -> list[ClaimResult]:
     """Run the registered claims, filtered by suite and/or claim id.
 

@@ -27,7 +27,6 @@ import re
 import shlex
 import sys
 from fractions import Fraction
-from typing import Optional
 
 from . import claims, engine, families, monideal, natset, oracle
 from .engine import (Budget, SearchBudgetExceeded, monomial_engine,
@@ -40,13 +39,6 @@ __all__ = ["entry", "main"]
 
 class _UsageError(Exception):
     pass
-
-
-# Direct queries get a finite default budget so an oversized target answers
-# "inconclusive" instead of running unattended; verify defers to per-claim
-# defaults.  engine.make_budget reads the flags: 0 lifts a cap, on verify
-# the claim's default too, and a negative value is a usage error.
-_DEFAULT_NODES = 1_000_000
 
 
 class _Parser(argparse.ArgumentParser):
@@ -93,6 +85,17 @@ def _resolve_sequence(opts: dict) -> families.SumSequence:
         raise _UsageError(str(exc)) from None
 
 
+def _parse_literal(parse, tokens: list[str]):
+    """Parse the tokens of a set or ideal literal, which takes no options."""
+    for i, token in enumerate(tokens):
+        if token.startswith("--"):
+            raise _UsageError(f"{' '.join(tokens[:i])} takes no options")
+    try:
+        return parse(" ".join(tokens))
+    except (ValueError, TypeError, OverflowError) as exc:
+        raise _UsageError(str(exc)) from None
+
+
 def parse_target(text: str):
     """Parse a target string into ("set", NatSet) or ("ideal", MonIdeal)."""
     try:
@@ -103,15 +106,9 @@ def parse_target(text: str):
         raise _UsageError("empty target")
     head, rest = tokens[0], tokens[1:]
     if head.startswith("{"):
-        try:
-            return "set", NatSet.from_text(" ".join(tokens))
-        except (ValueError, TypeError, OverflowError) as exc:
-            raise _UsageError(str(exc)) from None
+        return "set", _parse_literal(NatSet.from_text, tokens)
     if head.startswith("<") or "X" in head or "Y" in head:
-        try:
-            return "ideal", MonIdeal.from_text(" ".join(tokens))
-        except (ValueError, TypeError, OverflowError) as exc:
-            raise _UsageError(str(exc)) from None
+        return "ideal", _parse_literal(MonIdeal.from_text, tokens)
     opts = _parse_target_opts(rest)
     match = _IDEAL_FAMILY.fullmatch(head)
     if match:
@@ -180,20 +177,19 @@ def _rho_text(value) -> str:
 _IDENTITIES = (UNIT, NatSet([0]))
 
 
-def _query(args, question: str, answer) -> int:
-    """Print answer(target, search) for the target, search being question.
+def _query(args, answer) -> int:
+    """Print answer(target, engine) for the target.
 
-    The engine's method of that name answers: a monomial engine for an
-    ideal, a sumset engine for a set, in the full monoid of finite nonempty
-    subsets of N.  A budget that runs out prints "inconclusive" under the
-    subcommand's key (exit 2); a target past the search's size limits
-    raises ValueError, a usage error.
+    The engine is a monomial engine for an ideal, a sumset engine for a
+    set, in the full monoid of finite nonempty subsets of N.  A budget that
+    runs out prints "inconclusive" under the subcommand's key (exit 2); a
+    target past the search's size limits raises ValueError, a usage error.
     """
     kind, target = parse_target(args.target)
     make_engine = monomial_engine if kind == "ideal" else sumset_engine
-    search = getattr(make_engine(_budget_from(args)), question)
+    eng = make_engine(_budget_from(args))
     try:
-        payload = answer(target, search)
+        payload = answer(target, eng)
     except SearchBudgetExceeded as exc:
         _emit({args.command: "inconclusive",
                "budget": _budget_payload(exc)}, args.fmt)
@@ -204,26 +200,26 @@ def _query(args, question: str, answer) -> int:
     return 0
 
 
-def _atom_answer(target, find_split) -> dict:
+def _atom_answer(target, eng) -> dict:
     if target in _IDENTITIES:
         return {"atom": False, "witness": None}
-    pair = find_split(target)
+    pair = eng.find_split(target)
     return {"atom": pair is None,
             "witness": None if pair is None else [p.to_json() for p in pair]}
 
 
-def _lengths_answer(target, lengths) -> dict:
-    got = lengths(target)
+def _lengths_answer(target, eng) -> dict:
+    got = eng.lengths(target)
     return {"lengths": list(got), "delta": list(natset.delta_set(got)),
             "rho": _rho_text(natset.elasticity(got))}
 
 
 def _cmd_atom(args) -> int:
-    return _query(args, "find_split", _atom_answer)
+    return _query(args, _atom_answer)
 
 
 def _cmd_lengths(args) -> int:
-    return _query(args, "lengths", _lengths_answer)
+    return _query(args, _lengths_answer)
 
 
 def _print_verify_table(results) -> None:
@@ -321,15 +317,11 @@ def _cmd_experiment(args) -> int:
 # -- parser ------------------------------------------------------------------
 
 
-def _add_common(sub, default_nodes: Optional[int] = None) -> None:
-    if default_nodes is None:
-        default_text = "each claim's own budget; 0 lifts that too"
-    else:
-        default_text = f"{default_nodes}; 0 means no cap"
-    nodes_help = f"abort searches after N explored candidates " \
-                 f"(default {default_text})"
-    sub.add_argument("--budget-nodes", type=int, default=default_nodes,
-                     metavar="N", help=nodes_help)
+def _add_common(sub) -> None:
+    nodes = engine.DEFAULT_BUDGET_NODES
+    sub.add_argument("--budget-nodes", type=int, default=nodes, metavar="N",
+                     help=f"abort searches after N explored candidates "
+                          f"(default {nodes}; 0 means no cap)")
     sub.add_argument("--budget-seconds", type=float, default=None,
                      metavar="S",
                      help="abort searches after S seconds (0 means no cap)")
@@ -353,7 +345,7 @@ def _build_parser() -> _Parser:
                            formatter_class=argparse.RawDescriptionHelpFormatter)
     atom.add_argument("target", help='e.g. "c_4", "{0,1,2}", '
                                      '"I_B --minimal 2"')
-    _add_common(atom, default_nodes=_DEFAULT_NODES)
+    _add_common(atom)
     atom.set_defaults(func=_cmd_atom)
 
     lengths = subs.add_parser("lengths",
@@ -361,7 +353,7 @@ def _build_parser() -> _Parser:
                               description=__doc__,
                               formatter_class=argparse.RawDescriptionHelpFormatter)
     lengths.add_argument("target", help='e.g. "a_5", "C --minimal 3"')
-    _add_common(lengths, default_nodes=_DEFAULT_NODES)
+    _add_common(lengths)
     lengths.set_defaults(func=_cmd_lengths)
 
     verify = subs.add_parser("verify", help="run the registered claim suites")
@@ -382,7 +374,7 @@ def _build_parser() -> _Parser:
                      help="sample size for atom-density (default 500)")
     exp.add_argument("--seed", type=int, default=7,
                      help="RNG seed (default 7)")
-    _add_common(exp, default_nodes=_DEFAULT_NODES)
+    _add_common(exp)
     exp.set_defaults(func=_cmd_experiment)
     return parser
 

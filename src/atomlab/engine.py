@@ -20,9 +20,11 @@ them and the wall clock.  Exhaustion raises SearchBudgetExceeded so callers
 can report "inconclusive" rather than mistaking a truncated scan for a
 completed one.  Streams have a fixed order, so output is deterministic.
 
-Both adapters split off prime atoms inside the adapter, so one engine
-answers every question in each monoid: X and Y for ideals, and {1} for
-sets, where a set without 0 is min(A) copies of {1} plus its 0-set.
+X and Y are prime atoms of the ideal monoid, and {1} of the set monoid,
+so both adapters split an element into a prime part and a core, search
+only the core, and shift the results by the prime part (_shifted).  Each
+core search builds its own mask or board when it starts, and applies its
+own grade cap.
 """
 
 from __future__ import annotations
@@ -39,6 +41,7 @@ from .natset import NatSet
 __all__ = [
     "Budget",
     "make_budget",
+    "DEFAULT_BUDGET_NODES",
     "SearchBudgetExceeded",
     "GradedMonoid",
     "SumsetMonoid",
@@ -97,6 +100,11 @@ class Budget:
             raise SearchBudgetExceeded(
                 f"search exceeded {self.max_seconds} seconds",
                 self.nodes, self.elapsed)
+
+
+# The node cap of every front end unless told otherwise, so an oversized
+# target answers "inconclusive" instead of running unattended.
+DEFAULT_BUDGET_NODES = 1_000_000
 
 
 def make_budget(max_nodes: Optional[int] = None,
@@ -172,11 +180,31 @@ def _walk(target: int, lows: list[int], root: tuple, children: Callable,
             level = stack.pop()
 
 
+def _shifted(stream: Iterator[tuple[E, int]], u: int, v: int, cap: int,
+             shift: Callable, tick: Callable) -> Iterator[tuple[E, int]]:
+    """shift(a, i, j) = X^i Y^j * a, of grade g + i + j, for each (a, g) of
+    stream and each i <= u, j <= v that keep the grade within [1, cap].
+
+    A set is u = 0 with j copies of {1}.  Each shift by i + j > 0 costs a
+    node, as a searched divisor does.
+    """
+    for a, g in stream:
+        for i in range(u + 1):
+            # the j that keep the grade g + i + j within [1, cap]
+            for j in range(max(0, 1 - g - i), min(v, cap - g - i) + 1):
+                if i or j:
+                    tick()
+                    yield shift(a, i, j), g + i + j
+                else:
+                    yield a, g
+
+
 class SumsetMonoid:
     """Sumset monoid of the finite nonempty subsets of N.
 
     {1} is a prime atom that cancels and every other atom contains 0, so a
-    set is min(A) copies of {1} plus its 0-set core, A - min(A).
+    set is min(A) copies of {1} plus its 0-set core, A - min(A), the only
+    part searched (_sumset_divisors, _sumset_cofactors).
     """
 
     def product(self, a: NatSet, b: NatSet) -> NatSet:
@@ -193,14 +221,18 @@ class SumsetMonoid:
 
     def candidate_divisors(self, e: NatSet, budget: Budget
                            ) -> Iterator[tuple[NatSet, int]]:
-        """Minima add, so the divisors of {u} + core are {i} + B, i in
+        """Minima add, so the divisors of {u} + core are {j} + B, j in
         [0, u] and B = {0}, the core or a core divisor, of grade
-        i + max(B).  The {i} come first, before the core is searched.
-        Each shifted divisor costs a node, as a searched one does."""
+        j + max(B).  A 0-set's stream is the core search itself."""
+        # prime_split inline, since every query starts here
         u, cap = e.min, e.max // 2
+        core = e.shifted(-u) if u else e
+        divisors = _sumset_divisors(core, cap, budget.tick)
         if not u:
-            return _sumset_divisors(natset._mask_of(e), cap, budget.tick)
-        return _shifted_divisors(e, u, cap, budget.tick)
+            return divisors
+        head = [(_ZERO, 0), (core, core.max)] if core.max else [(_ZERO, 0)]
+        return _shifted(itertools.chain(head, divisors), 0, u, cap,
+                        lambda b, _i, j: b.shifted(j), budget.tick)
 
     def prime_split(self, e: NatSet) -> tuple[int, NatSet]:
         return e.min, (e.shifted(-e.min) if e.min else e)
@@ -208,53 +240,31 @@ class SumsetMonoid:
     def cofactors(self, whole: NatSet, part: NatSet,
                   budget: Budget) -> Iterator[NatSet]:
         """R is {u - i} plus a cofactor of the core of part inside that of
-        whole, u and i being their minima."""
-        if not whole.min:
-            return _sumset_cofactors(natset._mask_of(whole),
-                                     natset._mask_of(part), budget.tick)
+        whole, u and i being their minima: the core of whole when part is
+        {i}, {0} when the cores are equal, and otherwise one found by
+        _sumset_cofactors."""
         u, core = self.prime_split(whole)
         i, pcore = self.prime_split(part)
-        rs = [_ZERO] if pcore == core else self.cofactors(core, pcore, budget)
-        return (r.shifted(u - i) for r in rs)
+        if not pcore.max or pcore == core:
+            rs = iter([core if not pcore.max else _ZERO])
+        else:
+            rs = _sumset_cofactors(core, pcore, budget.tick)
+        return (r.shifted(u - i) for r in rs) if u - i else rs
 
 
 _ZERO = NatSet([0])
 
 
-def _shifted_divisors(e: NatSet, u: int, cap: int, tick: Callable
-                      ) -> Iterator[tuple[NatSet, int]]:
-    """{i} + B for the B of _core_divisors, with the i in [0, u] that keep
-    the grade i + max(B) within [1, cap]; each i > 0 ticks."""
-    for b, g in _core_divisors(e, cap, tick):
-        if 0 < g <= cap:
-            yield b, g
-        for i in range(1, min(u, cap - g) + 1):
-            tick()
-            yield b.shifted(i), g + i
-
-
-def _core_divisors(e: NatSet, cap: int, tick: Callable
-                   ) -> Iterator[tuple[NatSet, int]]:
-    """{0}, the 0-set core e - min(e) and its divisors of grade at most cap,
-    with their grades; the core is formed only when they are reached."""
-    yield _ZERO, 0
-    core = e.shifted(-e.min)
-    if core.max:
-        yield core, core.max
-        yield from _sumset_divisors(natset._mask_of(core),
-                                    min(cap, core.max - 1), tick)
-
-
-def _sumset_divisors(amask: int, cap: int, tick: Callable
+def _sumset_divisors(a: NatSet, cap: int, tick: Callable
                      ) -> Iterator[tuple[NatSet, int]]:
-    """Every proper divisor B of A with max(B) <= cap, with max(B).
+    """Every proper divisor B of a 0-set A with max(B) <= cap, with max(B).
 
     A proper divisor is a set B containing 0, distinct from {0}, such that
-    B + C = A for some C containing 0 with C != {0}; cap must lie below
-    max(A).  Some side of any split has max at most max(A)/2, so with that
-    cap these are the small sides of all splits.  The small divisors of
-    {u} + A, u > 0, need the divisors of A up to (u + max(A))/2 instead.
-    Sets are bitmasks here (bit e set when e is in the set): a sumset is an
+    B + C = A for some C containing 0 with C != {0}, so max(B) < max(A)
+    whatever the cap.  Some side of any split has max at most max(A)/2, so
+    with that cap these are the small sides of all splits.  The small
+    divisors of {u} + A, u > 0, need the divisors of A up to
+    (u + max(A))/2 instead.  Sets are bitmasks here (bit e set when e is in the set): a sumset is an
     OR of shifted masks, and the colon set of B in A is the AND of A >> b
     over b in B, truncated to [0, max(A) - max(B)].
 
@@ -273,7 +283,10 @@ def _sumset_divisors(amask: int, cap: int, tick: Callable
     misses an element of A holds no divisor and is not walked; it costs
     one node, as the root of its walk would.
     """
+    amask = natset._mask_of(a)
     m = amask.bit_length() - 1
+    if cap >= m:
+        cap = m - 1
     mb, free = 0, []
 
     def children(node):
@@ -295,7 +308,8 @@ def _sumset_divisors(amask: int, cap: int, tick: Callable
                     reach |= bmask2 << c
             yield reach, i + 1, elems2, col2, bmask2
 
-    for mb in natset._bits(amask & (2 << cap) - 2):
+    # the elements of A in [1, cap]
+    for mb in natset._bits(amask & ~1 & (1 << cap + 1) - 1):
         mc = m - mb
         if not amask >> mc & 1:
             continue
@@ -315,15 +329,16 @@ def _sumset_divisors(amask: int, cap: int, tick: Callable
             yield NatSet._from_sorted(node[2] + (mb,)), mb
 
 
-def _sumset_cofactors(amask: int, pmask: int, tick: Callable
+def _sumset_cofactors(a: NatSet, p: NatSet, tick: Callable
                       ) -> Iterator[NatSet]:
-    """Every R containing 0 with P + R = A, once.
+    """Every R containing 0 with P + R = A, once, for 0-sets P and A.
 
     max(R) = max(A) - max(P), and R lies in the colon set of P in A.  The
     elements between 0 and max(R) join R in increasing order, and a node's
     reach P + R only grows; x + P reaches elements from x on, so an element
     of A that R + P misses below the next candidate kills the branch.
     """
+    amask, pmask = natset._mask_of(a), natset._mask_of(p)
     top = amask.bit_length() - pmask.bit_length()
     if top < 0:
         return
@@ -346,8 +361,19 @@ def _sumset_cofactors(amask: int, pmask: int, tick: Callable
         yield NatSet._from_sorted(tuple(natset._bits(node[2])))
 
 
+def _gcd_split(e: MonIdeal) -> tuple[int, int, MonIdeal]:
+    """(u, v, core): e is X^u Y^v times its gcd-free core."""
+    u, v = monideal.generator_gcd(e)
+    return u, v, (monideal.shifted(e, -u, -v) if (u or v) else e)
+
+
 class MonomialMonoid:
-    """Multiplicative monoid of nonzero monomial ideals in two variables."""
+    """Multiplicative monoid of nonzero monomial ideals in two variables.
+
+    X and Y are prime atoms that cancel and every other atom is gcd-free,
+    so an ideal is X^u Y^v, (u, v) its generator gcd, times its gcd-free
+    core, the only part searched (_gcdfree_divisors, _cofactor_dfs).
+    """
 
     def product(self, a: MonIdeal, b: MonIdeal) -> MonIdeal:
         return monideal.product(a, b)
@@ -366,65 +392,46 @@ class MonomialMonoid:
         """Stream each proper divisor of e of at most half its grade once,
         with its grade.
 
-        Generators sharing a monomial factor X^u Y^v split off as principal
-        prime factors, so divisors are X^i Y^j times a divisor of the
-        gcd-free core, of grade mdeg + i + j, and each shift by i + j > 0
-        costs a node.  Core divisors come from a pruned staircase search,
-        see _gcdfree_divisors, whose board raises ValueError for a core
-        past MAX_BOARD_CELLS when the stream reaches it.
+        Generator gcds add, so the divisors of X^u Y^v * core are X^i Y^j
+        times the unit, the core or a core divisor, of grade i + j plus
+        theirs.  A gcd-free ideal's stream is the core search itself, whose
+        board raises ValueError past MAX_BOARD_CELLS (_gcdfree_divisors).
         """
-        total = e.mdeg
-        if total == 0:
-            return
-        u, v = monideal.generator_gcd(e)
-        cap = total // 2
-        core = monideal.shifted(e, -u, -v) if (u or v) else e
-        core_deg = total - u - v
-        stream = [(UNIT, 0)]
-        if core_deg:
-            stream = itertools.chain(stream, [(core, core_deg)],
-                                     _gcdfree_divisors(core, core_deg, budget,
-                                                       cap))
-        tick = budget.tick
-        for a, g in stream:
-            for i in range(u + 1):
-                # the j that keep the grade g + i + j within [1, cap]
-                for j in range(max(0, 1 - g - i), min(v, cap - g - i) + 1):
-                    if i or j:
-                        tick()
-                        yield monideal.shifted(a, i, j), g + i + j
-                    else:
-                        yield a, g
+        u, v, core = _gcd_split(e)
+        total = core.mdeg
+        cap = (total + u + v) // 2
+        divisors = _gcdfree_divisors(core, cap, budget.tick)
+        if not (u or v):
+            return divisors
+        head = [(UNIT, 0), (core, total)] if total else [(UNIT, 0)]
+        return _shifted(itertools.chain(head, divisors), u, v, cap,
+                        monideal.shifted, budget.tick)
 
     def prime_split(self, e: MonIdeal) -> tuple[int, MonIdeal]:
-        """X and Y are prime and cancel, and every other atom is gcd-free.
-
-        So a factorization of e = X^u Y^v * core holds u X's, v Y's and a
+        """A factorization of X^u Y^v * core holds u X's, v Y's and a
         factorization of core.  Nothing is searched, so any size is split.
         """
-        u, v = monideal.generator_gcd(e)
-        return (u + v, monideal.shifted(e, -u, -v)) if (u or v) else (0, e)
+        u, v, core = _gcd_split(e)
+        return u + v, core
 
     def cofactors(self, whole: MonIdeal, part: MonIdeal,
                   budget: Budget) -> Iterator[MonIdeal]:
         """Each r with part * r = whole, once; part must divide whole.
 
         Generator gcds add, so r is X^(u-i) Y^(v-j) times a cofactor of the
-        gcd-free core of part inside that of whole, (u, v) and (i, j) being
-        the gcds of whole and part.  Core cofactors come from one frame of
-        the staircase search, see _cofactor_dfs.
+        core of part inside that of whole, (u, v) and (i, j) being the gcds
+        of whole and part: the core of whole when part is X^i Y^j, the unit
+        when the cores are equal, and otherwise one of _cofactor_dfs.
         """
-        u, v = monideal.generator_gcd(whole)
-        i, j = monideal.generator_gcd(part)
-        core = monideal.shifted(whole, -u, -v) if (u or v) else whole
-        pcore = monideal.shifted(part, -i, -j) if (i or j) else part
+        u, v, core = _gcd_split(whole)
+        i, j, pcore = _gcd_split(part)
         if pcore.is_unit or pcore == core:
-            rs = [core if pcore.is_unit else UNIT]
+            rs = iter([core if pcore.is_unit else UNIT])
         else:
-            rs = _cofactor_dfs(_Board(core), pcore, core.mdeg - pcore.mdeg,
-                               budget.tick)
-        for r in rs:
-            yield monideal.shifted(r, u - i, v - j) if (u - i or v - j) else r
+            rs = _cofactor_dfs(core, pcore, budget.tick)
+        if u - i or v - j:
+            return (monideal.shifted(r, u - i, v - j) for r in rs)
+        return rs
 
 
 # Boards are dense, so a board of more padded cells than this (about 8 MB per
@@ -514,13 +521,13 @@ class _Board:
         return out
 
 
-def _gcdfree_divisors(e: MonIdeal, total: int, budget: Budget, cap: int
+def _gcdfree_divisors(e: MonIdeal, cap: int, tick: Callable
                       ) -> Iterator[tuple[MonIdeal, int]]:
-    """Proper divisors of a gcd-free nonunit ideal with their grades.
+    """Proper divisors of a gcd-free ideal of grade at most cap, with their
+    grades (none for the unit).
 
-    total is mdeg(e), and cap a grade bound: frames whose divisors all
-    exceed it are not visited, though divisors above it may still be
-    yielded from the others.
+    Frames whose divisors all exceed the cap are not visited, and the
+    divisors above it that the other frames hold are dropped.
 
     Any factor pair of e carries pure powers X^ax, Y^ay and X^bx, Y^by with
     ax + bx = px and ay + by = py, the pure exponents of e, so the search
@@ -549,7 +556,7 @@ def _gcdfree_divisors(e: MonIdeal, total: int, budget: Budget, cap: int
     Each visited frame costs one search node, so a budget stops a loop over
     many frames even when none of them holds a point.
     """
-    tick = budget.tick
+    total = e.mdeg
     board = _Board(e)
     px, py, starts = board.px, board.py, board.starts
     # a proper divisor has a grade below total; lo <= cap needs
@@ -570,7 +577,9 @@ def _gcdfree_divisors(e: MonIdeal, total: int, budget: Budget, cap: int
                 c0 = max(1, lo - g, starts[g] - bx, starts[g + by])
                 if c0 < ax:
                     rows.append((g, c0))
-            yield from _frame_dfs(board, ax, ay, rows, tick)
+            for d, grade in _frame_dfs(board, ax, ay, rows, tick):
+                if grade <= cap:
+                    yield d, grade
 
 
 def _frame_ays(px: int, py: int, total: int, cap: int, ax: int) -> range:
@@ -671,9 +680,9 @@ def _frame_dfs(board: _Board, ax: int, ay: int, rows, tick
             tuple((s % w, s // w) for s in node[2][1:]) + (bottom,)), node[4]
 
 
-def _cofactor_dfs(board: _Board, p: MonIdeal, grade: int,
-                  tick) -> Iterator[MonIdeal]:
-    """Every r with p * r equal to the ideal of the board, both gcd-free.
+def _cofactor_dfs(e: MonIdeal, p: MonIdeal, tick: Callable
+                  ) -> Iterator[MonIdeal]:
+    """Every r with p * r = e, for gcd-free e and p.
 
     Pure powers add, so r has the frame (bx, by) = (px - p.max_x,
     py - p.max_y), and every generator of r lies in the mask of (e : p)
@@ -684,6 +693,8 @@ def _cofactor_dfs(board: _Board, p: MonIdeal, grade: int,
     above its own, so a generator of e missed below the next point's row
     kills the branch; reach covering the generators of e yields r.
     """
+    board = _Board(e)
+    grade = e.mdeg - p.mdeg
     px, py, w = board.px, board.py, board.stride
     bx, by = px - p.max_x, py - p.max_y
     col, pmask = board.content, 0

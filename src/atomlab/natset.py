@@ -127,9 +127,12 @@ class NatSet:
 
     @classmethod
     def from_text(cls, text: str) -> "NatSet":
-        body = text.strip().lstrip("{").rstrip("}")
-        parts = [p for p in (s.strip() for s in body.split(",")) if p]
-        if not parts:
+        """Parse "{0, 2, 7}", or the to_text form "0,2,7" without braces."""
+        body = text.strip()
+        if body.startswith("{") and body.endswith("}"):
+            body = body[1:-1]
+        parts = [p.strip() for p in body.split(",")]
+        if not all(parts):
             raise ValueError(f"cannot parse set from {text!r}")
         try:
             return cls(int(p) for p in parts)

@@ -42,11 +42,19 @@ def test_parse_target_forms():
 @pytest.mark.parametrize("text", [
     "", "{}", "{1, -2}", "a_0", "b_3 --minimal 2", "tilde_b --minimal 3",
     "I_B", "I_B --minimal 3 --seq 1,3,7", "A --seq 1,3,8", "<X^-2>",
-    "frob_9",
+    "frob_9", "{0,1", "{{0,1}", "{0,1}}", "{0,,1}",
 ])
 def test_parse_target_rejects(text):
     with pytest.raises(Exception):
         cli.parse_target(text)
+
+
+@pytest.mark.parametrize("target", [
+    "<X, Y^2> --r 3", "{0,1} --minimal 2", "c_4 --minimal 2"])
+def test_literals_take_no_options(capsys, target):
+    code, out, err = run(capsys, "atom", target)
+    assert code == 1 and not out
+    assert err == f"error: {target.split(' --')[0]} takes no options\n"
 
 
 # -- atom / lengths -------------------------------------------------------------

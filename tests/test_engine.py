@@ -126,6 +126,58 @@ def test_sumset_stream_is_pinned():
     assert capped == got[:-1] and budget.nodes == 33
 
 
+def test_shifted_streams_are_pinned():
+    # the prime part shifts {0} (the unit), the core and the core divisors
+    # in that order, each shift by j copies of {1} or by X^i Y^j right
+    # after its unshifted divisor; CLI witnesses depend on this order
+    a = NatSet([2, 3, 4, 5, 7, 8, 9, 10, 11, 12, 13, 14, 15, 17])
+    budget = Budget()
+    got = list(SumsetMonoid().candidate_divisors(a, budget))
+    assert [(d.elements, g) for d, g in got[:10]] == [
+        ((1,), 1), ((2,), 2), ((0, 2), 2), ((1, 3), 3), ((2, 4), 4),
+        ((0, 1, 3), 3), ((1, 2, 4), 4), ((2, 3, 5), 5), ((0, 1, 5), 5),
+        ((1, 2, 6), 6)]
+    assert (len(got), budget.nodes) == (54, 89)
+    e = shifted(build_a(3), 1, 2)
+    budget = Budget()
+    got = list(MonomialMonoid().candidate_divisors(e, budget))
+    assert [(d.gens, g) for d, g in got[:12]] == [
+        (((0, 1),), 1), (((0, 2),), 2), (((1, 0),), 1), (((1, 1),), 2),
+        (((1, 2),), 3), (((3, 0), (2, 1), (1, 2), (0, 3)), 3),
+        (((1, 0), (0, 1)), 1), (((1, 1), (0, 2)), 2), (((1, 2), (0, 3)), 3),
+        (((2, 0), (1, 1)), 2), (((2, 1), (1, 2)), 3), (((2, 0), (0, 2)), 2)]
+    assert (len(got), budget.nodes) == (17, 18)
+
+
+def test_prime_part_cofactors_are_the_shifted_core():
+    # a part whose core is the identity cancels: its one cofactor is the
+    # core shifted by what is left of the prime part, found with no search
+    a = NatSet([0, 1, 3, 4, 9])
+    e = shifted(build_c(4), 2, 1)
+    for monoid, whole, parts, want in [
+            (SumsetMonoid(), a.shifted(3), [NatSet([i]) for i in (1, 2, 3)],
+             [a.shifted(2), a.shifted(1), a]),
+            (MonomialMonoid(), e, [MonIdeal([s]) for s in
+                                   ((1, 0), (0, 1), (2, 1))],
+             [shifted(build_c(4), 1, 1), shifted(build_c(4), 2, 0),
+              build_c(4)])]:
+        for part, core in zip(parts, want):
+            budget = Budget()
+            assert list(monoid.cofactors(whole, part, budget)) == [core]
+            assert budget.nodes == 0
+
+
+def test_split_of_a_shifted_atom_searches_no_cofactor():
+    # {1} + A for an atom A of 600 elements splits only as A and {1}; the
+    # cofactor of {1} is A itself, where a search of A by {0} walked about
+    # |A|**2 / 2 nodes
+    rng = random.Random(0)
+    a = NatSet([0, 1199] + rng.sample(range(1, 1199), 598))
+    budget = Budget()
+    assert sumset_engine(budget).split(a.shifted(1)) == [(a, NatSet([1]))]
+    assert budget.nodes < 3000
+
+
 def test_cofactor_search_holds_one_frame_per_level():
     # the first cofactor of [0,1000] by {0,1} lies 998 levels deep; a stack
     # of every pushed sibling traced about 200 MB for it
