@@ -4,9 +4,11 @@ The engine sees a monoid through a small adapter interface: product, colon
 (maximal cofactor), an additive grade that is zero exactly on the identity,
 a canonical sort key, a divisor stream that yields each proper divisor of
 at most half the grade exactly once, with its grade, a cofactor search that
-yields every r with p * r = e for a divisor p, and a split of prime atoms.
-A divisor a of e has maximal cofactor colon(e, a) with a * colon(e, a) = e.
-The monoids are not cancellative, so a divisor may have many cofactors.
+yields every r with p * r = e for a divisor p, a split of prime atoms, and
+a context that runs the lengths layers of one target on int masks (a
+sumset's bitmask, an ideal's _Board).  A divisor a of e has maximal
+cofactor colon(e, a) with a * colon(e, a) = e.  The monoids are not
+cancellative, so a divisor may have many cofactors.
 
 Every question starts from the small divisors of e, those of at most half
 its grade.  Some side of every split is one, so split lists pair each with
@@ -126,7 +128,10 @@ class GradedMonoid(Protocol[E]):
     prime_split(e) = (n, rest) splits off prime atoms: e is rest times n of
     them, and every factorization of e is one of rest times those n, so the
     lengths of e are those of rest plus n.  Both searches count their nodes
-    into the given budget.
+    into the given budget.  context(e) holds the lengths layers of a
+    prime-free e, whose products it forms and tests on masks (see
+    _LayerContext).  colon(whole, part), the maximal cofactor, and product
+    form and check the split that find_split reports.
     """
 
     def product(self, a: E, b: E) -> E: ...
@@ -143,6 +148,36 @@ class GradedMonoid(Protocol[E]):
     def cofactors(self, whole: E, part: E, budget: Budget) -> Iterator[E]: ...
 
     def prime_split(self, e: E) -> tuple[int, E]: ...
+
+    def context(self, e: E) -> _LayerContext: ...
+
+
+class _LayerContext(Protocol):
+    """The products of the lengths layers of one prime-free target e, as
+    int masks (FactorEngine.lengths).
+
+    A mask determines one divisor p of e, or one colon (e : p); 0 is none.
+    whole is the mask of e, which is also (e : identity), and unit that of
+    the identity.  atom(a) is what product and colon need of an atom a of
+    e.  product(p, a) is the mask of p * a, or 0 when p * a cannot divide
+    e.  colon(c, a) is the mask of (c : a), for a colon c.  For q = p * a
+    and c = (e : q), divides(p, a, c) tells whether p * (a * c) = e, that
+    is, whether q divides e.  element(mask) forms the element a mask
+    determines.
+    """
+
+    whole: int
+    unit: int
+
+    def atom(self, a): ...
+
+    def product(self, p: int, a) -> int: ...
+
+    def colon(self, c: int, a) -> int: ...
+
+    def divides(self, p: int, a, c: int) -> bool: ...
+
+    def element(self, mask: int): ...
 
 
 def _walk(target: int, lows: list[int], root: tuple, children: Callable,
@@ -236,6 +271,9 @@ class SumsetMonoid:
 
     def prime_split(self, e: NatSet) -> tuple[int, NatSet]:
         return e.min, (e.shifted(-e.min) if e.min else e)
+
+    def context(self, e: NatSet) -> _MaskLayers:
+        return _MaskLayers(e)
 
     def cofactors(self, whole: NatSet, part: NatSet,
                   budget: Budget) -> Iterator[NatSet]:
@@ -361,6 +399,54 @@ def _sumset_cofactors(a: NatSet, p: NatSet, tick: Callable
         yield NatSet._from_sorted(tuple(natset._bits(node[2])))
 
 
+class _MaskLayers:
+    """The lengths layers of a 0-set E as bitmasks (see _LayerContext).
+
+    An atom is its element tuple.  A product is an OR of shifts, and a
+    colon set the AND of right shifts, which stops at max(E) - max(q) by
+    itself, since E has no element above max(E).
+    """
+
+    def __init__(self, e: NatSet):
+        self.whole = natset._mask_of(e)
+        self.unit = 1
+        self.top = e.max
+        self._last = self._elems = None
+
+    def atom(self, a: NatSet) -> tuple[int, ...]:
+        return a.elements
+
+    def product(self, p: int, a: tuple[int, ...]) -> int:
+        # max(p) + max(a) > max(E)
+        if p.bit_length() + a[-1] > self.top + 1:
+            return 0
+        q = 0
+        for b in a:
+            q |= p << b
+        return q
+
+    def colon(self, c: int, a: tuple[int, ...]) -> int:
+        out = c
+        for b in a:
+            out &= c >> b
+        return out
+
+    def divides(self, p: int, a: tuple[int, ...], c: int) -> bool:
+        # the layers check the products of one p in a row, so the elements
+        # of the last p are kept
+        if p is not self._last:
+            self._last, self._elems = p, tuple(natset._bits(p))
+        ac = cover = 0
+        for b in a:
+            ac |= c << b
+        for x in self._elems:
+            cover |= ac << x
+        return cover == self.whole
+
+    def element(self, mask: int) -> NatSet:
+        return NatSet._from_sorted(tuple(natset._bits(mask)))
+
+
 def _gcd_split(e: MonIdeal) -> tuple[int, int, MonIdeal]:
     """(u, v, core): e is X^u Y^v times its gcd-free core."""
     u, v = monideal.generator_gcd(e)
@@ -413,6 +499,9 @@ class MonomialMonoid:
         """
         u, v, core = _gcd_split(e)
         return u + v, core
+
+    def context(self, e: MonIdeal) -> _BoardLayers:
+        return _BoardLayers(e)
 
     def cofactors(self, whole: MonIdeal, part: MonIdeal,
                   budget: Budget) -> Iterator[MonIdeal]:
@@ -730,6 +819,76 @@ def _cofactor_dfs(e: MonIdeal, p: MonIdeal, tick: Callable
         yield MonIdeal._from_antichain(node[2] + (bottom,))
 
 
+class _BoardLayers:
+    """The lengths layers of a gcd-free ideal e as masks on its _Board (see
+    _LayerContext).
+
+    An atom a is its generator shifts with their colon masks, and the two
+    cells (px - ax, 0) and (0, py - ay), for its pure powers X^ax, Y^ay.  A
+    product q = p * a has the pure powers of p times those of a; when they
+    leave the box q cannot divide e, and p holds those two cells exactly
+    when they do not.  Inside the box, the clipped mask of q is the OR of p
+    shifted by each generator of a, and it determines q.  A colon J of e
+    contains e, so (J : X^c Y^g) contains (e : X^c Y^g), the cached
+    _Board.colon_mask, which holds every cell that X^c Y^g moves out of the
+    box; the other cells are those of J shifted down-left by (c, g).  So
+    (J : X^c Y^g) is that shift, within the box, joined with (e : X^c
+    Y^g).  Generators are the cells of a mask whose left and lower
+    neighbours are out of it.
+    """
+
+    def __init__(self, e: MonIdeal):
+        self.board = board = _Board(e)
+        self.whole = board.region
+        self.unit = board.content
+        self._last = self._shifts = None
+
+    def atom(self, a: MonIdeal) -> tuple:
+        board = self.board
+        w = board.stride
+        return (tuple([y * w + x for x, y in a.gens]),
+                tuple([board.colon_mask(x, y) for x, y in a.gens]),
+                board.px - a.max_x, (board.py - a.max_y) * w)
+
+    def product(self, p: int, a: tuple) -> int:
+        shifts, _colons, xcell, ycell = a
+        if not (p >> xcell & 1 and p >> ycell & 1):
+            return 0
+        q = 0
+        for s in shifts:
+            q |= p << s
+        return q & self.unit
+
+    def colon(self, c: int, a: tuple) -> int:
+        out = self.unit
+        for s, colon in zip(a[0], a[1]):
+            out &= c >> s | colon
+        return out
+
+    def divides(self, p: int, a: tuple, c: int) -> bool:
+        # the generators of the last p are kept, as _MaskLayers keeps its
+        # elements; a * c is clipped before it is shifted again, so that no
+        # padding bit wraps into the next row
+        if p is not self._last:
+            self._last, self._shifts = p, self._gen_shifts(p)
+        ac = cover = 0
+        for s in a[0]:
+            ac |= c << s
+        ac &= self.unit
+        for s in self._shifts:
+            cover |= ac << s
+        return not self.board.gens & ~cover
+
+    def _gen_shifts(self, mask: int) -> tuple[int, ...]:
+        return tuple(natset._bits(
+            mask & ~(mask << 1 | mask << self.board.stride)))
+
+    def element(self, mask: int) -> MonIdeal:
+        w = self.board.stride
+        return MonIdeal._from_antichain(
+            tuple([(s % w, s // w) for s in self._gen_shifts(mask)]))
+
+
 class FactorEngine:
     """Split, atom and length queries for one monoid.
 
@@ -848,6 +1007,12 @@ class FactorEngine:
         among all cofactors of p.  An element without small divisors is an
         atom, of length 1.  Prime atoms, which every factorization holds,
         are split off first (GradedMonoid.prime_split).
+
+        The layers keep each product p as a mask, with its colon (e : p),
+        on a context of e (GradedMonoid.context): masks key the layers, and
+        colon(e, p * a) is colon(colon(e, p), a), so each product q costs
+        one product, one colon and one check that q times its colon is e.
+        Elements are formed only for the large last atoms.
         """
         m = self.monoid
         k = m.key(e)
@@ -866,30 +1031,29 @@ class FactorEngine:
         total = m.grade(e)
         if total == 0:
             return (0,)
-        half = total // 2
         small = self._small_divisors(e)
         if not small:
             return (1,)
         tick = self.budget.tick
-        ekey = m.key(e)
         atoms = sorted(((a, g) for a, g in small if self._kept_atom(a)),
                        key=lambda pair: pair[1])
         grades = [g for _a, g in atoms]
+        ctx = m.context(e)
+        recs = [ctx.atom(a) for a, _g in atoms]
+        whole = ctx.whole
         found = set()
-        # key -> [product, grade, least index of a last factor, colon(e, p)];
-        # a product extends only by atoms at or after its last factor, which
-        # still reaches every sorted factorization.  Atoms run by grade, and
-        # each product, of one atom or more, costs a node.
-        layer = {}
-        for i, (a, g) in enumerate(atoms):
-            tick()
-            layer[m.key(a)] = [a, g, i, m.colon(e, a)]
+        # mask -> [grade, least index of a last factor, colon mask]; a
+        # product extends only by atoms at or after its last factor, which
+        # still reaches every sorted factorization.  Layer 0 is the
+        # identity, layer j holds products of j atoms, and each product
+        # formed costs a node.
+        layer = {ctx.unit: [0, 0, whole]}
         layers = []
         while layer:
             layers.append(layer)
-            length = len(layers) + 1
+            length = len(layers)
             nxt: dict = {}
-            for p, gp, first, col in layer.values():
+            for p, (gp, first, col) in layer.items():
                 # the atoms that leave room for one no smaller, then those
                 # that close a length; the rest cannot complete
                 rest = total - gp
@@ -897,37 +1061,35 @@ class FactorEngine:
                 lo = bisect_left(grades, rest, mid)
                 for i in itertools.chain(range(first, mid), range(
                         lo, bisect_right(grades, rest, lo))):
-                    a, ga = atoms[i]
-                    g = gp + ga
+                    a, g = recs[i], gp + grades[i]
                     if g == total and length in found:
                         break
                     tick()
-                    q = m.product(p, a)
-                    kq = m.key(q)
+                    q = ctx.product(p, a)
                     if g == total:
-                        if kq == ekey:
+                        if q == whole:
                             found.add(length)
-                    elif kq in nxt:
-                        seen = nxt[kq]
-                        if seen is not None and i < seen[2]:
-                            seen[2] = i
-                    else:
-                        # colon(e, q) = colon(colon(e, p), a), and q divides
-                        # e when q times it is e
-                        c = m.colon(col, a)
-                        divides = c is not None and m.grade(c) == total - g \
-                            and m.key(m.product(q, c)) == ekey
-                        nxt[kq] = [q, g, i, c] if divides else None
-            layer = {kq: v for kq, v in nxt.items() if v is not None}
-        for length, layer in enumerate(layers, 2):
+                    elif q in nxt:
+                        seen = nxt[q]
+                        if seen is not None and i < seen[1]:
+                            seen[1] = i
+                    elif q:
+                        # q may divide e (0: it cannot), and colon(e, q) =
+                        # colon(colon(e, p), a)
+                        c = ctx.colon(col, a)
+                        nxt[q] = [g, i, c] if ctx.divides(p, a, c) \
+                            else None
+            layer = {q: v for q, v in nxt.items() if v is not None}
+        half = total // 2
+        for length, layer in enumerate(layers[1:], 2):
             if length in found:
                 continue
             # a small last atom was found above; look for a large one
-            ps = [(p, col) for p, gp, _i, col in layer.values()
+            ps = [(p, col) for p, (gp, _i, col) in layer.items()
                   if total - gp > half]
-            if any(self._kept_atom(col) for _p, col in ps) or any(
+            if any(self._kept_atom(ctx.element(col)) for _p, col in ps) or any(
                     self._kept_atom(r) for p, _col in ps
-                    for r in m.cofactors(e, p, self.budget)):
+                    for r in m.cofactors(e, ctx.element(p), self.budget)):
                 found.add(length)
         return tuple(sorted(found))
 

@@ -150,7 +150,7 @@ def _monomial_text(g: Pair) -> str:
 
 
 _MONOMIAL_RE = re.compile(
-    r"^(?:(?P<one>1)|(?:X(?:\^(?P<x>\d+))?)?\s*\*?\s*(?:Y(?:\^(?P<y>\d+))?)?)$")
+    r"^(?:(?P<one>1)|(?:X(?:\^(?P<x>[0-9]+))?)?\s*\*?\s*(?:Y(?:\^(?P<y>[0-9]+))?)?)$")
 
 
 def _parse_monomial(token: str) -> Pair:

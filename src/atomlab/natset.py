@@ -13,6 +13,7 @@ splitting a set into min(A) copies of the prime atom {1} and a 0-set.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from math import inf
 from typing import Iterable, Iterator, Optional
@@ -34,6 +35,9 @@ MAX_ELEMENT = 2**63 - 1
 # Factor searches index dense bitmasks by element value, so the sets they
 # accept must have a modest maximum.  Plain arithmetic has no such limit.
 SEARCH_LIMIT = 1 << 16
+
+# A number in a set literal: ASCII digits only, as in an ideal literal.
+_DIGITS = re.compile("[0-9]+")
 
 class NatSet:
     """Canonical finite nonempty subset of N.
@@ -132,7 +136,8 @@ class NatSet:
         if body.startswith("{") and body.endswith("}"):
             body = body[1:-1]
         parts = [p.strip() for p in body.split(",")]
-        if not all(parts):
+        # int() also reads signs, underscores and non-ASCII digits
+        if not all(_DIGITS.fullmatch(p) for p in parts):
             raise ValueError(f"cannot parse set from {text!r}")
         try:
             return cls(int(p) for p in parts)

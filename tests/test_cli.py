@@ -49,6 +49,23 @@ def test_parse_target_rejects(text):
         cli.parse_target(text)
 
 
+@pytest.mark.parametrize("target, kind", [
+    ("{0, 1_0}", "set"), ("{0, +2, \u0663}", "set"), ("{0, \uff12}", "set"),
+    ("<X^\u0663, Y>", "monomial")])
+def test_literal_numbers_are_ascii_digits(capsys, target, kind):
+    # int() alone would read 1_0, +2 and the Arabic-Indic and fullwidth
+    # digits
+    code, out, err = run(capsys, "atom", target)
+    assert code == 1 and not out
+    assert err.startswith(f"error: cannot parse {kind}")
+
+
+def test_ascii_literals_parse(capsys):
+    for target in ("{0,2,7}", "<X^2, Y^3>"):
+        code, out, _ = run(capsys, "atom", target)
+        assert code == 0 and last_json(out)["atom"] is True
+
+
 @pytest.mark.parametrize("target", [
     "<X, Y^2> --r 3", "{0,1} --minimal 2", "c_4 --minimal 2"])
 def test_literals_take_no_options(capsys, target):

@@ -40,7 +40,8 @@ def test_adapters_hold_exactly_the_protocol():
 
     protocol = methods(GradedMonoid)
     assert set(protocol) == {"product", "colon", "grade", "key",
-                             "candidate_divisors", "cofactors", "prime_split"}
+                             "candidate_divisors", "cofactors", "prime_split",
+                             "context"}
     assert methods(SumsetMonoid) == protocol
     assert methods(MonomialMonoid) == protocol
 
@@ -576,9 +577,38 @@ def test_stretch_lengths_node_count_is_pinned():
     e = build_i_c(minimal_sequence(3))
     assert monomial_engine(budget).lengths(e) == (2, 3, 4)
     assert budget.nodes == 3893
+
+
+_A_NODES = {2: 4, 3: 9, 4: 20, 5: 26, 6: 43, 7: 69, 8: 130, 9: 198, 10: 442,
+            11: 586, 12: 1622, 13: 1995, 14: 5739}
+
+
+@pytest.mark.parametrize("make, e, want, nodes", [
+    *((monomial_engine, build_a(k), tuple(range(2, k + 1)), n)
+      for k, n in _A_NODES.items()),
+    (monomial_engine, build_i_c(minimal_sequence(2)), (2, 3), 43),
+    (sumset_engine, NatSet(range(25)), tuple(range(2, 25)), 92757),
+    (monomial_engine, MonIdeal([(9999999, 9999999)]), (19999998,), 0)])
+def test_lengths_ladder_is_pinned(make, e, want, nodes):
+    # the layers form the same products in the same order, whatever they
+    # are made of, so lengths and node counts are fixed (the stretch
+    # target is pinned above)
+    budget = Budget(max_nodes=1_000_000)
+    assert make(budget).lengths(e) == want
+    assert budget.nodes == nodes
+
+
+def test_lengths_peak_memory_is_bounded():
+    # the layers keep a mask per product on a_14's board; the MonIdeal
+    # products they replaced traced a peak of 1,116,756 bytes
     eng = monomial_engine()
-    for k in range(2, 15):
-        assert eng.lengths(build_a(k)) == tuple(range(2, k + 1))
+    tracemalloc.start()
+    try:
+        eng.lengths(build_a(14))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1_116_756
 
 
 def test_split_sorted_and_memoized():
@@ -649,17 +679,21 @@ def test_lengths_add_under_products(pair):
 def test_lengths_read_the_clock_between_kernel_calls(monoid, e):
     # a time budget reads the clock at a node, so no loop of lengths may
     # run kernel calls without one: a node forms at most a product q, its
-    # colon and the check that q times it is e
+    # colon and the check that q divides e, all on the layer context
     runs = [0]
 
-    class Counting(monoid):
-        def product(self, a, b):
+    def counted(fn):
+        def call(*args):
             runs[-1] += 1
-            return super().product(a, b)
+            return fn(*args)
+        return call
 
-        def colon(self, whole, part):
-            runs[-1] += 1
-            return super().colon(whole, part)
+    class Counting(monoid):
+        def context(self, e):
+            ctx = super().context(e)
+            for name in ("product", "colon", "divides"):
+                setattr(ctx, name, counted(getattr(ctx, name)))
+            return ctx
 
     class Ticking(Budget):
         def tick(self):
@@ -667,7 +701,7 @@ def test_lengths_read_the_clock_between_kernel_calls(monoid, e):
             super().tick()
 
     FactorEngine(Counting(), Ticking()).lengths(e)
-    assert len(runs) > 1 and max(runs) <= 3
+    assert len(runs) > 1 and sum(runs) > 0 and max(runs) <= 3
 
 
 # -- agreement with the naive all-pairs oracle ----------------------------------
