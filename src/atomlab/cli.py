@@ -61,13 +61,13 @@ def _parse_target_opts(tokens: list[str]) -> dict:
         if i + 1 >= len(tokens):
             raise _UsageError(f"{flag} needs a value")
         value = tokens[i + 1]
-        try:
-            if flag == "--seq":
-                opts["seq"] = [int(p) for p in value.split(",") if p.strip()]
-            else:
-                opts[flag[2:]] = int(value)
-        except ValueError:
-            raise _UsageError(f"bad value {value!r} for {flag}") from None
+        parts = value.split(",") if flag == "--seq" else [value]
+        # ASCII digits, as in a literal: int() alone also reads signs,
+        # underscores and other scripts' digits
+        if not all(natset._DIGITS.fullmatch(p) for p in parts):
+            raise _UsageError(f"bad value {value!r} for {flag}")
+        nums = [int(p) for p in parts]
+        opts[flag[2:]] = nums if flag == "--seq" else nums[0]
         i += 2
     return opts
 

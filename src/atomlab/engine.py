@@ -5,10 +5,10 @@ The engine sees a monoid through a small adapter interface: product, colon
 a canonical sort key, a divisor stream that yields each proper divisor of
 at most half the grade exactly once, with its grade, a cofactor search that
 yields every r with p * r = e for a divisor p, a split of prime atoms, and
-a context that runs the lengths layers of one target on int masks (a
-sumset's bitmask, an ideal's _Board).  A divisor a of e has maximal
-cofactor colon(e, a) with a * colon(e, a) = e.  The monoids are not
-cancellative, so a divisor may have many cofactors.
+the view of a prime-free core as int masks: a set's _SetMask or an
+ideal's _Board.  A divisor a of e has maximal cofactor colon(e, a) with
+a * colon(e, a) = e.  The monoids are not cancellative, so a divisor may
+have many cofactors.
 
 Every question starts from the small divisors of e, those of at most half
 its grade.  Some side of every split is one, so split lists pair each with
@@ -25,8 +25,10 @@ completed one.  Streams have a fixed order, so output is deterministic.
 X and Y are prime atoms of the ideal monoid, and {1} of the set monoid,
 so both adapters split an element into a prime part and a core, search
 only the core, and shift the results by the prime part (_shifted).  Each
-core search builds its own mask or board when it starts, and applies its
-own grade cap.
+divisor search builds the core's view, which refuses a core too large to
+lay out, and applies its own grade cap.  The cofactor search is a method
+of the view, run by lengths on the view of its layers and by the
+adapters' cofactors on a view built at their first next.
 """
 
 from __future__ import annotations
@@ -128,10 +130,10 @@ class GradedMonoid(Protocol[E]):
     prime_split(e) = (n, rest) splits off prime atoms: e is rest times n of
     them, and every factorization of e is one of rest times those n, so the
     lengths of e are those of rest plus n.  Both searches count their nodes
-    into the given budget.  context(e) holds the lengths layers of a
-    prime-free e, whose products it forms and tests on masks (see
-    _LayerContext).  colon(whole, part), the maximal cofactor, and product
-    form and check the split that find_split reports.
+    into the given budget.  context(e) is the view of a prime-free e as int
+    masks, on which lengths forms and tests its products and searches
+    cofactors (see _CoreView).  colon(whole, part), the maximal cofactor,
+    and product form and check the split that find_split reports.
     """
 
     def product(self, a: E, b: E) -> E: ...
@@ -149,21 +151,23 @@ class GradedMonoid(Protocol[E]):
 
     def prime_split(self, e: E) -> tuple[int, E]: ...
 
-    def context(self, e: E) -> _LayerContext: ...
+    def context(self, e: E) -> _CoreView: ...
 
 
-class _LayerContext(Protocol):
-    """The products of the lengths layers of one prime-free target e, as
-    int masks (FactorEngine.lengths).
+class _CoreView(Protocol):
+    """One prime-free target e as int masks: the products of the lengths
+    layers (FactorEngine.lengths) and the search for the cofactors of one.
 
     A mask determines one divisor p of e, or one colon (e : p); 0 is none.
     whole is the mask of e, which is also (e : identity), and unit that of
-    the identity.  atom(a) is what product and colon need of an atom a of
-    e.  product(p, a) is the mask of p * a, or 0 when p * a cannot divide
-    e.  colon(c, a) is the mask of (c : a), for a colon c.  For q = p * a
-    and c = (e : q), divides(p, a, c) tells whether p * (a * c) = e, that
-    is, whether q divides e.  element(mask) forms the element a mask
-    determines.
+    the identity.  atom(a) is what product and colon need of a divisor a
+    of e.  product(p, a) is the mask of p * a, or 0 when p * a cannot
+    divide e.  colon(c, a) is the mask of (c : a), for a colon c.  For
+    q = p * a and c = (e : q), divides(p, a, c) tells whether
+    p * (a * c) = e, that is, whether q divides e.  element(mask) forms the
+    element a mask determines.  cofactors(p, c, grade, tick) yields each r
+    with p * r = e once, for a divisor p, c = (e : p) and grade =
+    grade(e) - grade(p), and ticks once per node.
     """
 
     whole: int
@@ -178,6 +182,9 @@ class _LayerContext(Protocol):
     def divides(self, p: int, a, c: int) -> bool: ...
 
     def element(self, mask: int): ...
+
+    def cofactors(self, p: int, c: int, grade: int, tick: Callable
+                  ) -> Iterator: ...
 
 
 def _walk(target: int, lows: list[int], root: tuple, children: Callable,
@@ -234,12 +241,24 @@ def _shifted(stream: Iterator[tuple[E, int]], u: int, v: int, cap: int,
                     yield a, g
 
 
+def _view_cofactors(m: GradedMonoid, whole: E, part: E, budget: Budget
+                    ) -> Iterator[E]:
+    """Each r with part * r = whole, for prime-free whole and part, from
+    the cofactor search of whole's view, built at the first next."""
+    ctx = m.context(whole)
+    a = ctx.atom(part)
+    p = ctx.product(ctx.unit, a)
+    if p:
+        yield from ctx.cofactors(p, ctx.colon(ctx.whole, a),
+                                 m.grade(whole) - m.grade(part), budget.tick)
+
+
 class SumsetMonoid:
     """Sumset monoid of the finite nonempty subsets of N.
 
     {1} is a prime atom that cancels and every other atom contains 0, so a
     set is min(A) copies of {1} plus its 0-set core, A - min(A), the only
-    part searched (_sumset_divisors, _sumset_cofactors).
+    part searched (_sumset_divisors, _SetMask.cofactors).
     """
 
     def product(self, a: NatSet, b: NatSet) -> NatSet:
@@ -272,21 +291,21 @@ class SumsetMonoid:
     def prime_split(self, e: NatSet) -> tuple[int, NatSet]:
         return e.min, (e.shifted(-e.min) if e.min else e)
 
-    def context(self, e: NatSet) -> _MaskLayers:
-        return _MaskLayers(e)
+    def context(self, e: NatSet) -> _SetMask:
+        return _SetMask(e)
 
     def cofactors(self, whole: NatSet, part: NatSet,
                   budget: Budget) -> Iterator[NatSet]:
         """R is {u - i} plus a cofactor of the core of part inside that of
         whole, u and i being their minima: the core of whole when part is
         {i}, {0} when the cores are equal, and otherwise one found by
-        _sumset_cofactors."""
+        _SetMask.cofactors."""
         u, core = self.prime_split(whole)
         i, pcore = self.prime_split(part)
         if not pcore.max or pcore == core:
             rs = iter([core if not pcore.max else _ZERO])
         else:
-            rs = _sumset_cofactors(core, pcore, budget.tick)
+            rs = _view_cofactors(self, core, pcore, budget)
         return (r.shifted(u - i) for r in rs) if u - i else rs
 
 
@@ -302,9 +321,9 @@ def _sumset_divisors(a: NatSet, cap: int, tick: Callable
     whatever the cap.  Some side of any split has max at most max(A)/2, so
     with that cap these are the small sides of all splits.  The small
     divisors of {u} + A, u > 0, need the divisors of A up to
-    (u + max(A))/2 instead.  Sets are bitmasks here (bit e set when e is in the set): a sumset is an
-    OR of shifted masks, and the colon set of B in A is the AND of A >> b
-    over b in B, truncated to [0, max(A) - max(B)].
+    (u + max(A))/2 instead.  Sets are the bitmasks of their _SetMask: a
+    sumset is an OR of shifted masks, and the colon set of B in A is the
+    AND of A >> b over b in B, truncated to [0, max(A) - max(B)].
 
     Divisors come grouped by max(B) = mb ascending.  The cofactor maximum is
     mc = max(A) - mb, so every element x of B has x + mc in A.  Within a
@@ -321,7 +340,7 @@ def _sumset_divisors(a: NatSet, cap: int, tick: Callable
     misses an element of A holds no divisor and is not walked; it costs
     one node, as the root of its walk would.
     """
-    amask = natset._mask_of(a)
+    amask = _SetMask(a).whole
     m = amask.bit_length() - 1
     if cap >= m:
         cap = m - 1
@@ -367,51 +386,28 @@ def _sumset_divisors(a: NatSet, cap: int, tick: Callable
             yield NatSet._from_sorted(node[2] + (mb,)), mb
 
 
-def _sumset_cofactors(a: NatSet, p: NatSet, tick: Callable
-                      ) -> Iterator[NatSet]:
-    """Every R containing 0 with P + R = A, once, for 0-sets P and A.
+class _SetMask:
+    """A 0-set E as a bitmask, bit x set when x is in E (see _CoreView).
 
-    max(R) = max(A) - max(P), and R lies in the colon set of P in A.  The
-    elements between 0 and max(R) join R in increasing order, and a node's
-    reach P + R only grows; x + P reaches elements from x on, so an element
-    of A that R + P misses below the next candidate kills the branch.
-    """
-    amask, pmask = natset._mask_of(a), natset._mask_of(p)
-    top = amask.bit_length() - pmask.bit_length()
-    if top < 0:
-        return
-    col = (2 << top) - 1
-    for b in natset._bits(pmask):
-        col &= amask >> b
-    if not col & 1 or not col >> top & 1:
-        return
-    free = list(natset._bits(col & (1 << top) - 2))
-    lows = [1 << x for x in free] + [1 << amask.bit_length()]
-
-    def children(node):
-        reach, idx, rmask = node
-        for i in range(idx, len(free)):
-            x = free[i]
-            yield reach | pmask << x, i + 1, rmask | 1 << x
-
-    for node in _walk(amask, lows, (pmask | pmask << top, 0, 1 | 1 << top),
-                      children, tick):
-        yield NatSet._from_sorted(tuple(natset._bits(node[2])))
-
-
-class _MaskLayers:
-    """The lengths layers of a 0-set E as bitmasks (see _LayerContext).
-
+    The mask indexes bits by element value, so a set whose max exceeds
+    natset.SEARCH_LIMIT is a ValueError, raised before the mask is built.
     An atom is its element tuple.  A product is an OR of shifts, and a
     colon set the AND of right shifts, which stops at max(E) - max(q) by
     itself, since E has no element above max(E).
     """
 
+    unit = 1
+    _last = _elems = None
+
     def __init__(self, e: NatSet):
-        self.whole = natset._mask_of(e)
-        self.unit = 1
-        self.top = e.max
-        self._last = self._elems = None
+        self.top = top = e.elements[-1]
+        if top > natset.SEARCH_LIMIT:
+            raise ValueError(f"factor search supports max element <= "
+                             f"{natset.SEARCH_LIMIT}, got {top}")
+        whole = 0
+        for x in e.elements:
+            whole |= 1 << x
+        self.whole = whole
 
     def atom(self, a: NatSet) -> tuple[int, ...]:
         return a.elements
@@ -446,6 +442,31 @@ class _MaskLayers:
     def element(self, mask: int) -> NatSet:
         return NatSet._from_sorted(tuple(natset._bits(mask)))
 
+    def cofactors(self, p: int, col: int, top: int, tick: Callable
+                  ) -> Iterator[NatSet]:
+        """Every R containing 0 with P + R = E, once, for the 0-set P of
+        mask p, with colon set col and top = max(E) - max(P).
+
+        max(R) = top, and R lies in col.  The elements between 0 and top
+        join R in increasing order, and a node's reach P + R only grows;
+        x + P reaches elements from x on, so an element of E that R + P
+        misses below the next candidate kills the branch.
+        """
+        if not col & 1 or not col >> top & 1:
+            return
+        free = list(natset._bits(col & (1 << top) - 2))
+        lows = [1 << x for x in free] + [2 << self.top]
+
+        def children(node):
+            reach, idx, rmask = node
+            for i in range(idx, len(free)):
+                x = free[i]
+                yield reach | p << x, i + 1, rmask | 1 << x
+
+        for node in _walk(self.whole, lows, (p | p << top, 0, 1 | 1 << top),
+                          children, tick):
+            yield self.element(node[2])
+
 
 def _gcd_split(e: MonIdeal) -> tuple[int, int, MonIdeal]:
     """(u, v, core): e is X^u Y^v times its gcd-free core."""
@@ -458,7 +479,7 @@ class MonomialMonoid:
 
     X and Y are prime atoms that cancel and every other atom is gcd-free,
     so an ideal is X^u Y^v, (u, v) its generator gcd, times its gcd-free
-    core, the only part searched (_gcdfree_divisors, _cofactor_dfs).
+    core, the only part searched (_gcdfree_divisors, _Board.cofactors).
     """
 
     def product(self, a: MonIdeal, b: MonIdeal) -> MonIdeal:
@@ -500,8 +521,8 @@ class MonomialMonoid:
         u, v, core = _gcd_split(e)
         return u + v, core
 
-    def context(self, e: MonIdeal) -> _BoardLayers:
-        return _BoardLayers(e)
+    def context(self, e: MonIdeal) -> _Board:
+        return _Board(e)
 
     def cofactors(self, whole: MonIdeal, part: MonIdeal,
                   budget: Budget) -> Iterator[MonIdeal]:
@@ -510,14 +531,14 @@ class MonomialMonoid:
         Generator gcds add, so r is X^(u-i) Y^(v-j) times a cofactor of the
         core of part inside that of whole, (u, v) and (i, j) being the gcds
         of whole and part: the core of whole when part is X^i Y^j, the unit
-        when the cores are equal, and otherwise one of _cofactor_dfs.
+        when the cores are equal, and otherwise one of _Board.cofactors.
         """
         u, v, core = _gcd_split(whole)
         i, j, pcore = _gcd_split(part)
         if pcore.is_unit or pcore == core:
             rs = iter([core if pcore.is_unit else UNIT])
         else:
-            rs = _cofactor_dfs(core, pcore, budget.tick)
+            rs = _view_cofactors(self, core, pcore, budget)
         if u - i or v - j:
             return (monideal.shifted(r, u - i, v - j) for r in rs)
         return rs
@@ -529,7 +550,7 @@ MAX_BOARD_CELLS = 1 << 26
 
 
 class _Board:
-    """Bit-board view of a monomial ideal inside its generator bounding box.
+    """Bit-board view of an ideal e in its generator bounding box (_CoreView).
 
     Bit y*(2px+1) + x is set when X^x Y^y lies in the ideal, for x <= px and
     y <= py (the largest generator exponents).  For a gcd-free ideal these
@@ -539,16 +560,30 @@ class _Board:
     single AND operations, which is what makes the frame DFS cheap.  Rows
     are padded to 2px+1 bits so that shifting a mask by any (sx, sy) with
     sx <= px moves bits past column px into the padding, never into the
-    next row.  gens is the mask of the ideal's own generators, and
-    starts[y] the first column of row y in the ideal (px+1 for none).  A
-    board of more than MAX_BOARD_CELLS padded cells, (py+1)(2px+1), is a
-    ValueError, raised before any mask is built.
+    next row.  whole is the mask of e, unit that of the whole box, gens
+    that of the ideal's own generators, and starts[y] the first column of
+    row y in the ideal (px+1 for none).  A board of more than
+    MAX_BOARD_CELLS padded cells, (py+1)(2px+1), is a ValueError, raised
+    before any mask is built.
 
     Every mask takes time linear in its bits, with no division, product or
     digit string: rows, bit 0 of each row, comes from doubling; a block of
     columns in every row is a difference of two shifts of rows (see cols);
-    and region, row by row the columns from start to px, is bit px+1 of
+    and whole, row by row the columns from start to px, is bit px+1 of
     each nonempty row less one bit at each start.
+
+    A divisor a of e, as atom(a), is its generator shifts with their colon
+    masks, and the two cells (px - ax, 0) and (0, py - ay), for its pure
+    powers X^ax, Y^ay.  A product q = p * a has the pure powers of p times
+    those of a; when they leave the box q cannot divide e, and p holds
+    those two cells exactly when they do not.  Inside the box, the clipped
+    mask of q is the OR of p shifted by each generator of a, and it
+    determines q.  A colon J of e contains e, so (J : X^c Y^g) contains
+    (e : X^c Y^g), the cached colon_mask, which holds every cell that
+    X^c Y^g moves out of the box; the other cells are those of J shifted
+    down-left by (c, g).  So (J : X^c Y^g) is that shift, within the box,
+    joined with (e : X^c Y^g).  Generators are the cells of a mask whose
+    left and lower neighbours are out of it (_corners).
     """
 
     def __init__(self, e: MonIdeal):
@@ -567,7 +602,7 @@ class _Board:
             k += k
         self.rows = rows = rows >> (k - n) * w
         self.row = (1 << px + 1) - 1
-        self.content = self.cols(0, px + 1)
+        self.unit = self.cols(0, px + 1)
         # rows between two generators (x descending, y ascending) start at
         # the column of the lower one; rows below every generator are empty
         gens = e.gens
@@ -582,11 +617,11 @@ class _Board:
             x += at
             firsts[x >> 3] |= 1 << (x & 7)
             at += w
-        self.region = region = (rows >> low * w << low * w + px + 1) \
+        self.whole = whole = (rows >> low * w << low * w + px + 1) \
             - int.from_bytes(firsts, "little")
-        # generators are the cells whose left and lower neighbours are out
-        self.gens = region & ~(region << 1 | region << w)
+        self.gens = self._corners(whole)
         self._colon_cache: dict[tuple[int, int], int] = {}
+        self._last = self._shifts = None
 
     def cols(self, lo: int, hi: int) -> int:
         """Mask of columns lo to hi - 1 in every row."""
@@ -603,11 +638,102 @@ class _Board:
         # and are masked off; clipped cells repeat column px or row py, which
         # the generators (px, 0) and (0, py) fill, so the last c columns and
         # the last g rows are full
-        out = (self.region >> (g * w + c)) & self.content
+        out = (self.whole >> (g * w + c)) & self.unit
         out |= self.cols(px + 1 - c, px + 1)
-        out |= self.content >> ((py + 1 - g) * w) << ((py + 1 - g) * w)
+        out |= self.unit >> ((py + 1 - g) * w) << ((py + 1 - g) * w)
         self._colon_cache[(c, g)] = out
         return out
+
+    def atom(self, a: MonIdeal) -> tuple:
+        w = self.stride
+        return (tuple([y * w + x for x, y in a.gens]),
+                tuple([self.colon_mask(x, y) for x, y in a.gens]),
+                self.px - a.max_x, (self.py - a.max_y) * w)
+
+    def product(self, p: int, a: tuple) -> int:
+        shifts, _colons, xcell, ycell = a
+        if not (p >> xcell & 1 and p >> ycell & 1):
+            return 0
+        q = 0
+        for s in shifts:
+            q |= p << s
+        return q & self.unit
+
+    def colon(self, c: int, a: tuple) -> int:
+        out = self.unit
+        for s, colon in zip(a[0], a[1]):
+            out &= c >> s | colon
+        return out
+
+    def divides(self, p: int, a: tuple, c: int) -> bool:
+        # the layers check the products of one p in a row, so the
+        # generators of the last p are kept; a * c is clipped before it is
+        # shifted again, so that no padding bit wraps into the next row
+        if p is not self._last:
+            self._last, self._shifts = p, tuple(natset._bits(self._corners(p)))
+        ac = cover = 0
+        for s in a[0]:
+            ac |= c << s
+        ac &= self.unit
+        for s in self._shifts:
+            cover |= ac << s
+        return not self.gens & ~cover
+
+    def _corners(self, mask: int) -> int:
+        return mask & ~(mask << 1 | mask << self.stride)
+
+    def element(self, mask: int) -> MonIdeal:
+        w = self.stride
+        return MonIdeal._from_antichain(tuple(
+            [(s % w, s // w) for s in natset._bits(self._corners(mask))]))
+
+    def cofactors(self, p: int, col: int, grade: int, tick: Callable
+                  ) -> Iterator[MonIdeal]:
+        """Every r with p * r = e, for a gcd-free divisor p of mask p, with
+        colon mask col = (e : p) and grade = mdeg(e) - mdeg(p).
+
+        Pure powers add, so r has the frame (bx, by) = (px - p.max_x,
+        py - p.max_y): p.max_x is the first cell of p's row 0, and p.max_y
+        the row of the first cell of its column 0.  Every generator of r
+        lies in col with a degree of at least grade, the grade of r.  The
+        DFS runs over antichains r = frame + points by increasing Y, as
+        _frame_dfs does, but with p fixed: reach, the mask of p * r, is the
+        OR of p shifted by each generator of r, and grows with r.  A point
+        only reaches rows at or above its own, so a generator of e missed
+        below the next point's row kills the branch; reach covering the
+        generators of e yields r.
+        """
+        px, py, w = self.px, self.py, self.stride
+        column = p & self.rows
+        bx = px + 1 - (p & -p).bit_length()
+        by = py - ((column & -column).bit_length() - 1) // w
+        if not (col >> bx & 1 and col >> by * w & 1):
+            return
+        rows = []
+        for g in range(1, by):
+            row = col >> g * w & self.row
+            if row:
+                c0 = max(1, (row & -row).bit_length() - 1, grade - g)
+                if c0 < bx:
+                    rows.append((g, c0))
+        bottom = (0, by)
+        firsts, lefts, lows = _numbered(rows, bx, self)
+        last = len(lows) - 1
+
+        def children(node):
+            reach, _idx, acc, row = node
+            last_x = acc[-1][0]
+            for k in range(row + 1, len(rows)):
+                g, c0 = rows[k]
+                first, left = firsts[k], lefts[k]
+                for c in range(c0, last_x):
+                    yield (reach | p << g * w + c,
+                           first + c + 1 if c > left else last,
+                           acc + ((c, g),), k)
+
+        root = (p << bx | p << by * w, 0, ((bx, 0),), -1)
+        for node in _walk(self.gens, lows, root, children, tick):
+            yield MonIdeal._from_antichain(node[2] + (bottom,))
 
 
 def _gcdfree_divisors(e: MonIdeal, cap: int, tick: Callable
@@ -769,126 +895,6 @@ def _frame_dfs(board: _Board, ax: int, ay: int, rows, tick
             tuple((s % w, s // w) for s in node[2][1:]) + (bottom,)), node[4]
 
 
-def _cofactor_dfs(e: MonIdeal, p: MonIdeal, tick: Callable
-                  ) -> Iterator[MonIdeal]:
-    """Every r with p * r = e, for gcd-free e and p.
-
-    Pure powers add, so r has the frame (bx, by) = (px - p.max_x,
-    py - p.max_y), and every generator of r lies in the mask of (e : p)
-    with a degree of at least grade, the grade of r.  The DFS runs over
-    antichains r = frame + points by increasing Y, as _frame_dfs does, but
-    with p fixed: reach, the mask of p * r, is the OR of p's mask shifted by
-    each generator of r, and grows with r.  A point only reaches rows at or
-    above its own, so a generator of e missed below the next point's row
-    kills the branch; reach covering the generators of e yields r.
-    """
-    board = _Board(e)
-    grade = e.mdeg - p.mdeg
-    px, py, w = board.px, board.py, board.stride
-    bx, by = px - p.max_x, py - p.max_y
-    col, pmask = board.content, 0
-    for c, g in p.gens:
-        col &= board.colon_mask(c, g)
-        pmask |= board.cols(c, px + 1) >> g * w << g * w
-    if not (col >> bx & 1 and col >> by * w & 1):
-        return
-    rows = []
-    for g in range(1, by):
-        row = col >> g * w & board.row
-        if row:
-            c0 = max(1, (row & -row).bit_length() - 1, grade - g)
-            if c0 < bx:
-                rows.append((g, c0))
-    bottom = (0, by)
-    firsts, lefts, lows = _numbered(rows, bx, board)
-    last = len(lows) - 1
-
-    def children(node):
-        reach, _idx, acc, row = node
-        last_x = acc[-1][0]
-        for k in range(row + 1, len(rows)):
-            g, c0 = rows[k]
-            first, left = firsts[k], lefts[k]
-            for c in range(c0, last_x):
-                yield (reach | pmask << g * w + c,
-                       first + c + 1 if c > left else last,
-                       acc + ((c, g),), k)
-
-    root = (pmask << bx | pmask << by * w, 0, ((bx, 0),), -1)
-    for node in _walk(board.gens, lows, root, children, tick):
-        yield MonIdeal._from_antichain(node[2] + (bottom,))
-
-
-class _BoardLayers:
-    """The lengths layers of a gcd-free ideal e as masks on its _Board (see
-    _LayerContext).
-
-    An atom a is its generator shifts with their colon masks, and the two
-    cells (px - ax, 0) and (0, py - ay), for its pure powers X^ax, Y^ay.  A
-    product q = p * a has the pure powers of p times those of a; when they
-    leave the box q cannot divide e, and p holds those two cells exactly
-    when they do not.  Inside the box, the clipped mask of q is the OR of p
-    shifted by each generator of a, and it determines q.  A colon J of e
-    contains e, so (J : X^c Y^g) contains (e : X^c Y^g), the cached
-    _Board.colon_mask, which holds every cell that X^c Y^g moves out of the
-    box; the other cells are those of J shifted down-left by (c, g).  So
-    (J : X^c Y^g) is that shift, within the box, joined with (e : X^c
-    Y^g).  Generators are the cells of a mask whose left and lower
-    neighbours are out of it.
-    """
-
-    def __init__(self, e: MonIdeal):
-        self.board = board = _Board(e)
-        self.whole = board.region
-        self.unit = board.content
-        self._last = self._shifts = None
-
-    def atom(self, a: MonIdeal) -> tuple:
-        board = self.board
-        w = board.stride
-        return (tuple([y * w + x for x, y in a.gens]),
-                tuple([board.colon_mask(x, y) for x, y in a.gens]),
-                board.px - a.max_x, (board.py - a.max_y) * w)
-
-    def product(self, p: int, a: tuple) -> int:
-        shifts, _colons, xcell, ycell = a
-        if not (p >> xcell & 1 and p >> ycell & 1):
-            return 0
-        q = 0
-        for s in shifts:
-            q |= p << s
-        return q & self.unit
-
-    def colon(self, c: int, a: tuple) -> int:
-        out = self.unit
-        for s, colon in zip(a[0], a[1]):
-            out &= c >> s | colon
-        return out
-
-    def divides(self, p: int, a: tuple, c: int) -> bool:
-        # the generators of the last p are kept, as _MaskLayers keeps its
-        # elements; a * c is clipped before it is shifted again, so that no
-        # padding bit wraps into the next row
-        if p is not self._last:
-            self._last, self._shifts = p, self._gen_shifts(p)
-        ac = cover = 0
-        for s in a[0]:
-            ac |= c << s
-        ac &= self.unit
-        for s in self._shifts:
-            cover |= ac << s
-        return not self.board.gens & ~cover
-
-    def _gen_shifts(self, mask: int) -> tuple[int, ...]:
-        return tuple(natset._bits(
-            mask & ~(mask << 1 | mask << self.board.stride)))
-
-    def element(self, mask: int) -> MonIdeal:
-        w = self.board.stride
-        return MonIdeal._from_antichain(
-            tuple([(s % w, s // w) for s in self._gen_shifts(mask)]))
-
-
 class FactorEngine:
     """Split, atom and length queries for one monoid.
 
@@ -1009,10 +1015,11 @@ class FactorEngine:
         are split off first (GradedMonoid.prime_split).
 
         The layers keep each product p as a mask, with its colon (e : p),
-        on a context of e (GradedMonoid.context): masks key the layers, and
+        on the view of e (GradedMonoid.context): masks key the layers, and
         colon(e, p * a) is colon(colon(e, p), a), so each product q costs
         one product, one colon and one check that q times its colon is e.
-        Elements are formed only for the large last atoms.
+        The cofactors of p are searched on the same view, from p's mask and
+        colon, so elements are formed only for the large last atoms.
         """
         m = self.monoid
         k = m.key(e)
@@ -1085,11 +1092,11 @@ class FactorEngine:
             if length in found:
                 continue
             # a small last atom was found above; look for a large one
-            ps = [(p, col) for p, (gp, _i, col) in layer.items()
+            ps = [(p, total - gp, col) for p, (gp, _i, col) in layer.items()
                   if total - gp > half]
-            if any(self._kept_atom(ctx.element(col)) for _p, col in ps) or any(
-                    self._kept_atom(r) for p, _col in ps
-                    for r in m.cofactors(e, ctx.element(p), self.budget)):
+            if any(self._kept_atom(ctx.element(col)) for _p, _g, col in ps) \
+                    or any(self._kept_atom(r) for p, g, col in ps
+                           for r in ctx.cofactors(p, col, g, tick)):
                 found.add(length)
         return tuple(sorted(found))
 

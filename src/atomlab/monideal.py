@@ -16,7 +16,7 @@ import re
 from typing import Iterable
 
 from . import families
-from .natset import MAX_ELEMENT, NatSet
+from .natset import _SPACE, MAX_ELEMENT, NatSet
 
 __all__ = [
     "MonIdeal",
@@ -128,10 +128,10 @@ class MonIdeal:
 
     @classmethod
     def from_text(cls, text: str) -> "MonIdeal":
-        body = text.strip()
+        body = text.strip(_SPACE)
         if body.startswith("<") and body.endswith(">"):
             body = body[1:-1]
-        parts = [p.strip() for p in body.split(",")]
+        parts = [p.strip(_SPACE) for p in body.split(",")]
         if not any(parts):
             raise ValueError(f"cannot parse ideal from {text!r}")
         return cls(_parse_monomial(p) for p in parts)
@@ -150,11 +150,11 @@ def _monomial_text(g: Pair) -> str:
 
 
 _MONOMIAL_RE = re.compile(
-    r"^(?:(?P<one>1)|(?:X(?:\^(?P<x>[0-9]+))?)?\s*\*?\s*(?:Y(?:\^(?P<y>[0-9]+))?)?)$")
+    r"^(?:(?P<one>1)|(?:X(?:\^(?P<x>[0-9]+))?)?[ \t]*\*?[ \t]*(?:Y(?:\^(?P<y>[0-9]+))?)?)$")
 
 
 def _parse_monomial(token: str) -> Pair:
-    t = token.strip()
+    t = token.strip(_SPACE)
     m = _MONOMIAL_RE.match(t)
     if not m or not t:
         raise ValueError(f"cannot parse monomial {token!r}")

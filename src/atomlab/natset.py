@@ -5,10 +5,11 @@ A + B = {a + b : a in A, b in B}, and its reduced flavor consisting of the
 sets that contain 0.  Factor searches are organised around the colon set
 {c : B + c subset of A}, which is the unique maximal candidate cofactor of B
 inside A: B divides A exactly when B + set_colon(A, B) = A.  This module
-holds the set arithmetic and the bitmask helpers; the divisor and cofactor
-searches built on the colon set are in atomlab.engine, next to
-SumsetMonoid, which answers atom and length queries in the full monoid by
-splitting a set into min(A) copies of the prime atom {1} and a 0-set.
+holds the set arithmetic and the search size limit.  The searches hold a
+set as a bitmask: the mask, and the divisor and cofactor searches built on
+the colon set, are in atomlab.engine, next to SumsetMonoid, which answers
+atom and length queries in the full monoid by splitting a set into min(A)
+copies of the prime atom {1} and a 0-set.
 """
 
 from __future__ import annotations
@@ -36,8 +37,11 @@ MAX_ELEMENT = 2**63 - 1
 # accept must have a modest maximum.  Plain arithmetic has no such limit.
 SEARCH_LIMIT = 1 << 16
 
-# A number in a set literal: ASCII digits only, as in an ideal literal.
+# A number in a set literal: ASCII digits only, as in an ideal literal, and
+# its separators ASCII whitespace, where str.strip() takes any space.
 _DIGITS = re.compile("[0-9]+")
+_SPACE = " \t\n\r\v\f"
+
 
 class NatSet:
     """Canonical finite nonempty subset of N.
@@ -132,10 +136,10 @@ class NatSet:
     @classmethod
     def from_text(cls, text: str) -> "NatSet":
         """Parse "{0, 2, 7}", or the to_text form "0,2,7" without braces."""
-        body = text.strip()
+        body = text.strip(_SPACE)
         if body.startswith("{") and body.endswith("}"):
             body = body[1:-1]
-        parts = [p.strip() for p in body.split(",")]
+        parts = [p.strip(_SPACE) for p in body.split(",")]
         # int() also reads signs, underscores and non-ASCII digits
         if not all(_DIGITS.fullmatch(p) for p in parts):
             raise ValueError(f"cannot parse set from {text!r}")
@@ -189,22 +193,8 @@ def set_colon(a: NatSet, b: NatSet) -> Optional[NatSet]:
     return NatSet._from_sorted(tuple(cs)) if cs else None
 
 
-# ---------------------------------------------------------------------------
-# Dense bitmasks (bit e set <=> element e present), for the factor searches
-# in atomlab.engine.
-
-
-def _mask_of(a: NatSet) -> int:
-    if a.max > SEARCH_LIMIT:
-        raise ValueError(
-            f"factor search supports max element <= {SEARCH_LIMIT}, got {a.max}")
-    m = 0
-    for e in a.elements:
-        m |= 1 << e
-    return m
-
-
 def _bits(mask: int) -> Iterator[int]:
+    """The set bits of mask, lowest first: the elements of a bitmask."""
     while mask:
         low = mask & -mask
         yield low.bit_length() - 1

@@ -43,9 +43,12 @@ def test_parse_target_forms():
     "", "{}", "{1, -2}", "a_0", "b_3 --minimal 2", "tilde_b --minimal 3",
     "I_B", "I_B --minimal 3 --seq 1,3,7", "A --seq 1,3,8", "<X^-2>",
     "frob_9", "{0,1", "{{0,1}", "{0,1}}", "{0,,1}",
+    "C --minimal \u0663", "C --minimal +3", "B --seq 1,3,9,2_2",
+    "tilde_b --minimal 3 --r \uff13", "C --seq 1,3,,9,22",
 ])
 def test_parse_target_rejects(text):
-    with pytest.raises(Exception):
+    # a usage error, which the command line reports with exit code 1
+    with pytest.raises(cli._UsageError):
         cli.parse_target(text)
 
 
@@ -60,8 +63,20 @@ def test_literal_numbers_are_ascii_digits(capsys, target, kind):
     assert err.startswith(f"error: cannot parse {kind}")
 
 
+@pytest.mark.parametrize("target, kind", [
+    ("<X\u3000Y^2, X^3>", "monomial"), ("{0,\u20032}", "set"),
+    ("<X^2,\xa0Y^3>", "monomial")])
+def test_literal_separators_are_ascii_whitespace(capsys, target, kind):
+    # str.strip() and \s alone would read the ideographic, em and
+    # no-break spaces as separators
+    code, out, err = run(capsys, "atom", target)
+    assert code == 1 and not out
+    assert err.startswith(f"error: cannot parse {kind}")
+
+
 def test_ascii_literals_parse(capsys):
-    for target in ("{0,2,7}", "<X^2, Y^3>"):
+    for target in ("{0,2,7}", "<X^2, Y^3>", "{ 0,\t2 , 7 }", "<X^2,\tY^3>",
+                   "<X^2 *\tY^2, X^3, Y^3>"):
         code, out, _ = run(capsys, "atom", target)
         assert code == 0 and last_json(out)["atom"] is True
 

@@ -12,7 +12,7 @@ from atomlab.engine import (MAX_BOARD_CELLS, Budget, FactorEngine,
                             GradedMonoid, MonomialMonoid, SearchBudgetExceeded,
                             SumsetMonoid, make_budget, monomial_engine,
                             sumset_engine)
-from atomlab.families import minimal_sequence
+from atomlab.families import build_C, minimal_sequence
 from atomlab.monideal import (MonIdeal, build_a, build_b, build_c, build_i_b,
                               build_i_c, colon, generator_gcd, phi, product,
                               shifted)
@@ -355,9 +355,9 @@ def test_board_region_matches_membership():
         cells = {(x, y) for y in range(py + 1) for x in range(px + 1)
                  if (x, y) in e}
         assert board.rows == sum(1 << y * w for y in range(py + 1))
-        assert board.content == sum(1 << (y * w + x) for y in range(py + 1)
-                                    for x in range(px + 1))
-        assert board.region == sum(1 << (y * w + x) for x, y in cells)
+        assert board.unit == sum(1 << (y * w + x) for y in range(py + 1)
+                                 for x in range(px + 1))
+        assert board.whole == sum(1 << (y * w + x) for x, y in cells)
         assert board.gens == sum(1 << (y * w + x) for x, y in e.gens)
         assert board.starts == [min((x for x in range(px + 1)
                                      if (x, y) in cells), default=px + 1)
@@ -373,7 +373,7 @@ def test_near_limit_board_matches_membership():
     assert (py + 1) * w <= MAX_BOARD_CELLS
     size = ((py + 1) * w + 7) // 8
     region, rows, content = (m.to_bytes(size, "little") for m in (
-        board.region, board.rows, board.content))
+        board.whole, board.rows, board.unit))
 
     def bit(data, k):
         return data[k >> 3] >> (k & 7) & 1
@@ -944,3 +944,42 @@ def test_monomial_engine_matches_oracle_exhaustively(box6):
             assert tuple(sorted(d.gens for d in pair)) in want_pairs
         want = tuple(sorted(oracle.naive_lengths(e.gens, split_map, cache)))
         assert eng.lengths(e) == want
+
+
+def test_lengths_search_cofactors_on_the_view(box6, monkeypatch):
+    # the large phase searches the cofactors of each layer product on the
+    # target's view, from the mask and colon the layers hold, and never
+    # forms the product to call the adapter's cofactors
+    def refuse(self, whole, part, budget):
+        raise AssertionError("lengths called the adapter's cofactors")
+
+    searches = [0]
+
+    def counted(search):
+        def run(self, *args):
+            searches[0] += 1
+            return search(self, *args)
+        return run
+
+    for cls in (MonomialMonoid, SumsetMonoid):
+        monkeypatch.setattr(cls, "cofactors", refuse)
+    for cls in (engine._Board, engine._SetMask):
+        monkeypatch.setattr(cls, "cofactors", counted(cls.cofactors))
+
+    assert sumset_engine().lengths(build_C(minimal_sequence(3))) == (2, 4)
+    assert searches[0] > 0
+
+    pool, split_map = box6
+    eng, cache, searches[0] = monomial_engine(), {}, 0
+    for e in pool:
+        assert set(eng.lengths(e)) == \
+            oracle.naive_lengths(e.gens, split_map, cache)
+    assert searches[0] == 240
+
+    split_map = oracle.naive_sumset_split_map(12)
+    eng, cache, searches[0] = sumset_engine(), {}, 0
+    for mask in range(1, 1 << 12):
+        a = NatSet([0] + [i + 1 for i in range(12) if mask >> i & 1])
+        assert set(eng.lengths(a)) == \
+            oracle.naive_lengths(a.elements, split_map, cache)
+    assert searches[0] == 224
