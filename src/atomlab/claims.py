@@ -374,7 +374,7 @@ def _check_oracle_equivalence(rt: _Runtime) -> Optional[dict]:
 
 def _check_phi_homomorphism(rt: _Runtime) -> Optional[dict]:
     bad = []
-    sets = oracle.sample_zero_sets(1000, 10, _PHI_SEED)
+    sets = list(oracle.sample_zero_sets(1000, 10, _PHI_SEED))
     for a, b in zip(sets[:500], sets[500:]):
         lhs = phi(natset.sumset(a, b))
         rhs = monideal.product(phi(a), phi(b))

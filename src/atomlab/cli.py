@@ -115,6 +115,10 @@ def parse_target(text: str):
         if opts:
             raise _UsageError(f"{head} takes no options")
         kind, index = match.group(1), int(match.group(2))
+        # a_k, b_k and c_k are phi of a 0-set of max k
+        if index > natset.SEARCH_LIMIT:
+            raise _UsageError(f"{head}: the family index must be at most "
+                              f"{natset.SEARCH_LIMIT}")
         builder = {"a": monideal.build_a, "b": monideal.build_b,
                    "c": monideal.build_c}[kind]
         try:
@@ -278,6 +282,8 @@ def _cmd_experiment(args) -> int:
         try:
             for a in oracle.sample_zero_sets(args.samples, args.max,
                                              args.seed):
+                # a sample costs a node, also one that no search ticks
+                budget.tick()
                 if sum_eng.is_atom(a):
                     atoms += 1
         except SearchBudgetExceeded as exc:

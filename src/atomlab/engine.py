@@ -2,20 +2,19 @@
 
 The engine sees a monoid through a small adapter interface: product, colon
 (maximal cofactor), an additive grade that is zero exactly on the identity,
-a canonical sort key, a divisor stream that yields each proper divisor of
-at most half the grade exactly once, with its grade, a cofactor search that
-yields every r with p * r = e for a divisor p, a split of prime atoms, and
-the view of a prime-free core as int masks: a set's _SetMask or an
-ideal's _Board.  A divisor a of e has maximal cofactor colon(e, a) with
-a * colon(e, a) = e.  The monoids are not cancellative, so a divisor may
-have many cofactors.
+a canonical sort key, the identity, a split of prime atoms with the shift
+that multiplies them back, and the view of a prime-free core as int masks:
+a set's _SetMask or an ideal's _Board.  A divisor a of e has maximal
+cofactor colon(e, a) with a * colon(e, a) = e.  The monoids are not
+cancellative, so a divisor may have many cofactors.
 
 Every question starts from the small divisors of e, those of at most half
 its grade.  Some side of every split is one, so split lists pair each with
 its cofactors, and lengths multiply the small atoms (FactorEngine.lengths).
-The four divisor and cofactor searches, over sets and over ideals, run one
-walk (_walk): a preorder DFS that holds one lazy child iterator per level,
-so no search recurses and a deep one holds only the nodes on its path.
+The four divisor and cofactor searches, over sets and over ideals, are
+methods of the views and run one walk (_walk): a preorder DFS that holds
+one lazy child iterator per level, so no search recurses and a deep one
+holds only the nodes on its path.
 
 Every search counts its nodes into the engine's Budget, which may bound
 them and the wall clock.  Exhaustion raises SearchBudgetExceeded so callers
@@ -23,12 +22,13 @@ can report "inconclusive" rather than mistaking a truncated scan for a
 completed one.  Streams have a fixed order, so output is deterministic.
 
 X and Y are prime atoms of the ideal monoid, and {1} of the set monoid,
-so both adapters split an element into a prime part and a core, search
-only the core, and shift the results by the prime part (_shifted).  Each
-divisor search builds the core's view, which refuses a core too large to
-lay out, and applies its own grade cap.  The cofactor search is a method
-of the view, run by lengths on the view of its layers and by the
-adapters' cofactors on a view built at their first next.
+so an element is X^u Y^v times a core (a set is u = 0 and v = min), and
+the prime part is handled once, here, for both monoids: the divisor
+stream (_candidate_divisors, each adapter's candidate_divisors) and the
+cofactor rule (FactorEngine._cofactors) search only the core, on its view,
+and shift the results by the prime part, and lengths add u + v.  A view
+refuses a core too large to lay out where it is built, and each divisor
+search applies its own grade cap.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from __future__ import annotations
 import itertools
 import time
 from bisect import bisect_left, bisect_right
-from typing import Callable, Iterator, Optional, Protocol, TypeVar
+from typing import Callable, Iterable, Iterator, Optional, Protocol, TypeVar
 
 from . import monideal, natset
 from .monideal import MonIdeal, UNIT
@@ -123,18 +123,23 @@ def make_budget(max_nodes: Optional[int] = None,
 class GradedMonoid(Protocol[E]):
     """What the engine needs from a commutative reduced monoid.
 
-    grade is additive and zero exactly on the identity.  candidate_divisors
-    must yield each proper divisor of e of grade at most grade(e) // 2
-    exactly once, as a pair (divisor, grade).  cofactors must yield each r
-    with part * r = whole exactly once, for a proper divisor part of whole.
-    prime_split(e) = (n, rest) splits off prime atoms: e is rest times n of
-    them, and every factorization of e is one of rest times those n, so the
-    lengths of e are those of rest plus n.  Both searches count their nodes
-    into the given budget.  context(e) is the view of a prime-free e as int
-    masks, on which lengths forms and tests its products and searches
-    cofactors (see _CoreView).  colon(whole, part), the maximal cofactor,
-    and product form and check the split that find_split reports.
+    grade is additive and zero exactly on the identity, the attribute
+    identity.  Prime atoms split off: prime_split(e) = (u, v, core) with
+    e = shifted(core, u, v), that is X^u Y^v times core, where
+    shifted(a, i, j) multiplies a by X^i Y^j (a set has no X, so u = 0,
+    and {1} takes the place of Y).  Every factorization of e is u X's,
+    v Y's and one of core, so the lengths of e are those of core plus
+    u + v.  context(core) is the view of a prime-free core as int masks
+    (_CoreView), which searches the core's divisors and cofactors, and on
+    which lengths forms and tests its products.  candidate_divisors is the
+    engine's _candidate_divisors, bound in the adapter's class body: it
+    yields each proper divisor of e of grade at most grade(e) // 2 exactly
+    once, as a pair (divisor, grade), and counts its nodes into the given
+    budget.  colon(whole, part), the maximal cofactor, and product form and
+    check the split that find_split reports.
     """
+
+    identity: E
 
     def product(self, a: E, b: E) -> E: ...
 
@@ -147,31 +152,36 @@ class GradedMonoid(Protocol[E]):
     def candidate_divisors(self, e: E, budget: Budget
                            ) -> Iterator[tuple[E, int]]: ...
 
-    def cofactors(self, whole: E, part: E, budget: Budget) -> Iterator[E]: ...
+    def prime_split(self, e: E) -> tuple[int, int, E]: ...
 
-    def prime_split(self, e: E) -> tuple[int, E]: ...
+    def shifted(self, a: E, i: int, j: int) -> E: ...
 
     def context(self, e: E) -> _CoreView: ...
 
 
 class _CoreView(Protocol):
-    """One prime-free target e as int masks: the products of the lengths
-    layers (FactorEngine.lengths) and the search for the cofactors of one.
+    """One prime-free target e as int masks: its divisor search, the
+    products of the lengths layers (FactorEngine.lengths) and the search
+    for the cofactors of one.
 
-    A mask determines one divisor p of e, or one colon (e : p); 0 is none.
-    whole is the mask of e, which is also (e : identity), and unit that of
-    the identity.  atom(a) is what product and colon need of a divisor a
-    of e.  product(p, a) is the mask of p * a, or 0 when p * a cannot
-    divide e.  colon(c, a) is the mask of (c : a), for a colon c.  For
-    q = p * a and c = (e : q), divides(p, a, c) tells whether
-    p * (a * c) = e, that is, whether q divides e.  element(mask) forms the
-    element a mask determines.  cofactors(p, c, grade, tick) yields each r
-    with p * r = e once, for a divisor p, c = (e : p) and grade =
-    grade(e) - grade(p), and ticks once per node.
+    divisors(cap, tick) yields each proper divisor of e of grade at most
+    cap once, with its grade.  A mask determines one divisor p of e, or one
+    colon (e : p); 0 is none.  whole is the mask of e, which is also
+    (e : identity), and unit that of the identity.  atom(a) is what product
+    and colon need of a divisor a of e.  product(p, a) is the mask of
+    p * a, or 0 when p * a cannot divide e.  colon(c, a) is the mask of
+    (c : a), for a colon c.  For q = p * a and c = (e : q), divides(p, a, c)
+    tells whether p * (a * c) = e, that is, whether q divides e.
+    element(mask) forms the element a mask determines.
+    cofactors(p, c, grade, tick) yields each r with p * r = e once, for a
+    divisor p, c = (e : p) and grade = grade(e) - grade(p).  Both searches
+    tick once per node.
     """
 
     whole: int
     unit: int
+
+    def divisors(self, cap: int, tick: Callable) -> Iterator[tuple]: ...
 
     def atom(self, a): ...
 
@@ -222,8 +232,9 @@ def _walk(target: int, lows: list[int], root: tuple, children: Callable,
             level = stack.pop()
 
 
-def _shifted(stream: Iterator[tuple[E, int]], u: int, v: int, cap: int,
-             shift: Callable, tick: Callable) -> Iterator[tuple[E, int]]:
+def _shifted(stream: Iterable[tuple[E, int]], u: int, v: int,
+             cap: int, shift: Callable, tick: Callable
+             ) -> Iterator[tuple[E, int]]:
     """shift(a, i, j) = X^i Y^j * a, of grade g + i + j, for each (a, g) of
     stream and each i <= u, j <= v that keep the grade within [1, cap].
 
@@ -241,16 +252,30 @@ def _shifted(stream: Iterator[tuple[E, int]], u: int, v: int, cap: int,
                     yield a, g
 
 
-def _view_cofactors(m: GradedMonoid, whole: E, part: E, budget: Budget
-                    ) -> Iterator[E]:
-    """Each r with part * r = whole, for prime-free whole and part, from
-    the cofactor search of whole's view, built at the first next."""
-    ctx = m.context(whole)
-    a = ctx.atom(part)
-    p = ctx.product(ctx.unit, a)
-    if p:
-        yield from ctx.cofactors(p, ctx.colon(ctx.whole, a),
-                                 m.grade(whole) - m.grade(part), budget.tick)
+def _candidate_divisors(self: GradedMonoid, e: E, budget: Budget
+                        ) -> Iterator[tuple[E, int]]:
+    """Each proper divisor of e of at most half its grade, once, with its
+    grade: the candidate_divisors of both adapters, bound in each class
+    body, so that each adapter keeps a stream of its own.
+
+    e is X^u Y^v times its core, and generator gcds add, so the divisors
+    of e are X^i Y^j, i <= u and j <= v, times the identity, the core or a
+    core divisor, of grade i + j plus theirs (_shifted).  The core's view
+    is built only after the identity and the core have been shifted, so
+    they are yielded before a core too large to lay out is refused.  The
+    stream of a prime-free e is the view's divisor search itself.
+    """
+    u, v, core = self.prime_split(e)
+    total = self.grade(core)
+    cap = (total + u + v) // 2
+    tick = budget.tick
+    if u or v:
+        head = [(self.identity, 0), (core, total)] if total \
+            else [(self.identity, 0)]
+        yield from _shifted(head, u, v, cap, self.shifted, tick)
+    divisors = self.context(core).divisors(cap, tick)
+    yield from _shifted(divisors, u, v, cap, self.shifted, tick) \
+        if u or v else divisors
 
 
 class SumsetMonoid:
@@ -258,8 +283,12 @@ class SumsetMonoid:
 
     {1} is a prime atom that cancels and every other atom contains 0, so a
     set is min(A) copies of {1} plus its 0-set core, A - min(A), the only
-    part searched (_sumset_divisors, _SetMask.cofactors).
+    part searched (_SetMask).  {1} takes the place of Y, and a set has no
+    X.
     """
+
+    identity = NatSet([0])
+    candidate_divisors = _candidate_divisors
 
     def product(self, a: NatSet, b: NatSet) -> NatSet:
         return natset.sumset(a, b)
@@ -273,117 +302,16 @@ class SumsetMonoid:
     def key(self, e: NatSet):
         return e.elements
 
-    def candidate_divisors(self, e: NatSet, budget: Budget
-                           ) -> Iterator[tuple[NatSet, int]]:
-        """Minima add, so the divisors of {u} + core are {j} + B, j in
-        [0, u] and B = {0}, the core or a core divisor, of grade
-        j + max(B).  A 0-set's stream is the core search itself."""
-        # prime_split inline, since every query starts here
-        u, cap = e.min, e.max // 2
-        core = e.shifted(-u) if u else e
-        divisors = _sumset_divisors(core, cap, budget.tick)
-        if not u:
-            return divisors
-        head = [(_ZERO, 0), (core, core.max)] if core.max else [(_ZERO, 0)]
-        return _shifted(itertools.chain(head, divisors), 0, u, cap,
-                        lambda b, _i, j: b.shifted(j), budget.tick)
+    def prime_split(self, e: NatSet) -> tuple[int, int, NatSet]:
+        v = e.min
+        return 0, v, (e.shifted(-v) if v else e)
 
-    def prime_split(self, e: NatSet) -> tuple[int, NatSet]:
-        return e.min, (e.shifted(-e.min) if e.min else e)
+    def shifted(self, a: NatSet, i: int, j: int) -> NatSet:
+        # i is 0: a set has no X
+        return a.shifted(j)
 
     def context(self, e: NatSet) -> _SetMask:
         return _SetMask(e)
-
-    def cofactors(self, whole: NatSet, part: NatSet,
-                  budget: Budget) -> Iterator[NatSet]:
-        """R is {u - i} plus a cofactor of the core of part inside that of
-        whole, u and i being their minima: the core of whole when part is
-        {i}, {0} when the cores are equal, and otherwise one found by
-        _SetMask.cofactors."""
-        u, core = self.prime_split(whole)
-        i, pcore = self.prime_split(part)
-        if not pcore.max or pcore == core:
-            rs = iter([core if not pcore.max else _ZERO])
-        else:
-            rs = _view_cofactors(self, core, pcore, budget)
-        return (r.shifted(u - i) for r in rs) if u - i else rs
-
-
-_ZERO = NatSet([0])
-
-
-def _sumset_divisors(a: NatSet, cap: int, tick: Callable
-                     ) -> Iterator[tuple[NatSet, int]]:
-    """Every proper divisor B of a 0-set A with max(B) <= cap, with max(B).
-
-    A proper divisor is a set B containing 0, distinct from {0}, such that
-    B + C = A for some C containing 0 with C != {0}, so max(B) < max(A)
-    whatever the cap.  Some side of any split has max at most max(A)/2, so
-    with that cap these are the small sides of all splits.  The small
-    divisors of {u} + A, u > 0, need the divisors of A up to
-    (u + max(A))/2 instead.  Sets are the bitmasks of their _SetMask: a
-    sumset is an OR of shifted masks, and the colon set of B in A is the
-    AND of A >> b over b in B, truncated to [0, max(A) - max(B)].
-
-    Divisors come grouped by max(B) = mb ascending.  The cofactor maximum is
-    mc = max(A) - mb, so every element x of B has x + mc in A.  Within a
-    group, B grows from {0, mb} by such x in increasing order, and its
-    maximal cofactor col, the colon set of B in A, shrinks: a node's reach
-    is B + col, and B divides A exactly when reach is A.  A later x and any
-    cofactor element only reach elements from x on, so an element of A
-    missed below the next x stays missed (see _walk).  A node's reach
-    shifts the side with fewer elements, B or col, since B may grow far
-    past its colon.
-
-    Every B of a group lies in {0, mb} and the free x, and its colon in
-    that of {0, mb}, so B + col lies in their sum.  A group whose sum
-    misses an element of A holds no divisor and is not walked; it costs
-    one node, as the root of its walk would.
-    """
-    amask = _SetMask(a).whole
-    m = amask.bit_length() - 1
-    if cap >= m:
-        cap = m - 1
-    mb, free = 0, []
-
-    def children(node):
-        # mb and free are those of the group being walked
-        _reach, idx, elems, col, bmask = node
-        for i in range(idx, len(free)):
-            x = free[i]
-            col2 = col & amask >> x
-            elems2 = elems + (x,)
-            bmask2 = bmask | 1 << x
-            # B + col2, shifting by each element of the smaller side
-            if col2.bit_count() > len(elems2):
-                reach = col2 << mb
-                for b in elems2:
-                    reach |= col2 << b
-            else:
-                reach = 0
-                for c in natset._bits(col2):
-                    reach |= bmask2 << c
-            yield reach, i + 1, elems2, col2, bmask2
-
-    # the elements of A in [1, cap]
-    for mb in natset._bits(amask & ~1 & (1 << cap + 1) - 1):
-        mc = m - mb
-        if not amask >> mc & 1:
-            continue
-        col = amask & amask >> mb & (2 << mc) - 1
-        # the x between 0 and mb with x + mc in A
-        free = list(natset._bits(amask & amask >> mc & (1 << mb) - 2))
-        # ({0, mb} + free) + col, one shift per child of the root
-        cover = root = col | col << mb
-        for x in free:
-            cover |= col << x
-        if amask & ~cover:
-            tick()
-            continue
-        lows = [1 << x for x in free] + [2 << m]
-        for node in _walk(amask, lows, (root, 0, (0,), col, 1 | 1 << mb),
-                          children, tick):
-            yield NatSet._from_sorted(node[2] + (mb,)), mb
 
 
 class _SetMask:
@@ -442,6 +370,78 @@ class _SetMask:
     def element(self, mask: int) -> NatSet:
         return NatSet._from_sorted(tuple(natset._bits(mask)))
 
+    def divisors(self, cap: int, tick: Callable
+                 ) -> Iterator[tuple[NatSet, int]]:
+        """Every proper divisor B of E with max(B) <= cap, with max(B).
+
+        A proper divisor is a set B containing 0, distinct from {0}, such
+        that B + C = E for some C containing 0 with C != {0}, so max(B) <
+        max(E) whatever the cap.  Some side of any split has max at most
+        max(E)/2, so with that cap these are the small sides of all splits.
+        The small divisors of {u} + E, u > 0, need the divisors of E up to
+        (u + max(E))/2 instead.  A sumset is an OR of shifted masks, and the
+        colon set of B in E is the AND of E >> b over b in B, truncated to
+        [0, max(E) - max(B)].
+
+        Divisors come grouped by max(B) = mb ascending.  The cofactor
+        maximum is mc = max(E) - mb, so every element x of B has x + mc in
+        E.  Within a group, B grows from {0, mb} by such x in increasing
+        order, and its maximal cofactor col, the colon set of B in E,
+        shrinks: a node's reach is B + col, and B divides E exactly when
+        reach is E.  A later x and any cofactor element only reach elements
+        from x on, so an element of E missed below the next x stays missed
+        (see _walk).  A node's reach shifts the side with fewer elements, B
+        or col, since B may grow far past its colon.
+
+        Every B of a group lies in {0, mb} and the free x, and its colon in
+        that of {0, mb}, so B + col lies in their sum.  A group whose sum
+        misses an element of E holds no divisor and is not walked; it costs
+        one node, as the root of its walk would.
+        """
+        amask, top = self.whole, self.top
+        if cap >= top:
+            cap = top - 1
+        mb, free = 0, []
+
+        def children(node):
+            # mb and free are those of the group being walked
+            _reach, idx, elems, col, bmask = node
+            for i in range(idx, len(free)):
+                x = free[i]
+                col2 = col & amask >> x
+                elems2 = elems + (x,)
+                bmask2 = bmask | 1 << x
+                # B + col2, shifting by each element of the smaller side
+                if col2.bit_count() > len(elems2):
+                    reach = col2 << mb
+                    for b in elems2:
+                        reach |= col2 << b
+                else:
+                    reach = 0
+                    for c in natset._bits(col2):
+                        reach |= bmask2 << c
+                yield reach, i + 1, elems2, col2, bmask2
+
+        # the elements of E in [1, cap]
+        for mb in natset._bits(amask & ~1 & (1 << cap + 1) - 1):
+            mc = top - mb
+            if not amask >> mc & 1:
+                continue
+            col = amask & amask >> mb & (2 << mc) - 1
+            # the x between 0 and mb with x + mc in E
+            free = list(natset._bits(amask & amask >> mc & (1 << mb) - 2))
+            # ({0, mb} + free) + col, one shift per child of the root
+            cover = root = col | col << mb
+            for x in free:
+                cover |= col << x
+            if amask & ~cover:
+                tick()
+                continue
+            lows = [1 << x for x in free] + [2 << top]
+            for node in _walk(amask, lows, (root, 0, (0,), col, 1 | 1 << mb),
+                              children, tick):
+                yield NatSet._from_sorted(node[2] + (mb,)), mb
+
     def cofactors(self, p: int, col: int, top: int, tick: Callable
                   ) -> Iterator[NatSet]:
         """Every R containing 0 with P + R = E, once, for the 0-set P of
@@ -468,19 +468,16 @@ class _SetMask:
             yield self.element(node[2])
 
 
-def _gcd_split(e: MonIdeal) -> tuple[int, int, MonIdeal]:
-    """(u, v, core): e is X^u Y^v times its gcd-free core."""
-    u, v = monideal.generator_gcd(e)
-    return u, v, (monideal.shifted(e, -u, -v) if (u or v) else e)
-
-
 class MonomialMonoid:
     """Multiplicative monoid of nonzero monomial ideals in two variables.
 
     X and Y are prime atoms that cancel and every other atom is gcd-free,
     so an ideal is X^u Y^v, (u, v) its generator gcd, times its gcd-free
-    core, the only part searched (_gcdfree_divisors, _Board.cofactors).
+    core, the only part searched (_Board).
     """
+
+    identity = UNIT
+    candidate_divisors = _candidate_divisors
 
     def product(self, a: MonIdeal, b: MonIdeal) -> MonIdeal:
         return monideal.product(a, b)
@@ -494,54 +491,16 @@ class MonomialMonoid:
     def key(self, e: MonIdeal):
         return e.gens
 
-    def candidate_divisors(self, e: MonIdeal, budget: Budget
-                           ) -> Iterator[tuple[MonIdeal, int]]:
-        """Stream each proper divisor of e of at most half its grade once,
-        with its grade.
+    def prime_split(self, e: MonIdeal) -> tuple[int, int, MonIdeal]:
+        # nothing is searched, so any size is split
+        u, v = monideal.generator_gcd(e)
+        return u, v, (monideal.shifted(e, -u, -v) if u or v else e)
 
-        Generator gcds add, so the divisors of X^u Y^v * core are X^i Y^j
-        times the unit, the core or a core divisor, of grade i + j plus
-        theirs.  A gcd-free ideal's stream is the core search itself, whose
-        board raises ValueError past MAX_BOARD_CELLS (_gcdfree_divisors).
-        """
-        u, v, core = _gcd_split(e)
-        total = core.mdeg
-        cap = (total + u + v) // 2
-        divisors = _gcdfree_divisors(core, cap, budget.tick)
-        if not (u or v):
-            return divisors
-        head = [(UNIT, 0), (core, total)] if total else [(UNIT, 0)]
-        return _shifted(itertools.chain(head, divisors), u, v, cap,
-                        monideal.shifted, budget.tick)
-
-    def prime_split(self, e: MonIdeal) -> tuple[int, MonIdeal]:
-        """A factorization of X^u Y^v * core holds u X's, v Y's and a
-        factorization of core.  Nothing is searched, so any size is split.
-        """
-        u, v, core = _gcd_split(e)
-        return u + v, core
+    def shifted(self, a: MonIdeal, i: int, j: int) -> MonIdeal:
+        return monideal.shifted(a, i, j)
 
     def context(self, e: MonIdeal) -> _Board:
         return _Board(e)
-
-    def cofactors(self, whole: MonIdeal, part: MonIdeal,
-                  budget: Budget) -> Iterator[MonIdeal]:
-        """Each r with part * r = whole, once; part must divide whole.
-
-        Generator gcds add, so r is X^(u-i) Y^(v-j) times a cofactor of the
-        core of part inside that of whole, (u, v) and (i, j) being the gcds
-        of whole and part: the core of whole when part is X^i Y^j, the unit
-        when the cores are equal, and otherwise one of _Board.cofactors.
-        """
-        u, v, core = _gcd_split(whole)
-        i, j, pcore = _gcd_split(part)
-        if pcore.is_unit or pcore == core:
-            rs = iter([core if pcore.is_unit else UNIT])
-        else:
-            rs = _view_cofactors(self, core, pcore, budget)
-        if u - i or v - j:
-            return (monideal.shifted(r, u - i, v - j) for r in rs)
-        return rs
 
 
 # Boards are dense, so a board of more padded cells than this (about 8 MB per
@@ -561,10 +520,10 @@ class _Board:
     are padded to 2px+1 bits so that shifting a mask by any (sx, sy) with
     sx <= px moves bits past column px into the padding, never into the
     next row.  whole is the mask of e, unit that of the whole box, gens
-    that of the ideal's own generators, and starts[y] the first column of
-    row y in the ideal (px+1 for none).  A board of more than
-    MAX_BOARD_CELLS padded cells, (py+1)(2px+1), is a ValueError, raised
-    before any mask is built.
+    that of the ideal's own generators, starts[y] the first column of row y
+    in the ideal (px+1 for none), and mdeg the grade of e.  A board of more
+    than MAX_BOARD_CELLS padded cells, (py+1)(2px+1), is a ValueError,
+    raised before any mask is built.
 
     Every mask takes time linear in its bits, with no division, product or
     digit string: rows, bit 0 of each row, comes from doubling; a block of
@@ -589,6 +548,7 @@ class _Board:
     def __init__(self, e: MonIdeal):
         self.px = px = e.max_x
         self.py = py = e.max_y
+        self.mdeg = e.mdeg
         self.stride = w = 2 * px + 1
         n = py + 1
         if n * w > MAX_BOARD_CELLS:
@@ -687,6 +647,66 @@ class _Board:
         return MonIdeal._from_antichain(tuple(
             [(s % w, s // w) for s in natset._bits(self._corners(mask))]))
 
+    def divisors(self, cap: int, tick: Callable
+                 ) -> Iterator[tuple[MonIdeal, int]]:
+        """Proper divisors of the gcd-free e of grade at most cap, with their
+        grades (none for the unit).
+
+        Frames whose divisors all exceed the cap are not visited, and the
+        divisors above it that the other frames hold are dropped.
+
+        Any factor pair of e carries pure powers X^ax, Y^ay and X^bx, Y^by with
+        ax + bx = px and ay + by = py, the pure exponents of e, so the search
+        runs over frames (ax, ay).  Within a frame, a factor B is the frame
+        plus an antichain of interior generators, and its maximal cofactor is
+        the colon by its generators; e equals B * cofactor exactly when every
+        generator of e lies in the mask of B * cofactor, the OR of the cofactor
+        mask shifted by each generator of B.  The DFS threads that coverage
+        test through the antichain enumeration (see _frame_dfs).
+
+        Four sound filters shrink the frame and point sets.  The grade identity
+        mdeg(e) = mdeg(factor) + mdeg(cofactor) with mdeg <= min(pure
+        exponents) forces min(ax, ay) + min(bx, by) >= mdeg(e), so every
+        generator degree of the factor is at least lo = mdeg(e) - min(bx, by);
+        with the cap this leaves one range of ay for each ax (see _frame_ays).
+        Each generator of a factor stays in e after multiplying by the
+        partner's pure powers, so the corners X^ax Y^by and X^bx Y^ay lie in e,
+        and a point (c, g) of a frame lies in both (e : X^bx) and (e : Y^by).
+        Those colons are ideals, so row g of their intersection is the columns
+        from max(start[g] - bx, start[g + by]) on, start[y] being the first
+        column of row y of e.  Last, a factor B of the frame lies in the ideal
+        U of the frame and its points, and its cofactor (e : B) in
+        cof = (e : X^ax) & (e : Y^ay), so e = B * (e : B) lies in U * cof; a
+        frame whose U * cof misses a generator of e holds no factor, and is
+        not walked (see _frame_dfs).
+
+        Each visited frame costs one search node, so a budget stops a loop over
+        many frames even when none of them holds a point.
+        """
+        total = self.mdeg
+        px, py, starts = self.px, self.py, self.starts
+        # a proper divisor has a grade below total; lo <= cap needs
+        # bx >= total - cap
+        cap = min(cap, total - 1)
+        for ax in range(1, px - total + cap + 1):
+            bx = px - ax
+            for ay in _frame_ays(px, py, total, cap, ax):
+                by = py - ay
+                tick()
+                if ax < starts[by] or bx < starts[ay]:
+                    continue
+                lo = total - (bx if bx < by else by)
+                # points (c, g) with 1 <= c < ax, 1 <= g < ay and
+                # c + g >= lo, row by row
+                rows = []
+                for g in range(1, ay):
+                    c0 = max(1, lo - g, starts[g] - bx, starts[g + by])
+                    if c0 < ax:
+                        rows.append((g, c0))
+                for d, grade in _frame_dfs(self, ax, ay, rows, tick):
+                    if grade <= cap:
+                        yield d, grade
+
     def cofactors(self, p: int, col: int, grade: int, tick: Callable
                   ) -> Iterator[MonIdeal]:
         """Every r with p * r = e, for a gcd-free divisor p of mask p, with
@@ -736,71 +756,10 @@ class _Board:
             yield MonIdeal._from_antichain(node[2] + (bottom,))
 
 
-def _gcdfree_divisors(e: MonIdeal, cap: int, tick: Callable
-                      ) -> Iterator[tuple[MonIdeal, int]]:
-    """Proper divisors of a gcd-free ideal of grade at most cap, with their
-    grades (none for the unit).
-
-    Frames whose divisors all exceed the cap are not visited, and the
-    divisors above it that the other frames hold are dropped.
-
-    Any factor pair of e carries pure powers X^ax, Y^ay and X^bx, Y^by with
-    ax + bx = px and ay + by = py, the pure exponents of e, so the search
-    runs over frames (ax, ay).  Within a frame, a factor B is the frame plus
-    an antichain of interior generators, and its maximal cofactor is the
-    colon by its generators; e equals B * cofactor exactly when every
-    generator of e lies in the mask of B * cofactor, the OR of the cofactor
-    mask shifted by each generator of B.  The DFS threads that coverage test
-    through the antichain enumeration (see _frame_dfs).
-
-    Four sound filters shrink the frame and point sets.  The grade identity
-    mdeg(e) = mdeg(factor) + mdeg(cofactor) with mdeg <= min(pure exponents)
-    forces min(ax, ay) + min(bx, by) >= mdeg(e), so every generator degree
-    of the factor is at least lo = mdeg(e) - min(bx, by); with the cap this
-    leaves one range of ay for each ax (see _frame_ays).  Each generator of
-    a factor stays in e after multiplying by the partner's pure powers, so
-    the corners X^ax Y^by and X^bx Y^ay lie in e, and a point (c, g) of a
-    frame lies in both (e : X^bx) and (e : Y^by).  Those colons are ideals,
-    so row g of their intersection is the columns from max(start[g] - bx,
-    start[g + by]) on, start[y] being the first column of row y of e.
-    Last, a factor B of the frame lies in the ideal U of the frame and its
-    points, and its cofactor (e : B) in cof = (e : X^ax) & (e : Y^ay), so
-    e = B * (e : B) lies in U * cof; a frame whose U * cof misses a
-    generator of e holds no factor, and is not walked (see _frame_dfs).
-
-    Each visited frame costs one search node, so a budget stops a loop over
-    many frames even when none of them holds a point.
-    """
-    total = e.mdeg
-    board = _Board(e)
-    px, py, starts = board.px, board.py, board.starts
-    # a proper divisor has a grade below total; lo <= cap needs
-    # bx >= total - cap
-    cap = min(cap, total - 1)
-    for ax in range(1, px - total + cap + 1):
-        bx = px - ax
-        for ay in _frame_ays(px, py, total, cap, ax):
-            by = py - ay
-            tick()
-            if ax < starts[by] or bx < starts[ay]:
-                continue
-            lo = total - (bx if bx < by else by)
-            # points (c, g) with 1 <= c < ax, 1 <= g < ay and c + g >= lo,
-            # row by row
-            rows = []
-            for g in range(1, ay):
-                c0 = max(1, lo - g, starts[g] - bx, starts[g + by])
-                if c0 < ax:
-                    rows.append((g, c0))
-            for d, grade in _frame_dfs(board, ax, ay, rows, tick):
-                if grade <= cap:
-                    yield d, grade
-
-
 def _frame_ays(px: int, py: int, total: int, cap: int, ax: int) -> range:
     """The ay in [1, py) with min(ax, ay) + min(px-ax, py-ay) >= total and
     lo = total - min(px-ax, py-ay) <= cap, for 0 <= cap < total and an ax
-    with px - ax >= total - cap (the ax that _gcdfree_divisors visits).
+    with px - ax >= total - cap (the ax that _Board.divisors visits).
 
     min(a, b) + min(c, d) = min(a + c, a + d, b + c, b + d), and px and py
     are at least total, so the grade test is ax + py - ay >= total and
@@ -979,15 +938,46 @@ class FactorEngine:
         if total == 0:
             raise ValueError("the identity is not searched for splits")
         pairs = []
-        for a, g in self._small_divisors(e):
-            ka = m.key(a)
-            for b in m.cofactors(e, a, self.budget):
-                if m.key(b) >= ka:
-                    pairs.append((a, b))
-                elif 2 * g < total:
-                    pairs.append((b, a))
+        small = [a for a, _g in self._small_divisors(e)]
+        for a, b in self._cofactors(e, small):
+            if m.key(b) >= m.key(a):
+                pairs.append((a, b))
+            elif 2 * m.grade(a) < total:
+                pairs.append((b, a))
         pairs.sort(key=lambda p: (m.key(p[0]), m.key(p[1])))
         return pairs
+
+    def _cofactors(self, e: E, parts: Iterable[E]) -> Iterator[tuple[E, E]]:
+        """Each (a, r) with a * r = e, for each proper divisor a of e in
+        parts, in order, and each such r once.
+
+        Prime atoms cancel, so for e = X^u Y^v * core and a = X^i Y^j * c,
+        r is X^(u-i) Y^(v-j) times a cofactor of c inside core: core itself
+        when c is the identity, the identity when c is core, and otherwise
+        one that the view of core finds (_CoreView.cofactors).  e is split
+        once, and its view is built once, at the first part that needs it.
+        """
+        m = self.monoid
+        u, v, core = m.prime_split(e)
+        total, kcore = m.grade(core), m.key(core)
+        view = None
+        for a in parts:
+            i, j, c = m.prime_split(a)
+            g = m.grade(c)
+            if not g:
+                rs = [core]
+            elif m.key(c) == kcore:
+                rs = [m.identity]
+            else:
+                if view is None:
+                    view = m.context(core)
+                atom = view.atom(c)
+                p = view.product(view.unit, atom)
+                rs = view.cofactors(p, view.colon(view.whole, atom),
+                                    total - g, self.budget.tick) if p else ()
+            for r in rs:
+                yield a, (m.shifted(r, u - i, v - j) if u - i or v - j
+                          else r)
 
     def lengths(self, e: E) -> tuple[int, ...]:
         """Sorted set of factorization lengths of e (identity gives {0}).
@@ -1025,9 +1015,9 @@ class FactorEngine:
         k = m.key(e)
         got = self._length_memo.get(k)
         if got is None:
-            n, rest = m.prime_split(e)
-            if n:
-                got = tuple(n + length for length in self.lengths(rest))
+            u, v, core = m.prime_split(e)
+            if u or v:
+                got = tuple(u + v + length for length in self.lengths(core))
             else:
                 got = self._small_side_lengths(e)
             self._length_memo[k] = got

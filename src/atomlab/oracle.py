@@ -131,12 +131,11 @@ def naive_lengths(key, split_map: dict, cache: dict) -> frozenset:
     return res
 
 
-def sample_zero_sets(count: int, limit: int, seed: int) -> list[NatSet]:
-    """Deterministic sample of 0-containing subsets of [0,limit]."""
+def sample_zero_sets(count: int, limit: int, seed: int) -> Iterator[NatSet]:
+    """Deterministic sample of 0-containing subsets of [0,limit], drawn one
+    at a time.  Bit i of a random limit-bit mask puts i + 1 in the set; the
+    mask is read through its binary digits, in time linear in limit."""
     rng = random.Random(seed)
-    out = []
     for _ in range(count):
-        mask = rng.randrange(1 << limit)
-        out.append(NatSet([0] + [i + 1 for i in range(limit)
-                                 if mask >> i & 1]))
-    return out
+        digits = format(rng.randrange(1 << limit), "b")[::-1]
+        yield NatSet([0] + [i for i, d in enumerate(digits, 1) if d == "1"])

@@ -224,6 +224,17 @@ def test_search_limit_is_a_usage_error(capsys, command):
     assert err.startswith("error: ") and "65536" in err
 
 
+@pytest.mark.parametrize("target", [
+    "a_99999999999999999999", "a_30000000", "c_30000000"])
+def test_family_index_past_the_set_limit_is_a_usage_error(capsys, target):
+    # a_k, b_k and c_k are phi of a 0-set of max k: past the set limit
+    # the index is refused before the ideal is built
+    code, out, err = run(capsys, "atom", target)
+    assert code == 1 and not out
+    assert err.startswith("error: ") and "65536" in err
+    assert "Traceback" not in err
+
+
 def test_full_monoid_split_needs_no_search(capsys):
     # {1, 70000} = {1} + {0, 69999} without a search, but its lengths need
     # a search of {0, 69999}, which is past the set limit
@@ -369,6 +380,19 @@ def test_experiment_atom_density_deterministic(capsys):
     assert first["samples"] == 40 and first["atoms"] == 21
     code, out, _ = run(capsys, *argv)
     assert code == 0 and last_json(out) == first
+
+
+@pytest.mark.parametrize("argv", [
+    ["--max", "65536", "--samples", "200", "--budget-seconds", "0.5"],
+    ["--max", "1", "--samples", "2000000", "--budget-seconds", "0.2"],
+    ["--samples", "1000000000", "--budget-nodes", "1000"]])
+def test_experiment_atom_density_stops_on_budget(capsys, argv):
+    # samples are drawn one at a time, each costs a node, so a budget
+    # bounds wide samples, many samples and samples that need no search
+    start = time.monotonic()
+    code, out, _ = run(capsys, "experiment", "atom-density", *argv)
+    assert code == 2 and last_json(out)["status"] == "inconclusive"
+    assert time.monotonic() - start < 5
 
 
 def test_experiment_atom_density_rejects_bad_args(capsys):

@@ -40,10 +40,21 @@ def test_adapters_hold_exactly_the_protocol():
 
     protocol = methods(GradedMonoid)
     assert set(protocol) == {"product", "colon", "grade", "key",
-                             "candidate_divisors", "cofactors", "prime_split",
+                             "candidate_divisors", "prime_split", "shifted",
                              "context"}
     assert methods(SumsetMonoid) == protocol
     assert methods(MonomialMonoid) == protocol
+    # one prime-part stream, bound in each class body, so that each adapter
+    # keeps a candidate_divisors of its own
+    assert vars(SumsetMonoid)["candidate_divisors"] \
+        is vars(MonomialMonoid)["candidate_divisors"]
+
+
+def _cofactors(monoid, whole, part, budget=None):
+    # the engine's cofactor rule for one part, lazily: each r with
+    # part * r = whole
+    return (r for _a, r in
+            FactorEngine(monoid, budget)._cofactors(whole, [part]))
 
 
 @given(small_ideals)
@@ -164,8 +175,33 @@ def test_prime_part_cofactors_are_the_shifted_core():
               build_c(4)])]:
         for part, core in zip(parts, want):
             budget = Budget()
-            assert list(monoid.cofactors(whole, part, budget)) == [core]
+            assert list(_cofactors(monoid, whole, part, budget)) == [core]
             assert budget.nodes == 0
+
+
+def test_split_builds_one_view_for_its_cofactors(monkeypatch):
+    # split prime-splits its target once and builds at most one view of
+    # its core for all cofactors, beside the one of the divisor stream
+    views = [0]
+
+    def counted(init):
+        def run(self, e):
+            views[0] += 1
+            init(self, e)
+        return run
+
+    for cls in (engine._Board, engine._SetMask):
+        monkeypatch.setattr(cls, "__init__", counted(cls.__init__))
+    targets = [(monomial_engine, e) for e in oracle.box_ideals(4)]
+    targets += [(sumset_engine, NatSet([0] + [i + 1 for i in range(10)
+                                               if mask >> i & 1]))
+                for mask in range(1, 1 << 10)]
+    most = 0
+    for make, e in targets:
+        views[0] = 0
+        make().split(e)
+        most = max(most, views[0])
+    assert 0 < most <= 2
 
 
 def test_split_of_a_shifted_atom_searches_no_cofactor():
@@ -185,7 +221,7 @@ def test_cofactor_search_holds_one_frame_per_level():
     whole, part = NatSet(range(1001)), NatSet([0, 1])
     tracemalloc.start()
     try:
-        r = next(SumsetMonoid().cofactors(whole, part, Budget()))
+        r = next(_cofactors(SumsetMonoid(), whole, part))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -280,7 +316,7 @@ def test_frame_ays_match_grade_filter(px, py, data):
                 if min(ax, ay) + min(px - ax, py - ay) >= total
                 and not (min(ax, ay) > cap
                          and total - min(px - ax, py - ay) > cap)]
-        # the ax loop of _gcdfree_divisors stops at px - total + cap
+        # the ax loop of _Board.divisors stops at px - total + cap
         got = (list(engine._frame_ays(px, py, total, cap, ax))
                if ax <= px - total + cap else [])
         assert got == want
@@ -330,7 +366,7 @@ def test_board_refused_where_built():
     assert 11565 * 5803 > MAX_BOARD_CELLS >= 11564 * 5803
     m = MonomialMonoid()
     for search in (m.candidate_divisors(e, Budget()),
-                   m.cofactors(e, build_a(1), Budget())):
+                   _cofactors(m, e, build_a(1))):
         tracemalloc.start()
         try:
             with pytest.raises(ValueError, match=str(MAX_BOARD_CELLS)):
@@ -757,7 +793,7 @@ def test_cofactors_match_oracle(box6):
     for e in ideals:
         pairs = mon_map.get(e.gens, ())
         for d in _factors(pairs):
-            got = [r.gens for r in m.cofactors(e, MonIdeal(d), Budget())]
+            got = [r.gens for r in _cofactors(m, e, MonIdeal(d))]
             assert len(got) == len(set(got))
             assert set(got) == {b if a == d else a for a, b in pairs
                                 if d in (a, b)}
@@ -768,7 +804,7 @@ def test_cofactors_match_oracle(box6):
         a = NatSet([0] + [i + 1 for i in range(10) if mask >> i & 1])
         pairs = sum_map.get(a.elements, ())
         for d in _factors(pairs):
-            got = [r.elements for r in m.cofactors(a, NatSet(d), Budget())]
+            got = [r.elements for r in _cofactors(m, a, NatSet(d))]
             assert len(got) == len(set(got))
             assert set(got) == {y if x == d else x for x, y in pairs
                                 if d in (x, y)}
@@ -811,7 +847,7 @@ def test_full_monoid_streams_match_brute_force(full9):
         if a.min > 3:
             continue
         for d in _factors(pairs):
-            got = [r.elements for r in m.cofactors(a, NatSet(d), Budget())]
+            got = [r.elements for r in _cofactors(m, a, NatSet(d))]
             assert len(got) == len(set(got))
             assert set(got) == {y if x == d else x for x, y in pairs
                                 if d in (x, y)}
@@ -949,9 +985,9 @@ def test_monomial_engine_matches_oracle_exhaustively(box6):
 def test_lengths_search_cofactors_on_the_view(box6, monkeypatch):
     # the large phase searches the cofactors of each layer product on the
     # target's view, from the mask and colon the layers hold, and never
-    # forms the product to call the adapter's cofactors
-    def refuse(self, whole, part, budget):
-        raise AssertionError("lengths called the adapter's cofactors")
+    # forms the product to call the engine's cofactor rule
+    def refuse(self, e, parts):
+        raise AssertionError("lengths called the engine's cofactor rule")
 
     searches = [0]
 
@@ -961,8 +997,7 @@ def test_lengths_search_cofactors_on_the_view(box6, monkeypatch):
             return search(self, *args)
         return run
 
-    for cls in (MonomialMonoid, SumsetMonoid):
-        monkeypatch.setattr(cls, "cofactors", refuse)
+    monkeypatch.setattr(FactorEngine, "_cofactors", refuse)
     for cls in (engine._Board, engine._SetMask):
         monkeypatch.setattr(cls, "cofactors", counted(cls.cofactors))
 

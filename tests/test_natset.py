@@ -133,8 +133,8 @@ def test_set_colon_is_maximal_cofactor(a, b):
 def test_reduce_shift():
     # {1} is a prime atom: a set is min(A) copies of it plus its 0-set
     m = SumsetMonoid()
-    assert m.prime_split(NatSet([3, 5])) == (3, NatSet([0, 2]))
-    assert m.prime_split(NatSet([0, 1])) == (0, NatSet([0, 1]))
+    assert m.prime_split(NatSet([3, 5])) == (0, 3, NatSet([0, 2]))
+    assert m.prime_split(NatSet([0, 1])) == (0, 0, NatSet([0, 1]))
 
 
 def test_decompose_reduced_small_cases():
