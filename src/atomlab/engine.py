@@ -11,10 +11,13 @@ cancellative, so a divisor may have many cofactors.
 Every question starts from the small divisors of e, those of at most half
 its grade.  Some side of every split is one, so split lists pair each with
 its cofactors, and lengths multiply the small atoms (FactorEngine.lengths).
-The four divisor and cofactor searches, over sets and over ideals, are
-methods of the views and run one walk (_walk): a preorder DFS that holds
-one lazy child iterator per level, so no search recurses and a deep one
-holds only the nodes on its path.
+The divisor and cofactor searches, over sets and over ideals, are methods
+of the views and run one walk (_walk): a preorder DFS that holds one lazy
+child iterator per level, so no search recurses and a deep one holds only
+the nodes on its path.  On a board both searches are one frame walk
+(_frame_dfs), the cofactor search with its partner held fixed; a frame's
+colon masks go with it, and a board keeps only the colons of the atom
+generators it is given (_Board).
 
 Every search counts its nodes into the engine's Budget, which may bound
 them and the wall clock.  Exhaustion raises SearchBudgetExceeded so callers
@@ -174,8 +177,8 @@ class _CoreView(Protocol):
     tells whether p * (a * c) = e, that is, whether q divides e.
     element(mask) forms the element a mask determines.
     cofactors(p, c, grade, tick) yields each r with p * r = e once, for a
-    divisor p, c = (e : p) and grade = grade(e) - grade(p).  Both searches
-    tick once per node.
+    proper divisor p, c = (e : p) and grade = grade(e) - grade(p).  Both
+    searches tick once per node.
     """
 
     whole: int
@@ -442,19 +445,18 @@ class _SetMask:
                               children, tick):
                 yield NatSet._from_sorted(node[2] + (mb,)), mb
 
-    def cofactors(self, p: int, col: int, top: int, tick: Callable
+    def cofactors(self, p: int, c: int, grade: int, tick: Callable
                   ) -> Iterator[NatSet]:
-        """Every R containing 0 with P + R = E, once, for the 0-set P of
-        mask p, with colon set col and top = max(E) - max(P).
+        """Every R containing 0 with P + R = E, once, for the proper 0-set
+        divisor P of mask p, with colon set c and grade = max(E) - max(P).
 
-        max(R) = top, and R lies in col.  The elements between 0 and top
-        join R in increasing order, and a node's reach P + R only grows;
-        x + P reaches elements from x on, so an element of E that R + P
-        misses below the next candidate kills the branch.
+        max(R) = grade, and R lies in c, which holds 0 and grade.  The
+        elements between them join R in increasing order, and a node's
+        reach P + R only grows; x + P reaches elements from x on, so an
+        element of E that R + P misses below the next candidate kills the
+        branch.
         """
-        if not col & 1 or not col >> top & 1:
-            return
-        free = list(natset._bits(col & (1 << top) - 2))
+        free = list(natset._bits(c & (1 << grade) - 2))
         lows = [1 << x for x in free] + [2 << self.top]
 
         def children(node):
@@ -463,8 +465,8 @@ class _SetMask:
                 x = free[i]
                 yield reach | p << x, i + 1, rmask | 1 << x
 
-        for node in _walk(self.whole, lows, (p | p << top, 0, 1 | 1 << top),
-                          children, tick):
+        for node in _walk(self.whole, lows,
+                          (p | p << grade, 0, 1 | 1 << grade), children, tick):
             yield self.element(node[2])
 
 
@@ -538,11 +540,16 @@ class _Board:
     those two cells exactly when they do not.  Inside the box, the clipped
     mask of q is the OR of p shifted by each generator of a, and it
     determines q.  A colon J of e contains e, so (J : X^c Y^g) contains
-    (e : X^c Y^g), the cached colon_mask, which holds every cell that
-    X^c Y^g moves out of the box; the other cells are those of J shifted
-    down-left by (c, g).  So (J : X^c Y^g) is that shift, within the box,
-    joined with (e : X^c Y^g).  Generators are the cells of a mask whose
-    left and lower neighbours are out of it (_corners).
+    (e : X^c Y^g), colon_mask(c, g), which holds every cell that X^c Y^g
+    moves out of the box; the other cells are those of J shifted down-left
+    by (c, g).  So (J : X^c Y^g) is that shift, within the box, joined with
+    (e : X^c Y^g).  Generators are the cells of a mask whose left and lower
+    neighbours are out of it (_corners).
+
+    colon_mask keeps nothing: the colons of the frame walk (_frame_dfs),
+    which both searches run, last only as long as their frame.  atom keeps
+    the colon of each generator it meets, since the lengths layers and the
+    cofactor rule form records of the same few atoms many times.
     """
 
     def __init__(self, e: MonIdeal):
@@ -580,7 +587,7 @@ class _Board:
         self.whole = whole = (rows >> low * w << low * w + px + 1) \
             - int.from_bytes(firsts, "little")
         self.gens = self._corners(whole)
-        self._colon_cache: dict[tuple[int, int], int] = {}
+        self._atom_colons: dict[tuple[int, int], int] = {}
         self._last = self._shifts = None
 
     def cols(self, lo: int, hi: int) -> int:
@@ -590,9 +597,6 @@ class _Board:
 
     def colon_mask(self, c: int, g: int) -> int:
         """Membership mask of (ideal : X^c Y^g), clipped to the same box."""
-        got = self._colon_cache.get((c, g))
-        if got is not None:
-            return got
         w, px, py = self.stride, self.px, self.py
         # bits shifted past column 0 land in the padding of the row below
         # and are masked off; clipped cells repeat column px or row py, which
@@ -601,13 +605,15 @@ class _Board:
         out = (self.whole >> (g * w + c)) & self.unit
         out |= self.cols(px + 1 - c, px + 1)
         out |= self.unit >> ((py + 1 - g) * w) << ((py + 1 - g) * w)
-        self._colon_cache[(c, g)] = out
         return out
 
     def atom(self, a: MonIdeal) -> tuple:
-        w = self.stride
+        w, kept = self.stride, self._atom_colons
+        for gen in a.gens:
+            if gen not in kept:
+                kept[gen] = self.colon_mask(*gen)
         return (tuple([y * w + x for x, y in a.gens]),
-                tuple([self.colon_mask(x, y) for x, y in a.gens]),
+                tuple([kept[gen] for gen in a.gens]),
                 self.px - a.max_x, (self.py - a.max_y) * w)
 
     def product(self, p: int, a: tuple) -> int:
@@ -685,6 +691,7 @@ class _Board:
         """
         total = self.mdeg
         px, py, starts = self.px, self.py, self.starts
+        colon = self.colon_mask
         # a proper divisor has a grade below total; lo <= cap needs
         # bx >= total - cap
         cap = min(cap, total - 1)
@@ -703,57 +710,38 @@ class _Board:
                     c0 = max(1, lo - g, starts[g] - bx, starts[g + by])
                     if c0 < ax:
                         rows.append((g, c0))
-                for d, grade in _frame_dfs(self, ax, ay, rows, tick):
+                cof = colon(ax, 0) & colon(0, ay)
+                for d, grade in _frame_dfs(self, ax, ay, rows, cof, colon,
+                                           tick):
                     if grade <= cap:
                         yield d, grade
 
-    def cofactors(self, p: int, col: int, grade: int, tick: Callable
+    def cofactors(self, p: int, c: int, grade: int, tick: Callable
                   ) -> Iterator[MonIdeal]:
-        """Every r with p * r = e, for a gcd-free divisor p of mask p, with
-        colon mask col = (e : p) and grade = mdeg(e) - mdeg(p).
+        """Every r with p * r = e, for a gcd-free proper divisor p of mask
+        p, with colon mask c = (e : p) and grade = mdeg(e) - mdeg(p).
 
         Pure powers add, so r has the frame (bx, by) = (px - p.max_x,
         py - p.max_y): p.max_x is the first cell of p's row 0, and p.max_y
         the row of the first cell of its column 0.  Every generator of r
-        lies in col with a degree of at least grade, the grade of r.  The
-        DFS runs over antichains r = frame + points by increasing Y, as
-        _frame_dfs does, but with p fixed: reach, the mask of p * r, is the
-        OR of p shifted by each generator of r, and grows with r.  A point
-        only reaches rows at or above its own, so a generator of e missed
-        below the next point's row kills the branch; reach covering the
-        generators of e yields r.
+        lies in c with a degree of at least grade, the grade of r.  The
+        search is the frame walk of the divisors (_frame_dfs) with the
+        partner held at p: every colon it takes is the whole box.
         """
-        px, py, w = self.px, self.py, self.stride
+        px, py, w, unit = self.px, self.py, self.stride, self.unit
         column = p & self.rows
         bx = px + 1 - (p & -p).bit_length()
         by = py - ((column & -column).bit_length() - 1) // w
-        if not (col >> bx & 1 and col >> by * w & 1):
-            return
         rows = []
         for g in range(1, by):
-            row = col >> g * w & self.row
-            if row:
-                c0 = max(1, (row & -row).bit_length() - 1, grade - g)
-                if c0 < bx:
-                    rows.append((g, c0))
-        bottom = (0, by)
-        firsts, lefts, lows = _numbered(rows, bx, self)
-        last = len(lows) - 1
-
-        def children(node):
-            reach, _idx, acc, row = node
-            last_x = acc[-1][0]
-            for k in range(row + 1, len(rows)):
-                g, c0 = rows[k]
-                first, left = firsts[k], lefts[k]
-                for c in range(c0, last_x):
-                    yield (reach | p << g * w + c,
-                           first + c + 1 if c > left else last,
-                           acc + ((c, g),), k)
-
-        root = (p << bx | p << by * w, 0, ((bx, 0),), -1)
-        for node in _walk(self.gens, lows, root, children, tick):
-            yield MonIdeal._from_antichain(node[2] + (bottom,))
+            # c holds e, so every row holds column px
+            row = c >> g * w & self.row
+            c0 = max(1, (row & -row).bit_length() - 1, grade - g)
+            if c0 < bx:
+                rows.append((g, c0))
+        for r, _g in _frame_dfs(self, bx, by, rows, p, lambda _c, _g: unit,
+                                tick):
+            yield r
 
 
 def _frame_ays(px: int, py: int, total: int, cap: int, ax: int) -> range:
@@ -769,69 +757,64 @@ def _frame_ays(px: int, py: int, total: int, cap: int, ax: int) -> range:
     return range(max(1, total - px + ax), py - total + 1 + min(ax, cap))
 
 
-def _numbered(rows: list[tuple[int, int]], cmax: int, board: _Board
-              ) -> tuple[list[int], list[int], list[int]]:
-    """Number the points of rows (g, c0), the (c, g) with c0 <= c < cmax.
-
-    Rows run by increasing g, so the numbers follow (g, c) order, and point
-    (c, g) of row k is number firsts[k] + c.  lefts[k] is the least column
-    of the rows after row k, so that point has a point above and left of
-    it exactly when c > lefts[k].  lows[n] is bit 0 of the row of point n,
-    and of row py + 1 for n past the last point, since a point reaches no
-    row below its own.
-    """
-    w = board.stride
-    firsts, lows = [], []
-    for g, c0 in rows:
-        firsts.append(len(lows) - c0)
-        lows += [1 << g * w] * (cmax - c0)
-    lows.append(1 << (board.py + 1) * w)
-    lefts, least = [], cmax
-    for _g, c0 in reversed(rows):
-        lefts.append(least)
-        least = min(least, c0)
-    lefts.reverse()
-    return firsts, lefts, lows
-
-
-def _frame_dfs(board: _Board, ax: int, ay: int, rows, tick
+def _frame_dfs(board: _Board, ax: int, ay: int, rows, cof: int,
+               colon: Callable, tick: Callable
                ) -> Iterator[tuple[MonIdeal, int]]:
-    """Preorder DFS over antichains B = frame + points by increasing Y.
+    """Preorder DFS over antichains B = frame + points by increasing Y, each
+    with a partner: cof at the root, cut to partner & colon(c, g) by each
+    point (c, g) that joins B.  _Board.divisors gives (e : X^ax) & (e : Y^ay)
+    and colon_mask, so the partner of B is (e : B); _Board.cofactors gives a
+    divisor p and the whole box, so the partner stays p.
 
     The points are those of rows (g, c0), by increasing g: (c, g) with
-    c0 <= c < ax (see _numbered).  A child of B adds a point above and left
-    of its last generator: one of a later row, left of that generator's
-    column.  A node whose last generator has no such point has no children,
-    and takes the last number.  A node keeps each generator (sx, sy) of B
-    as its shift sy*stride + sx, (0, ay) first and then by decreasing x.
-    Its reach is the mask of B * cof, cof the mask of (e : B): the OR of
-    cof shifted by each generator.  Points still to come lie at or above
-    the next point's row and only shrink cof, so a generator of e missed
-    below that row kills the branch (see _walk); reach covering the
-    generators of e emits B with its grade, min(ax, ay, c + g over points).
+    c0 <= c < ax, numbered in (g, c) order, so that point (c, g) of row k
+    is number firsts[k] + c.  A child of B adds a point above and left of
+    its last generator: one of a later row, left of that generator's
+    column.  lefts[k] is the least column of the rows after row k, so a
+    node whose last generator (c, g) of row k has c <= lefts[k] has no
+    children, and takes the last number.  A node keeps each generator
+    (sx, sy) of B as its shift sy*stride + sx, (0, ay) first and then by
+    decreasing x.  Its reach is the mask of B * partner: the OR of the
+    partner shifted by each generator, so a point that leaves the partner
+    unchanged adds one shift to its parent's reach.  Points still to come
+    lie at or above the next point's row and only shrink the partner, so a
+    generator of e missed below that row kills the branch (see _walk;
+    lows[n] is bit 0 of the row of point n, and of row py + 1 past the
+    last point); reach covering the generators of e emits B with its
+    grade, min(ax, ay, c + g over points).
 
     Before the walk, one product bound: B lies in the ideal U of the frame
-    and all its points, and (e : B) in the root's cof, so B * (e : B) lies
-    in U * cof.  The points of a row (g, c0) lie in the ideal of its first
+    and all its points, and its partner in cof, so B * partner lies in
+    U * cof.  The points of a row (g, c0) lie in the ideal of its first
     point, so U * cof has the mask of cof shifted by (ax, 0), (0, ay) and
     each (c0, g).  When that mask misses a generator of e, no B of the
-    frame divides e, and the frame is not walked.
+    frame meets its partner in e, and the frame is not walked; for a
+    divisor p, whose rows hold (e : p), it never fires.  The colon of each
+    point is taken when the point is first reached, and is dropped with
+    the frame.
     """
-    w, bottom, colon = board.stride, (0, ay), board.colon_mask
-    cof = colon(ax, 0) & colon(0, ay)
+    w, bottom = board.stride, (0, ay)
     cover = reach = cof << ax | cof << ay * w
     for g, c0 in rows:
         cover |= cof << g * w + c0
     if board.gens & ~cover:
         return
-    firsts, lefts, lows = _numbered(rows, ax, board)
+    firsts, lows, lefts, least = [], [], [], ax
+    for g, c0 in rows:
+        firsts.append(len(lows) - c0)
+        lows += [1 << g * w] * (ax - c0)
+    lows.append(1 << (board.py + 1) * w)
+    for _g, c0 in reversed(rows):
+        lefts.append(least)
+        least = min(least, c0)
+    lefts.reverse()
     last = len(lows) - 1
     # the colon mask of each point once it is reached (never 0: the last
     # column of the box is in every colon)
     colons = [0] * last
 
     def children(node):
-        _reach, _idx, sh, cof, deg, row = node
+        reach, _idx, sh, cof, deg, row = node
         last_x = sh[-1] % w
         for k in range(row + 1, len(rows)):
             g, c0 = rows[k]
@@ -840,13 +823,17 @@ def _frame_dfs(board: _Board, ax: int, ay: int, rows, tick
                 cm = colons[first + c]
                 if not cm:
                     cm = colons[first + c] = colon(c, g)
+                s = g * w + c
                 cof2 = cof & cm
-                sh2 = sh + (g * w + c,)
-                reach = 0
-                for s in sh2:
-                    reach |= cof2 << s
-                yield (reach, first + c + 1 if c > left else last, sh2, cof2,
-                       deg if deg <= c + g else c + g, k)
+                sh2 = sh + (s,)
+                if cof2 == cof:
+                    reach2 = reach | cof << s
+                else:
+                    reach2 = 0
+                    for t in sh2:
+                        reach2 |= cof2 << t
+                yield (reach2, first + c + 1 if c > left else last, sh2,
+                       cof2, deg if deg <= c + g else c + g, k)
 
     root = (reach, 0, (ay * w, ax), cof, min(ax, ay), -1)
     for node in _walk(board.gens, lows, root, children, tick):
@@ -974,7 +961,7 @@ class FactorEngine:
                 atom = view.atom(c)
                 p = view.product(view.unit, atom)
                 rs = view.cofactors(p, view.colon(view.whole, atom),
-                                    total - g, self.budget.tick) if p else ()
+                                    total - g, self.budget.tick)
             for r in rs:
                 yield a, (m.shifted(r, u - i, v - j) if u - i or v - j
                           else r)

@@ -9,6 +9,7 @@ from atomlab import cli
 from atomlab.engine import MAX_BOARD_CELLS
 from atomlab.monideal import MonIdeal, build_a, build_c, product
 from atomlab.natset import NatSet, sumset
+from cli_child import run_cli
 
 
 def run(capsys, *argv):
@@ -164,6 +165,16 @@ def test_deep_search_lengths_stop_on_budget(capsys, budget):
     code, out, err = run(capsys, "lengths", str(DEEP), *budget)
     assert code == 2 and "Traceback" not in err
     assert last_json(out)["lengths"] == "inconclusive"
+
+
+def test_tall_board_atom_stops_on_time_within_memory():
+    # each colon mask of this 16.0M-cell board takes about 2 MB; a frame
+    # keeps none past itself, so the time budget ends the search before a
+    # 400 MB address space runs out
+    code, out, err = run_cli("atom", "<X^400, X Y^200, Y^20000>",
+                             "--budget-seconds", "2", max_bytes=400 << 20)
+    assert code == 2 and "Traceback" not in err
+    assert last_json(out)["atom"] == "inconclusive"
 
 
 def test_lengths_budget_inconclusive(capsys):

@@ -50,6 +50,24 @@ def test_adapters_hold_exactly_the_protocol():
         is vars(MonomialMonoid)["candidate_divisors"]
 
 
+def test_views_hold_the_core_view_protocol():
+    # both core views define every method of _CoreView with its parameter
+    # names, and the masks whole and unit
+    def params(fn):
+        return [p.name for p in inspect.signature(fn).parameters.values()]
+
+    protocol = {name: params(fn) for name, fn in vars(engine._CoreView).items()
+                if callable(fn) and not name.startswith("_")}
+    assert set(protocol) == {"divisors", "atom", "product", "colon",
+                             "divides", "element", "cofactors"}
+    assert set(engine._CoreView.__annotations__) == {"whole", "unit"}
+    for view in (engine._SetMask(NatSet([0, 1, 3])),
+                 engine._Board(build_a(2))):
+        for name, want in protocol.items():
+            assert params(getattr(type(view), name)) == want, (view, name)
+        assert isinstance(view.whole, int) and isinstance(view.unit, int)
+
+
 def _cofactors(monoid, whole, part, budget=None):
     # the engine's cofactor rule for one part, lazily: each r with
     # part * r = whole
@@ -265,7 +283,10 @@ def _reference_frame_stream(e, tick):
                            for g, _c in points}.items())
             assert points == [(g, c) for g, c0 in rows
                               for c in range(c0, ax)]
-            for d, g in engine._frame_dfs(board, ax, ay, rows, tick):
+            colon = board.colon_mask
+            cof = colon(ax, 0) & colon(0, ay)
+            for d, g in engine._frame_dfs(board, ax, ay, rows, cof, colon,
+                                          tick):
                 if g <= cap:
                     yield d, g
 
@@ -348,6 +369,45 @@ def test_board_colon_masks_match_membership(e):
                        for x in range(px + 1)
                        if (min(x + c, px), min(y + g, py)) in core)
             assert board.colon_mask(c, g) == want
+
+
+def test_tall_board_search_stays_within_memory():
+    # each colon mask of this 16.0M-cell board takes about 2 MB, so a search
+    # that kept the colons of the frames it passed would hold hundreds of
+    # them within 300 nodes
+    e = MonIdeal([(400, 0), (1, 200), (0, 20000)])
+    tracemalloc.start()
+    try:
+        with pytest.raises(SearchBudgetExceeded):
+            monomial_engine(Budget(max_nodes=300)).find_split(e)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20
+
+
+@pytest.mark.parametrize("bound, query, nodes, cofactor_nodes", [
+    (4, "split", 1322, 221), (5, "split", 8479, 2060),
+    (5, "lengths", 1933, 245)])
+def test_board_cofactor_search_nodes_are_pinned(monkeypatch, bound, query,
+                                                nodes, cofactor_nodes):
+    # one engine per pool; the ticks made inside the board cofactor
+    # searches are counted apart, so a search that gives the same answers
+    # but walks more shows here
+    cofactors, counted = engine._Board.cofactors, [0]
+
+    def counting(self, p, c, grade, tick):
+        def counted_tick():
+            counted[0] += 1
+            tick()
+        return cofactors(self, p, c, grade, counted_tick)
+
+    monkeypatch.setattr(engine._Board, "cofactors", counting)
+    budget = Budget()
+    eng = monomial_engine(budget)
+    for e in oracle.box_ideals(bound):
+        getattr(eng, query)(e)
+    assert (budget.nodes, counted[0]) == (nodes, cofactor_nodes)
 
 
 def test_board_limit():
@@ -863,9 +923,9 @@ def test_skipped_frames_and_groups_hold_no_divisor(box6, monkeypatch):
     frames, roots = [], []
     frame_dfs, walk = engine._frame_dfs, engine._walk
 
-    def record_frame(board, ax, ay, rows, tick):
+    def record_frame(board, ax, ay, rows, cof, colon, tick):
         frames.append((ax, ay, board.stride))
-        return frame_dfs(board, ax, ay, rows, tick)
+        return frame_dfs(board, ax, ay, rows, cof, colon, tick)
 
     def record_walk(target, lows, root, children, tick):
         roots.append(root)
