@@ -175,6 +175,18 @@ def _check_lengths_monomial_stretch(rt: _Runtime) -> Optional[dict]:
     return None
 
 
+def _check_lengths_a_ladder(rt: _Runtime) -> Optional[dict]:
+    eng = rt.mon
+    bad = []
+    for k in range(7, 21):
+        want = tuple(range(2, k + 1))
+        got = eng.lengths(build_a(k))
+        if got != want:
+            bad.append({"target": f"a_{k}", "want": [2, k],
+                        "got": list(got)})
+    return _verdict(bad)
+
+
 def _check_lengths_sumset(rt: _Runtime) -> Optional[dict]:
     eng = rt.sum
     bad = []
@@ -465,6 +477,12 @@ _CLAIMS: tuple[Claim, ...] = (
         "are too many to list, but products of the atoms of at most half "
         "the grade settle it within the 1,000,000-node default budget.",
         _check_lengths_monomial_stretch),
+    Claim(
+        "lengths-a-ladder", "stretch",
+        "L(a_k) = [2,k] for k in [7,20], on one engine.  a_20 alone has "
+        "23,713 divisors of at most half the grade; their atoms and "
+        "products fit the 1,000,000-node default budget.",
+        _check_lengths_a_ladder),
 )
 
 

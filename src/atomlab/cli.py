@@ -58,6 +58,8 @@ def _parse_target_opts(tokens: list[str]) -> dict:
         flag = tokens[i]
         if flag not in ("--minimal", "--seq", "--r"):
             raise _UsageError(f"unexpected token {flag!r} in target")
+        if flag[2:] in opts:
+            raise _UsageError(f"{flag} given twice")
         if i + 1 >= len(tokens):
             raise _UsageError(f"{flag} needs a value")
         value = tokens[i + 1]

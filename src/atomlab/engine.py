@@ -10,7 +10,8 @@ cancellative, so a divisor may have many cofactors.
 
 Every question starts from the small divisors of e, those of at most half
 its grade.  Some side of every split is one, so split lists pair each with
-its cofactors, and lengths multiply the small atoms (FactorEngine.lengths).
+its cofactors, and lengths multiplies the small atoms in one pass in grade
+order, whose products sieve them (FactorEngine.lengths).
 The divisor and cofactor searches, over sets and over ideals, are methods
 of the views and run one walk (_walk): a preorder DFS that holds one lazy
 child iterator per level, so no search recurses and a deep one holds only
@@ -36,9 +37,8 @@ search applies its own grade cap.
 
 from __future__ import annotations
 
-import itertools
+import heapq
 import time
-from bisect import bisect_left, bisect_right
 from typing import Callable, Iterable, Iterator, Optional, Protocol, TypeVar
 
 from . import monideal, natset
@@ -164,8 +164,8 @@ class GradedMonoid(Protocol[E]):
 
 class _CoreView(Protocol):
     """One prime-free target e as int masks: its divisor search, the
-    products of the lengths layers (FactorEngine.lengths) and the search
-    for the cofactors of one.
+    products of the lengths pass (FactorEngine.lengths) and the search for
+    the cofactors of one.
 
     divisors(cap, tick) yields each proper divisor of e of grade at most
     cap once, with its grade.  A mask determines one divisor p of e, or one
@@ -328,7 +328,6 @@ class _SetMask:
     """
 
     unit = 1
-    _last = _elems = None
 
     def __init__(self, e: NatSet):
         self.top = top = e.elements[-1]
@@ -359,14 +358,10 @@ class _SetMask:
         return out
 
     def divides(self, p: int, a: tuple[int, ...], c: int) -> bool:
-        # the layers check the products of one p in a row, so the elements
-        # of the last p are kept
-        if p is not self._last:
-            self._last, self._elems = p, tuple(natset._bits(p))
         ac = cover = 0
         for b in a:
             ac |= c << b
-        for x in self._elems:
+        for x in natset._bits(p):
             cover |= ac << x
         return cover == self.whole
 
@@ -548,8 +543,8 @@ class _Board:
 
     colon_mask keeps nothing: the colons of the frame walk (_frame_dfs),
     which both searches run, last only as long as their frame.  atom keeps
-    the colon of each generator it meets, since the lengths layers and the
-    cofactor rule form records of the same few atoms many times.
+    the colon of each generator it meets, since the lengths pass and the
+    cofactor rule form records of divisors that share generators.
     """
 
     def __init__(self, e: MonIdeal):
@@ -588,7 +583,6 @@ class _Board:
             - int.from_bytes(firsts, "little")
         self.gens = self._corners(whole)
         self._atom_colons: dict[tuple[int, int], int] = {}
-        self._last = self._shifts = None
 
     def cols(self, lo: int, hi: int) -> int:
         """Mask of columns lo to hi - 1 in every row."""
@@ -632,16 +626,13 @@ class _Board:
         return out
 
     def divides(self, p: int, a: tuple, c: int) -> bool:
-        # the layers check the products of one p in a row, so the
-        # generators of the last p are kept; a * c is clipped before it is
-        # shifted again, so that no padding bit wraps into the next row
-        if p is not self._last:
-            self._last, self._shifts = p, tuple(natset._bits(self._corners(p)))
+        # a * c is clipped before it is shifted by the generators of p, so
+        # that no padding bit wraps into the next row
         ac = cover = 0
         for s in a[0]:
             ac |= c << s
         ac &= self.unit
-        for s in self._shifts:
+        for s in natset._bits(self._corners(p)):
             cover |= ac << s
         return not self.gens & ~cover
 
@@ -847,9 +838,9 @@ class FactorEngine:
     Each engine owns one budget; create a fresh engine to search under
     different budgets.  Without a budget the engine counts into a Budget of
     its own that sets no limit.  An engine retains, per element, the lengths
-    that lengths found, the small divisors that split or lengths searched,
-    and the atom tests that lengths made (of small divisors, colons and
-    cofactors, which recur across its targets).  A bare is_atom or
+    that lengths found and the small divisors that split or lengths
+    searched.  lengths tests its small divisors for atoms on its own
+    products, and its colons and cofactors with is_atom.  A bare is_atom or
     find_split retains nothing.
     """
 
@@ -857,7 +848,6 @@ class FactorEngine:
         self.monoid = monoid
         self.budget = Budget() if budget is None else budget
         self._small_memo: dict = {}
-        self._atom_memo: dict = {}
         self._length_memo: dict = {}
 
     def _small_divisors(self, e: E) -> list[tuple[E, int]]:
@@ -903,14 +893,6 @@ class FactorEngine:
         """
         return self._first_small_divisor(e) is None \
             and self.monoid.grade(e) > 0
-
-    def _kept_atom(self, e: E) -> bool:
-        """is_atom, kept per element for the atom tests of lengths."""
-        k = self.monoid.key(e)
-        got = self._atom_memo.get(k)
-        if got is None:
-            got = self._atom_memo[k] = self.is_atom(e)
-        return got
 
     def split(self, e: E) -> list[tuple[E, E]]:
         """Every unordered pair (a, b) of nonunits with a * b = e.
@@ -969,34 +951,39 @@ class FactorEngine:
     def lengths(self, e: E) -> tuple[int, ...]:
         """Sorted set of factorization lengths of e (identity gives {0}).
 
-        Small-side algorithm.  Sort the atoms of a factorization of length
-        k >= 2 by grade: each of the first k - 1 has at most half the grade
-        of e, and their product divides e with a grade below e's.  So only
-        the small atoms, those the divisor stream yields, are multiplied:
-        layer j holds the distinct products of j small atoms that divide e
-        with a grade below it, and k <= 1 + the deepest layer.  Products
-        grow in sorted order: p, of grade gp, extends only by atoms a at or
-        after its last factor, and only when gp + 2 * grade(a) <= grade(e)
-        or when grade(a) = grade(e) - gp, which closes a length.  Every atom
-        after a sorts no smaller, so a product q = p * a with
-        0 < grade(e) - grade(q) < grade(a) can never complete; nor can a
-        colon or cofactor complete it, since a smaller last atom would sort
-        before a.  With the atoms sorted by grade, the allowed a form two
-        index ranges, and each product formed costs a node.  k is a length
-        exactly when some p of layer k - 1 has an atom r with
-        p * r = e.  When r is small too, the product p * r = e turns up
-        while the layers are built.  Otherwise r is tried as the maximal
-        cofactor colon(e, p) first, and, for a k still open, searched for
-        among all cofactors of p.  An element without small divisors is an
-        atom, of length 1.  Prime atoms, which every factorization holds,
-        are split off first (GradedMonoid.prime_split).
+        Prime atoms, which every factorization holds, are split off first
+        (GradedMonoid.prime_split), and an element without small divisors,
+        of at most half its grade, is an atom, of length 1.  Otherwise one
+        pass over the small divisors in grade order, on the view of e
+        (GradedMonoid.context), keeps each product of small atoms once: its
+        mask, its colon (e : p) and its lengths as bits.  A divisor d costs
+        one node, its own product unit * d, and is an atom exactly when
+        that mask is no product yet.  A new atom a extends every product p
+        formed so far, its own included, in ascending grade, when
+        gp + 2 * grade(a) <= grade(e), which leaves room for a and one more
+        atom no smaller; each product formed costs a node, and
+        colon(e, p * a) is colon(colon(e, p), a).
 
-        The layers keep each product p as a mask, with its colon (e : p),
-        on the view of e (GradedMonoid.context): masks key the layers, and
-        colon(e, p * a) is colon(colon(e, p), a), so each product q costs
-        one product, one colon and one check that q times its colon is e.
-        The cofactors of p are searched on the same view, from p's mask and
-        colon, so elements are formed only for the large last atoms.
+        Sort a factorization a_1 <= ... <= a_k, k >= 2, by grade and then by
+        stream order.  The first k - 1 are small atoms, and each prefix step
+        has gp + 2 * grade(a_j+1) <= gp + grade(a_j+1) + grade(a_k) <=
+        grade(e), so the pass forms their product with bit k - 1.  Within
+        a's pass a product is visited after every product it gains lengths
+        from, as grades ascend; atoms earlier than a never see the lengths
+        a product gains later, which is exactly the sorted-order rule.
+        After the pass, each product p tries as its last atom the small
+        atoms of grade grade(e) - gp, until all its lengths are found; then
+        the maximal cofactor colon(e, p) of each product with a large rest;
+        then, for lengths still open, all cofactors of p, on the same view.
+
+        The sieve is exact.  Let d be a small divisor that is not an atom,
+        a product of atoms a_1 <= ... <= a_k, k >= 2, sorted as above.  Each
+        a_j has a grade below grade(d) and divides e, so it is a small atom,
+        classified before d.  Each prefix step has gp + 2 * grade(a_j+1) <=
+        grade(d) + grade(a_j+1) <= grade(e), and each prefix divides e, so
+        the pass has formed d's mask before it reaches grade(d).  An atom of
+        grade at least grade(d) only forms products of larger grade, so it
+        cannot hide an atom, and on the view a mask determines its divisor.
         """
         m = self.monoid
         k = m.key(e)
@@ -1015,67 +1002,71 @@ class FactorEngine:
         total = m.grade(e)
         if total == 0:
             return (0,)
-        small = self._small_divisors(e)
+        small = sorted(self._small_divisors(e), key=lambda pair: pair[1])
         if not small:
             return (1,)
         tick = self.budget.tick
-        atoms = sorted(((a, g) for a, g in small if self._kept_atom(a)),
-                       key=lambda pair: pair[1])
-        grades = [g for _a, g in atoms]
         ctx = m.context(e)
-        recs = [ctx.atom(a) for a, _g in atoms]
         whole = ctx.whole
-        found = set()
-        # mask -> [grade, least index of a last factor, colon mask]; a
-        # product extends only by atoms at or after its last factor, which
-        # still reaches every sorted factorization.  Layer 0 is the
-        # identity, layer j holds products of j atoms, and each product
-        # formed costs a node.
-        layer = {ctx.unit: [0, 0, whole]}
-        layers = []
-        while layer:
-            layers.append(layer)
-            length = len(layers)
-            nxt: dict = {}
-            for p, (gp, first, col) in layer.items():
-                # the atoms that leave room for one no smaller, then those
-                # that close a length; the rest cannot complete
-                rest = total - gp
-                mid = bisect_right(grades, rest // 2, first)
-                lo = bisect_left(grades, rest, mid)
-                for i in itertools.chain(range(first, mid), range(
-                        lo, bisect_right(grades, rest, lo))):
-                    a, g = recs[i], gp + grades[i]
-                    if g == total and length in found:
-                        break
+        # mask -> [grade, lengths as bits, colon mask], or None for a mask
+        # that does not divide e; then the masks and the atoms of each grade
+        products, graded, atoms = {}, {}, {}
+        for d, g in small:
+            a = ctx.atom(d)
+            tick()
+            q = ctx.product(ctx.unit, a)
+            if q in products:
+                continue
+            atoms.setdefault(g, []).append(a)
+            products[q] = [g, 2, ctx.colon(whole, a)]
+            graded.setdefault(g, []).append(q)
+            # the grades that leave room for a and one more atom no smaller
+            top = total - 2 * g
+            heap = [gp for gp in graded if gp <= top]
+            heapq.heapify(heap)
+            while heap:
+                gp = heapq.heappop(heap)
+                gq = gp + g
+                for p in graded[gp]:
+                    _gp, bits, col = products[p]
                     tick()
                     q = ctx.product(p, a)
-                    if g == total:
-                        if q == whole:
-                            found.add(length)
-                    elif q in nxt:
-                        seen = nxt[q]
-                        if seen is not None and i < seen[1]:
-                            seen[1] = i
+                    if q in products:
+                        if products[q] is not None:
+                            products[q][1] |= bits << 1
                     elif q:
-                        # q may divide e (0: it cannot), and colon(e, q) =
-                        # colon(colon(e, p), a)
+                        # q may divide e (0: it cannot)
                         c = ctx.colon(col, a)
-                        nxt[q] = [g, i, c] if ctx.divides(p, a, c) \
-                            else None
-            layer = {q: v for q, v in nxt.items() if v is not None}
-        half = total // 2
-        for length, layer in enumerate(layers[1:], 2):
-            if length in found:
+                        if not ctx.divides(p, a, c):
+                            products[q] = None
+                            continue
+                        products[q] = [gq, bits << 1, c]
+                        if gq <= top and gq not in graded:
+                            heapq.heappush(heap, gq)
+                        graded.setdefault(gq, []).append(q)
+        found, large = 0, []
+        for p, got in products.items():
+            if got is None:
                 continue
-            # a small last atom was found above; look for a large one
-            ps = [(p, total - gp, col) for p, (gp, _i, col) in layer.items()
-                  if total - gp > half]
-            if any(self._kept_atom(ctx.element(col)) for _p, _g, col in ps) \
-                    or any(self._kept_atom(r) for p, g, col in ps
-                           for r in ctx.cofactors(p, col, g, tick)):
-                found.add(length)
-        return tuple(sorted(found))
+            gp, bits, col = got
+            rest, bits = total - gp, bits << 1
+            if 2 * rest > total:
+                large.append((p, rest, bits, col))
+                continue
+            for a in atoms.get(rest, ()):
+                if not bits & ~found:
+                    break
+                tick()
+                if ctx.product(p, a) == whole:
+                    found |= bits
+        for _p, _rest, bits, col in large:
+            if bits & ~found and self.is_atom(ctx.element(col)):
+                found |= bits
+        for p, rest, bits, col in large:
+            if bits & ~found and any(map(
+                    self.is_atom, ctx.cofactors(p, col, rest, tick))):
+                found |= bits
+        return tuple(natset._bits(found))
 
 
 def sumset_engine(budget: Optional[Budget] = None) -> FactorEngine:

@@ -3,8 +3,8 @@
 Each test runs one claim end to end through the verification registry and
 prints a single status line, so a bare run of this module reads as a
 checklist.  All core claims are exact checks and must pass outright, and so
-must the stretch claim under its default node budget: the small-side length
-search answers it without listing every divisor.
+must the stretch claims under their default node budget: the small-side
+length search answers them without listing every divisor.
 """
 
 from atomlab import claims
@@ -64,10 +64,15 @@ def test_criterion_stretch_lengths_monomial():
     assert _run("S", "lengths-monomial-stretch").status == "pass"
 
 
+def test_criterion_stretch_lengths_a_ladder():
+    # L(a_k) = [2,k] up to a_20 on one engine, under the default budget
+    assert _run("S", "lengths-a-ladder").status == "pass"
+
+
 def test_registry_is_complete():
     assert claims.claim_ids() == [
         "atoms-monomial", "splits-monomial", "lengths-monomial",
         "lengths-sumset", "product-identities", "graded-pieces",
         "seed-sum-membership", "sum-free-atoms", "oracle-equivalence",
-        "phi-homomorphism", "lengths-monomial-stretch",
+        "phi-homomorphism", "lengths-monomial-stretch", "lengths-a-ladder",
     ]

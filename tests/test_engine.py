@@ -388,7 +388,9 @@ def test_tall_board_search_stays_within_memory():
 
 @pytest.mark.parametrize("bound, query, nodes, cofactor_nodes", [
     (4, "split", 1322, 221), (5, "split", 8479, 2060),
-    (5, "lengths", 1933, 245)])
+    # the id keeps the pool total of the per-length layers, so that the
+    # re-pin does not rename the case
+    pytest.param(5, "lengths", 2205, 245, id="5-lengths-1933-245")])
 def test_board_cofactor_search_nodes_are_pinned(monkeypatch, bound, query,
                                                 nodes, cofactor_nodes):
     # one engine per pool; the ticks made inside the board cofactor
@@ -543,10 +545,12 @@ def test_is_atom_retains_nothing():
                          (monomial_engine(), [phi(a) for a in sets])]:
         assert sum(map(eng.is_atom, targets[:2000])) > 0
         assert not any(v for k, v in vars(eng).items() if k.endswith("memo"))
-    # lengths keeps its atom tests, which recur across its targets
+    # lengths keeps its lengths and its small divisors, but no atom tests:
+    # its products sieve the small divisors
     eng = sumset_engine()
     eng.lengths(NatSet(range(6)))
-    assert eng._atom_memo
+    assert {k for k, v in vars(eng).items() if k.endswith("memo") and v} \
+        == {"_small_memo", "_length_memo"}
 
 
 def test_budget_seconds_exhaustion():
@@ -672,21 +676,30 @@ def test_stretch_lengths_node_count_is_pinned():
     budget = Budget(max_nodes=1_000_000)
     e = build_i_c(minimal_sequence(3))
     assert monomial_engine(budget).lengths(e) == (2, 3, 4)
-    assert budget.nodes == 3893
+    assert budget.nodes == 3617
 
 
-_A_NODES = {2: 4, 3: 9, 4: 20, 5: 26, 6: 43, 7: 69, 8: 130, 9: 198, 10: 442,
-            11: 586, 12: 1622, 13: 1995, 14: 5739}
+# (make, target, lengths, nodes, the nodes of the per-length layers): each
+# case keeps the id it had when it pinned the layers' count, so that a
+# re-pin does not rename it
+_LADDER = [
+    *((monomial_engine, build_a(k), tuple(range(2, k + 1)), n, old)
+      for k, n, old in [
+          (2, 4, 4), (3, 9, 9), (4, 18, 20), (5, 23, 26), (6, 36, 43),
+          (7, 66, 69), (8, 92, 130), (9, 180, 198), (10, 309, 442),
+          (11, 519, 586), (12, 1056, 1622), (13, 1657, 1995),
+          (14, 3726, 5739)]),
+    (monomial_engine, build_i_c(minimal_sequence(2)), (2, 3), 40, 43),
+    (sumset_engine, NatSet(range(25)), tuple(range(2, 25)), 73206, 92757),
+    (monomial_engine, MonIdeal([(9999999, 9999999)]), (19999998,), 0, 0)]
 
 
 @pytest.mark.parametrize("make, e, want, nodes", [
-    *((monomial_engine, build_a(k), tuple(range(2, k + 1)), n)
-      for k, n in _A_NODES.items()),
-    (monomial_engine, build_i_c(minimal_sequence(2)), (2, 3), 43),
-    (sumset_engine, NatSet(range(25)), tuple(range(2, 25)), 92757),
-    (monomial_engine, MonIdeal([(9999999, 9999999)]), (19999998,), 0)])
+    pytest.param(make, e, want, nodes,
+                 id=f"{make.__name__}-e{i}-want{i}-{old}")
+    for i, (make, e, want, nodes, old) in enumerate(_LADDER)])
 def test_lengths_ladder_is_pinned(make, e, want, nodes):
-    # the layers form the same products in the same order, whatever they
+    # the pass forms the same products in the same order, whatever they
     # are made of, so lengths and node counts are fixed (the stretch
     # target is pinned above)
     budget = Budget(max_nodes=1_000_000)
@@ -694,9 +707,46 @@ def test_lengths_ladder_is_pinned(make, e, want, nodes):
     assert budget.nodes == nodes
 
 
+def test_lengths_runs_no_atom_search_of_a_small_divisor(monkeypatch):
+    # the products of the pass sieve the small divisors, so a fresh engine
+    # builds the view of the divisor stream and the one the pass runs on;
+    # an is_atom search of each small divisor built 2,057 views for a_16
+    # and 4,097 for {0,...,24}
+    views = [0]
+
+    def counted(init):
+        def run(self, e):
+            views[0] += 1
+            init(self, e)
+        return run
+
+    for cls in (engine._Board, engine._SetMask):
+        monkeypatch.setattr(cls, "__init__", counted(cls.__init__))
+    for make, e, top in [(monomial_engine, build_a(16), 16),
+                         (sumset_engine, NatSet(range(25)), 24)]:
+        views[0] = 0
+        assert make().lengths(e) == tuple(range(2, top + 1))
+        assert views[0] <= 2
+
+
+def test_lengths_across_phi():
+    # the bottom-piece lemma: a factorization of phi(A) into nonunits has
+    # bottom pieces phi(B_j) with A = B_1 + ... + B_k, and phi carries
+    # atoms to atoms, so L(A) lies in L(phi(A)) with the same maximum.
+    # Boards up to 12 x 12; 23 of these sets have a strict inclusion
+    seng, meng = sumset_engine(), monomial_engine()
+    strict = 0
+    for mask in range(1, 1 << 12):
+        a = NatSet([0] + [i + 1 for i in range(12) if mask >> i & 1])
+        got, img = seng.lengths(a), meng.lengths(phi(a))
+        assert set(got) <= set(img) and got[-1] == img[-1]
+        strict += got != img
+    assert strict == 23
+
+
 def test_lengths_peak_memory_is_bounded():
-    # the layers keep a mask per product on a_14's board; the MonIdeal
-    # products they replaced traced a peak of 1,116,756 bytes
+    # the pass keeps a mask per product on a_14's board; the MonIdeal
+    # products that masks replaced traced a peak of 1,116,756 bytes
     eng = monomial_engine()
     tracemalloc.start()
     try:
@@ -775,7 +825,7 @@ def test_lengths_add_under_products(pair):
 def test_lengths_read_the_clock_between_kernel_calls(monoid, e):
     # a time budget reads the clock at a node, so no loop of lengths may
     # run kernel calls without one: a node forms at most a product q, its
-    # colon and the check that q divides e, all on the layer context
+    # colon and the check that q divides e, all on the target's view
     runs = [0]
 
     def counted(fn):
@@ -1043,8 +1093,8 @@ def test_monomial_engine_matches_oracle_exhaustively(box6):
 
 
 def test_lengths_search_cofactors_on_the_view(box6, monkeypatch):
-    # the large phase searches the cofactors of each layer product on the
-    # target's view, from the mask and colon the layers hold, and never
+    # the large phase searches the cofactors of each product of the pass on
+    # the target's view, from the mask and colon the pass holds, and never
     # forms the product to call the engine's cofactor rule
     def refuse(self, e, parts):
         raise AssertionError("lengths called the engine's cofactor rule")
