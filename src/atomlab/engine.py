@@ -169,18 +169,20 @@ class _CoreView(Protocol):
 
     divisors(cap, tick) yields each proper divisor of e of grade at most
     cap once, with its grade.  A mask determines one divisor p of e, or one
-    colon (e : p); 0 is none.  whole is the mask of e, which is also
-    (e : identity), and unit that of the identity.  atom(a) is what product
-    and colon need of a divisor a of e.  product(p, a) is the mask of
-    p * a, or 0 when p * a cannot divide e.  colon(c, a) is the mask of
-    (c : a), for a colon c.  For q = p * a and c = (e : q), divides(p, a, c)
-    tells whether p * (a * c) = e, that is, whether q divides e.
+    colon (e : p); 0 is none.  grade is the grade of e, whole the mask of
+    e, which is also (e : identity), and unit that of the identity.
+    atom(a) is what product and colon need of a divisor a of e.
+    product(p, a) is the mask of p * a, or 0 when p * a cannot divide e.
+    colon(c, a) is the mask of (c : a), for a colon c.  For q = p * a and
+    c = (e : q), divides(p, a, c) tells whether p * (a * c) = e, that is,
+    whether q divides e.
     element(mask) forms the element a mask determines.
     cofactors(p, c, grade, tick) yields each r with p * r = e once, for a
     proper divisor p, c = (e : p) and grade = grade(e) - grade(p).  Both
     searches tick once per node.
     """
 
+    grade: int
     whole: int
     unit: int
 
@@ -266,19 +268,22 @@ def _candidate_divisors(self: GradedMonoid, e: E, budget: Budget
     core divisor, of grade i + j plus theirs (_shifted).  The core's view
     is built only after the identity and the core have been shifted, so
     they are yielded before a core too large to lay out is refused.  The
-    stream of a prime-free e is the view's divisor search itself.
+    stream of a prime-free e is the view's divisor search itself, capped
+    by the grade the view carries, so its grade is read once, by the view.
     """
     u, v, core = self.prime_split(e)
+    tick = budget.tick
+    if not (u or v):
+        view = self.context(core)
+        yield from view.divisors(view.grade // 2, tick)
+        return
     total = self.grade(core)
     cap = (total + u + v) // 2
-    tick = budget.tick
-    if u or v:
-        head = [(self.identity, 0), (core, total)] if total \
-            else [(self.identity, 0)]
-        yield from _shifted(head, u, v, cap, self.shifted, tick)
-    divisors = self.context(core).divisors(cap, tick)
-    yield from _shifted(divisors, u, v, cap, self.shifted, tick) \
-        if u or v else divisors
+    head = [(self.identity, 0), (core, total)] if total \
+        else [(self.identity, 0)]
+    yield from _shifted(head, u, v, cap, self.shifted, tick)
+    yield from _shifted(self.context(core).divisors(cap, tick), u, v, cap,
+                        self.shifted, tick)
 
 
 class SumsetMonoid:
@@ -330,7 +335,7 @@ class _SetMask:
     unit = 1
 
     def __init__(self, e: NatSet):
-        self.top = top = e.elements[-1]
+        self.grade = top = e.elements[-1]
         if top > natset.SEARCH_LIMIT:
             raise ValueError(f"factor search supports max element <= "
                              f"{natset.SEARCH_LIMIT}, got {top}")
@@ -344,7 +349,7 @@ class _SetMask:
 
     def product(self, p: int, a: tuple[int, ...]) -> int:
         # max(p) + max(a) > max(E)
-        if p.bit_length() + a[-1] > self.top + 1:
+        if p.bit_length() + a[-1] > self.grade + 1:
             return 0
         q = 0
         for b in a:
@@ -396,7 +401,7 @@ class _SetMask:
         misses an element of E holds no divisor and is not walked; it costs
         one node, as the root of its walk would.
         """
-        amask, top = self.whole, self.top
+        amask, top = self.whole, self.grade
         if cap >= top:
             cap = top - 1
         mb, free = 0, []
@@ -452,7 +457,7 @@ class _SetMask:
         branch.
         """
         free = list(natset._bits(c & (1 << grade) - 2))
-        lows = [1 << x for x in free] + [2 << self.top]
+        lows = [1 << x for x in free] + [2 << self.grade]
 
         def children(node):
             reach, idx, rmask = node
@@ -500,33 +505,33 @@ class MonomialMonoid:
         return _Board(e)
 
 
-# Boards are dense, so a board of more padded cells than this (about 8 MB per
-# mask) is refused where it is built, before any mask.
+# Boards are dense, so a board of more cells than this, (py+1)(2px+1) (about
+# 8 MB per mask), is refused where it is built, before any mask.
 MAX_BOARD_CELLS = 1 << 26
 
 
 class _Board:
     """Bit-board view of an ideal e in its generator bounding box (_CoreView).
 
-    Bit y*(2px+1) + x is set when X^x Y^y lies in the ideal, for x <= px and
+    Bit y*stride + x is set when X^x Y^y lies in the ideal, for x <= px and
     y <= py (the largest generator exponents).  For a gcd-free ideal these
     are the pure exponents, and outside the box membership is decided by
     the pure powers alone, so clipping coordinates to the box is exact.
     Colons by a monomial become precomputed masks and intersections become
-    single AND operations, which is what makes the frame DFS cheap.  Rows
-    are padded to 2px+1 bits so that shifting a mask by any (sx, sy) with
-    sx <= px moves bits past column px into the padding, never into the
-    next row.  whole is the mask of e, unit that of the whole box, gens
-    that of the ideal's own generators, starts[y] the first column of row y
-    in the ideal (px+1 for none), and mdeg the grade of e.  A board of more
-    than MAX_BOARD_CELLS padded cells, (py+1)(2px+1), is a ValueError,
-    raised before any mask is built.
+    single AND operations, which is what makes the frame DFS cheap.  A row
+    is a whole number of bytes, stride = 8 * ceil((2px+1) / 8) >= 2px+1
+    bits, so that shifting a mask by any (sx, sy) with sx <= px moves bits
+    past column px into the padding, never into the next row.  whole is the
+    mask of e, unit that of the whole box, holes that of the cells of the
+    box outside e, gens that of the ideal's own generators, starts[y] the
+    first column of row y in the ideal (px+1 for none), and grade the grade
+    mdeg of e.  A board of more than MAX_BOARD_CELLS cells, (py+1)(2px+1),
+    is a ValueError, raised before any mask is built.
 
-    Every mask takes time linear in its bits, with no division, product or
-    digit string: rows, bit 0 of each row, comes from doubling; a block of
-    columns in every row is a difference of two shifts of rows (see cols);
-    and whole, row by row the columns from start to px, is bit px+1 of
-    each nonempty row less one bit at each start.
+    rows (bit 0 of each row) and whole are set up from byte runs, where
+    each run of rows between two generators is one row's bytes repeated,
+    and unit and holes are a subtraction and an XOR away, so a board costs
+    O(generators) Python steps and time linear in its bits.
 
     A divisor a of e, as atom(a), is its generator shifts with their colon
     masks, and the two cells (px - ax, 0) and (0, py - ay), for its pure
@@ -548,58 +553,46 @@ class _Board:
     """
 
     def __init__(self, e: MonIdeal):
-        self.px = px = e.max_x
-        self.py = py = e.max_y
-        self.mdeg = e.mdeg
-        self.stride = w = 2 * px + 1
+        gens = e.gens
+        px, low = gens[0]
+        py = gens[-1][1]
+        self.px, self.py = px, py
+        self.grade = e.mdeg
         n = py + 1
-        if n * w > MAX_BOARD_CELLS:
+        if n * (2 * px + 1) > MAX_BOARD_CELLS:
             raise ValueError(
                 f"factor search supports ideals whose gcd-free core needs "
-                f"at most {MAX_BOARD_CELLS} board cells, got {n * w}")
-        # bit 0 of each row, doubled to a power of two of rows and cut
-        rows, k = 1, 1
-        while k < n:
-            rows |= rows << k * w
-            k += k
-        self.rows = rows = rows >> (k - n) * w
-        self.row = (1 << px + 1) - 1
-        self.unit = self.cols(0, px + 1)
-        # rows between two generators (x descending, y ascending) start at
-        # the column of the lower one; rows below every generator are empty
-        gens = e.gens
-        low = gens[0][1]
+                f"at most {MAX_BOARD_CELLS} board cells, "
+                f"got {n * (2 * px + 1)}")
+        # bytes per row, ceil((2px+1) / 8)
+        size = px + 4 >> 2
+        self.stride = size << 3
+        self.row = row = (1 << px + 1) - 1
+        self.rows = rows = int.from_bytes(b"\1".ljust(size, b"\0") * n,
+                                          "little")
+        self.unit = unit = (rows << px + 1) - rows
+        # the rows from one generator (x descending, y ascending) up to the
+        # next hold the columns from its x to px; rows below every
+        # generator are empty
         self.starts = starts = [px + 1] * low
-        for (x, y), (_, top) in zip(gens, gens[1:] + ((0, n),)):
-            starts += [x] * (top - y)
-        # from the lowest generator's row on, a row is 2**(px+1) - 2**start
-        firsts = bytearray((n * w >> 3) + 1)
-        at = low * w
-        for x in starts[low:]:
-            x += at
-            firsts[x >> 3] |= 1 << (x & 7)
-            at += w
-        self.whole = whole = (rows >> low * w << low * w + px + 1) \
-            - int.from_bytes(firsts, "little")
+        runs = [bytes(size * low)]
+        x0, y0 = px, low
+        for x, y in gens[1:] + ((0, n),):
+            starts += [x0] * (y - y0)
+            runs.append((row >> x0 << x0).to_bytes(size, "little") * (y - y0))
+            x0, y0 = x, y
+        self.whole = whole = int.from_bytes(b"".join(runs), "little")
+        self.holes = unit ^ whole
         self.gens = self._corners(whole)
         self._atom_colons: dict[tuple[int, int], int] = {}
 
-    def cols(self, lo: int, hi: int) -> int:
-        """Mask of columns lo to hi - 1 in every row."""
-        rows = self.rows
-        return ((rows << hi - lo) - rows) << lo
-
     def colon_mask(self, c: int, g: int) -> int:
         """Membership mask of (ideal : X^c Y^g), clipped to the same box."""
-        w, px, py = self.stride, self.px, self.py
-        # bits shifted past column 0 land in the padding of the row below
-        # and are masked off; clipped cells repeat column px or row py, which
-        # the generators (px, 0) and (0, py) fill, so the last c columns and
-        # the last g rows are full
-        out = (self.whole >> (g * w + c)) & self.unit
-        out |= self.cols(px + 1 - c, px + 1)
-        out |= self.unit >> ((py + 1 - g) * w) << ((py + 1 - g) * w)
-        return out
+        # a cell is out exactly when the cell c columns right of it and g
+        # rows up is a hole; past column px that cell is padding, and past
+        # row py above the board, where there are no holes, which is right
+        # since the generators (px, 0) and (0, py) fill column px and row py
+        return self.unit & ~(self.holes >> g * self.stride + c)
 
     def atom(self, a: MonIdeal) -> tuple:
         w, kept = self.stride, self._atom_colons
@@ -680,15 +673,14 @@ class _Board:
         Each visited frame costs one search node, so a budget stops a loop over
         many frames even when none of them holds a point.
         """
-        total = self.mdeg
-        px, py, starts = self.px, self.py, self.starts
-        colon = self.colon_mask
-        # a proper divisor has a grade below total; lo <= cap needs
-        # bx >= total - cap
+        total = self.grade
+        px, py, w, starts = self.px, self.py, self.stride, self.starts
+        unit, holes, colon = self.unit, self.holes, self.colon_mask
+        # a proper divisor has a grade below total
         cap = min(cap, total - 1)
-        for ax in range(1, px - total + cap + 1):
+        for ax, ays in _frame_ays(px, py, total, cap):
             bx = px - ax
-            for ay in _frame_ays(px, py, total, cap, ax):
+            for ay in ays:
                 by = py - ay
                 tick()
                 if ax < starts[by] or bx < starts[ay]:
@@ -701,7 +693,8 @@ class _Board:
                     c0 = max(1, lo - g, starts[g] - bx, starts[g + by])
                     if c0 < ax:
                         rows.append((g, c0))
-                cof = colon(ax, 0) & colon(0, ay)
+                # colon_mask(ax, 0) & colon_mask(0, ay)
+                cof = unit & ~(holes >> ax | holes >> ay * w)
                 for d, grade in _frame_dfs(self, ax, ay, rows, cof, colon,
                                            tick):
                     if grade <= cap:
@@ -735,17 +728,25 @@ class _Board:
             yield r
 
 
-def _frame_ays(px: int, py: int, total: int, cap: int, ax: int) -> range:
-    """The ay in [1, py) with min(ax, ay) + min(px-ax, py-ay) >= total and
-    lo = total - min(px-ax, py-ay) <= cap, for 0 <= cap < total and an ax
-    with px - ax >= total - cap (the ax that _Board.divisors visits).
+def _frame_ays(px: int, py: int, total: int, cap: int
+               ) -> Iterator[tuple[int, range]]:
+    """Each ax that _Board.divisors visits, 1 <= ax <= px - total + cap,
+    with the range of ay in [1, py) where min(ax, ay) + min(px-ax, py-ay)
+    >= total and lo = total - min(px-ax, py-ay) <= cap, for 0 <= cap <
+    total <= min(px, py).
 
     min(a, b) + min(c, d) = min(a + c, a + d, b + c, b + d), and px and py
     are at least total, so the grade test is ax + py - ay >= total and
     ay + px - ax >= total.  Under it lo <= min(ax, ay), and the cap test
-    is py - ay >= total - cap.
+    is py - ay >= total - cap, which leaves no ay once px - ax < total -
+    cap.  So ay runs from max(1, ax - d) to py - total + min(ax, cap), for
+    d = px - total: the bounds are runs of constants and of consecutive
+    integers, one list each, with no call per ax.
     """
-    return range(max(1, total - px + ax), py - total + 1 + min(ax, cap))
+    d, top = px - total, py - total + 1
+    los = [1] * min(d + 1, d + cap) + list(range(2, cap + 1))
+    his = list(range(top + 1, top + cap + 1)) + [top + cap] * d
+    return zip(range(1, d + cap + 1), map(range, los, his))
 
 
 def _frame_dfs(board: _Board, ax: int, ay: int, rows, cof: int,
@@ -840,13 +841,15 @@ class FactorEngine:
     its own that sets no limit.  An engine retains, per element, the lengths
     that lengths found and the small divisors that split or lengths
     searched.  lengths tests its small divisors for atoms on its own
-    products, and its colons and cofactors with is_atom.  A bare is_atom or
+    products, and its colons and cofactors with is_atom, each once per
+    call, keeping those answers only for the call.  A bare is_atom or
     find_split retains nothing.
     """
 
     def __init__(self, monoid: GradedMonoid, budget: Optional[Budget] = None):
         self.monoid = monoid
         self.budget = Budget() if budget is None else budget
+        self._identity_key = monoid.key(monoid.identity)
         self._small_memo: dict = {}
         self._length_memo: dict = {}
 
@@ -888,11 +891,11 @@ class FactorEngine:
     def is_atom(self, e: E) -> bool:
         """True when e is no identity and no product of two nonunits.
 
-        The answer is not kept (see FactorEngine).  The grade is read only
+        The answer is not kept (see FactorEngine).  The key is read only
         when the divisor stream is empty, to tell an atom from the identity.
         """
         return self._first_small_divisor(e) is None \
-            and self.monoid.grade(e) > 0
+            and self.monoid.key(e) != self._identity_key
 
     def split(self, e: E) -> list[tuple[E, E]]:
         """Every unordered pair (a, b) of nonunits with a * b = e.
@@ -975,6 +978,8 @@ class FactorEngine:
         atoms of grade grade(e) - gp, until all its lengths are found; then
         the maximal cofactor colon(e, p) of each product with a large rest;
         then, for lengths still open, all cofactors of p, on the same view.
+        An element among those colons and cofactors is tested for an atom
+        once per call.
 
         The sieve is exact.  Let d be a small divisor that is not an atom,
         a product of atoms a_1 <= ... <= a_k, k >= 2, sorted as above.  Each
@@ -1059,12 +1064,23 @@ class FactorEngine:
                 tick()
                 if ctx.product(p, a) == whole:
                     found |= bits
+        # a colon or cofactor may come up again, so each element is tested
+        # once per call, and the answers go with the call
+        tested: dict = {}
+
+        def atom_once(r):
+            k = m.key(r)
+            got = tested.get(k)
+            if got is None:
+                got = tested[k] = self.is_atom(r)
+            return got
+
         for _p, _rest, bits, col in large:
-            if bits & ~found and self.is_atom(ctx.element(col)):
+            if bits & ~found and atom_once(ctx.element(col)):
                 found |= bits
         for p, rest, bits, col in large:
             if bits & ~found and any(map(
-                    self.is_atom, ctx.cofactors(p, col, rest, tick))):
+                    atom_once, ctx.cofactors(p, col, rest, tick))):
                 found |= bits
         return tuple(natset._bits(found))
 

@@ -52,7 +52,7 @@ def test_adapters_hold_exactly_the_protocol():
 
 def test_views_hold_the_core_view_protocol():
     # both core views define every method of _CoreView with its parameter
-    # names, and the masks whole and unit
+    # names, the grade of their target, and the masks whole and unit
     def params(fn):
         return [p.name for p in inspect.signature(fn).parameters.values()]
 
@@ -60,12 +60,13 @@ def test_views_hold_the_core_view_protocol():
                 if callable(fn) and not name.startswith("_")}
     assert set(protocol) == {"divisors", "atom", "product", "colon",
                              "divides", "element", "cofactors"}
-    assert set(engine._CoreView.__annotations__) == {"whole", "unit"}
+    assert set(engine._CoreView.__annotations__) == {"grade", "whole", "unit"}
     for view in (engine._SetMask(NatSet([0, 1, 3])),
                  engine._Board(build_a(2))):
         for name, want in protocol.items():
             assert params(getattr(type(view), name)) == want, (view, name)
-        assert isinstance(view.whole, int) and isinstance(view.unit, int)
+        assert all(isinstance(getattr(view, name), int)
+                   for name in ("grade", "whole", "unit"))
 
 
 def _cofactors(monoid, whole, part, budget=None):
@@ -332,15 +333,16 @@ def test_budget_exhaustion_matches_reference_frame_loop(e):
 def test_frame_ays_match_grade_filter(px, py, data):
     total = data.draw(st.integers(1, min(px, py)))
     cap = data.draw(st.integers(0, total - 1))
+    frames = [(ax, list(ays))
+              for ax, ays in engine._frame_ays(px, py, total, cap)]
+    # the ax loop of _Board.divisors stops at px - total + cap
+    assert [ax for ax, _ays in frames] == list(range(1, px - total + cap + 1))
     for ax in range(1, px):
         want = [ay for ay in range(1, py)
                 if min(ax, ay) + min(px - ax, py - ay) >= total
                 and not (min(ax, ay) > cap
                          and total - min(px - ax, py - ay) > cap)]
-        # the ax loop of _Board.divisors stops at px - total + cap
-        got = (list(engine._frame_ays(px, py, total, cap, ax))
-               if ax <= px - total + cap else [])
-        assert got == want
+        assert dict(frames).get(ax, []) == want
 
 
 def test_phi_atom_node_count_is_pinned():
@@ -390,7 +392,7 @@ def test_tall_board_search_stays_within_memory():
     (4, "split", 1322, 221), (5, "split", 8479, 2060),
     # the id keeps the pool total of the per-length layers, so that the
     # re-pin does not rename the case
-    pytest.param(5, "lengths", 2205, 245, id="5-lengths-1933-245")])
+    pytest.param(5, "lengths", 2091, 245, id="5-lengths-1933-245")])
 def test_board_cofactor_search_nodes_are_pinned(monkeypatch, bound, query,
                                                 nodes, cofactor_nodes):
     # one engine per pool; the ticks made inside the board cofactor
@@ -439,6 +441,22 @@ def test_board_refused_where_built():
         assert peak < 1 << 20
 
 
+def test_board_refusal_boundary(monkeypatch):
+    # the rule counts (py+1)(2px+1) cells, not the padded rows: a core of
+    # exactly the limit is built, and one column or one row more is refused
+    limit = 7 * 25
+    monkeypatch.setattr(engine, "MAX_BOARD_CELLS", limit)
+    board = engine._Board(MonIdeal([(12, 0), (5, 3), (0, 6)]))
+    assert (board.py + 1) * board.stride > limit
+    for e, cells in [(MonIdeal([(13, 0), (5, 3), (0, 6)]), 7 * 27),
+                     (MonIdeal([(12, 0), (5, 3), (0, 7)]), 8 * 25)]:
+        with pytest.raises(ValueError) as info:
+            engine._Board(e)
+        assert str(info.value) == (
+            f"factor search supports ideals whose gcd-free core needs at "
+            f"most {limit} board cells, got {cells}")
+
+
 def test_board_region_matches_membership():
     # runs of several rows, empty rows below the lowest generator, and
     # one-column boards (px = 0)
@@ -450,6 +468,8 @@ def test_board_region_matches_membership():
     for e in oracle.box_ideals(4) + wide:
         board = engine._Board(e)
         px, py, w = board.px, board.py, board.stride
+        # rows are whole bytes, with room for a shift by px
+        assert w % 8 == 0 and w >= 2 * px + 1
         cells = {(x, y) for y in range(py + 1) for x in range(px + 1)
                  if (x, y) in e}
         assert board.rows == sum(1 << y * w for y in range(py + 1))
@@ -651,6 +671,13 @@ def test_atom_and_split_basics():
         eng.find_split(MonIdeal([(0, 0)]))
     with pytest.raises(ValueError):
         eng.split(MonIdeal([(0, 0)]))
+    # is_atom tells the identity apart by its key, in both monoids
+    seng = sumset_engine()
+    assert seng.is_atom(NatSet([0])) is False
+    with pytest.raises(ValueError):
+        seng.find_split(NatSet([0]))
+    with pytest.raises(ValueError):
+        seng.split(NatSet([0]))
 
 
 def test_identity_lengths():
@@ -686,8 +713,8 @@ _LADDER = [
     *((monomial_engine, build_a(k), tuple(range(2, k + 1)), n, old)
       for k, n, old in [
           (2, 4, 4), (3, 9, 9), (4, 18, 20), (5, 23, 26), (6, 36, 43),
-          (7, 66, 69), (8, 92, 130), (9, 180, 198), (10, 309, 442),
-          (11, 519, 586), (12, 1056, 1622), (13, 1657, 1995),
+          (7, 58, 69), (8, 92, 130), (9, 152, 198), (10, 309, 442),
+          (11, 425, 586), (12, 1056, 1622), (13, 1341, 1995),
           (14, 3726, 5739)]),
     (monomial_engine, build_i_c(minimal_sequence(2)), (2, 3), 40, 43),
     (sumset_engine, NatSet(range(25)), tuple(range(2, 25)), 73206, 92757),
