@@ -528,9 +528,9 @@ class _Board:
     mdeg of e.  A board of more than MAX_BOARD_CELLS cells, (py+1)(2px+1),
     is a ValueError, raised before any mask is built.
 
-    rows (bit 0 of each row) and whole are set up from byte runs, where
+    rows (bit 0 of each row) and holes are set up from byte runs, where
     each run of rows between two generators is one row's bytes repeated,
-    and unit and holes are a subtraction and an XOR away, so a board costs
+    and unit and whole are a subtraction and an XOR away, so a board costs
     O(generators) Python steps and time linear in its bits.
 
     A divisor a of e, as atom(a), is its generator shifts with their colon
@@ -572,17 +572,17 @@ class _Board:
                                           "little")
         self.unit = unit = (rows << px + 1) - rows
         # the rows from one generator (x descending, y ascending) up to the
-        # next hold the columns from its x to px; rows below every
-        # generator are empty
+        # next miss the columns left of its x; rows below every generator
+        # miss them all
         self.starts = starts = [px + 1] * low
-        runs = [bytes(size * low)]
+        runs = [row.to_bytes(size, "little") * low]
         x0, y0 = px, low
         for x, y in gens[1:] + ((0, n),):
             starts += [x0] * (y - y0)
-            runs.append((row >> x0 << x0).to_bytes(size, "little") * (y - y0))
+            runs.append(((1 << x0) - 1).to_bytes(size, "little") * (y - y0))
             x0, y0 = x, y
-        self.whole = whole = int.from_bytes(b"".join(runs), "little")
-        self.holes = unit ^ whole
+        self.holes = holes = int.from_bytes(b"".join(runs), "little")
+        self.whole = whole = unit ^ holes
         self.gens = self._corners(whole)
         self._atom_colons: dict[tuple[int, int], int] = {}
 
