@@ -333,16 +333,16 @@ def test_budget_exhaustion_matches_reference_frame_loop(e):
 def test_frame_ays_match_grade_filter(px, py, data):
     total = data.draw(st.integers(1, min(px, py)))
     cap = data.draw(st.integers(0, total - 1))
-    frames = [(ax, list(ays))
-              for ax, ays in engine._frame_ays(px, py, total, cap)]
+    frames = {ax: list(ays)
+              for ax, ays in engine._frame_ays(px, py, total, cap)}
     # the ax loop of _Board.divisors stops at px - total + cap
-    assert [ax for ax, _ays in frames] == list(range(1, px - total + cap + 1))
+    assert list(frames) == list(range(1, px - total + cap + 1))
     for ax in range(1, px):
         want = [ay for ay in range(1, py)
                 if min(ax, ay) + min(px - ax, py - ay) >= total
                 and not (min(ax, ay) > cap
                          and total - min(px - ax, py - ay) > cap)]
-        assert dict(frames).get(ax, []) == want
+        assert frames.get(ax, []) == want
 
 
 def test_phi_atom_node_count_is_pinned():
