@@ -654,47 +654,67 @@ class _Board:
         mask shifted by each generator of B.  The DFS threads that coverage
         test through the antichain enumeration (see _frame_dfs).
 
-        Four sound filters shrink the frame and point sets.  The grade identity
-        mdeg(e) = mdeg(factor) + mdeg(cofactor) with mdeg <= min(pure
+        Four sound filters shrink the frame and point sets.  The grade
+        identity mdeg(e) = mdeg(factor) + mdeg(cofactor) with mdeg <= min(pure
         exponents) forces min(ax, ay) + min(bx, by) >= mdeg(e), so every
-        generator degree of the factor is at least lo = mdeg(e) - min(bx, by);
-        with the cap this leaves one range of ay for each ax (see _frame_ays).
-        Each generator of a factor stays in e after multiplying by the
-        partner's pure powers, so the corners X^ax Y^by and X^bx Y^ay lie in e,
-        and a point (c, g) of a frame lies in both (e : X^bx) and (e : Y^by).
-        Those colons are ideals, so row g of their intersection is the columns
-        from max(start[g] - bx, start[g + by]) on, start[y] being the first
-        column of row y of e.  Last, a factor B of the frame lies in the ideal
-        U of the frame and its points, and its cofactor (e : B) in
-        cof = (e : X^ax) & (e : Y^ay), so e = B * (e : B) lies in U * cof; a
-        frame whose U * cof misses a generator of e holds no factor, and is
-        not walked (see _frame_dfs).
+        generator degree of the factor is at least lo = mdeg(e) - min(bx, by),
+        and a frame holds a divisor within the cap only when lo <= cap.  px
+        and py are at least mdeg(e), and min(a, b) + min(c, d) is the least
+        of the four sums, so the two tests leave the ax up to px - mdeg(e) +
+        cap and, for each, the ay from max(1, mdeg(e) - bx) to py - mdeg(e) +
+        min(ax, cap), one range computed by arithmetic.  Each generator of a
+        factor stays in e after multiplying by the partner's pure powers, so
+        the corners X^ax Y^by and X^bx Y^ay lie in e, and a point (c, g) of a
+        frame lies in both (e : X^bx) and (e : Y^by).  Those colons are
+        ideals, so row g of their intersection is the columns from c0 =
+        max(starts[g] - bx, starts[g + by]) on; such a point has a degree of
+        at least lo already, since no member of e has a degree below mdeg(e).
+        Last, the product bound: a factor B of the frame lies in the ideal U
+        of the frame and its points, and its cofactor (e : B) in cof =
+        (e : X^ax) & (e : Y^ay), so e = B * (e : B) lies in U * cof.  The
+        points of a row lie in the ideal of its first point (c0, g), so
+        U * cof has the mask of cof shifted by (ax, 0), (0, ay) and each
+        (c0, g), joined as the rows are found.  A frame whose mask misses a
+        generator of e holds no factor, and its walk (_frame_dfs) is never
+        built.
 
         Each visited frame costs one search node, so a budget stops a loop over
         many frames even when none of them holds a point.
         """
         total = self.grade
         px, py, w, starts = self.px, self.py, self.stride, self.starts
-        unit, holes, colon = self.unit, self.holes, self.colon_mask
+        unit, holes, gens, colon = self.unit, self.holes, self.gens, \
+            self.colon_mask
         # a proper divisor has a grade below total
         cap = min(cap, total - 1)
-        for ax, ays in _frame_ays(px, py, total, cap):
+        top = py - total + 1
+        for ax in range(1, px - total + cap + 1):
             bx = px - ax
-            for ay in ays:
+            # ay from max(1, total - bx) to py - total + min(ax, cap)
+            for ay in range(total - bx if total - bx > 1 else 1,
+                            top + (ax if ax < cap else cap)):
                 by = py - ay
                 tick()
                 if ax < starts[by] or bx < starts[ay]:
                     continue
-                lo = total - (bx if bx < by else by)
-                # points (c, g) with 1 <= c < ax, 1 <= g < ay and
-                # c + g >= lo, row by row
+                # colon_mask(ax, 0) & colon_mask(0, ay), and the mask of
+                # U * cof, which each row's first point joins
+                cof = unit & ~(holes >> ax | holes >> ay * w)
+                cover = cof << ax | cof << ay * w
+                # the points (c, g), 1 <= g < ay, row by row: row g of
+                # (e : X^bx) & (e : Y^by) from c0 = max(starts[g] - bx,
+                # starts[g + by]) >= 1, as g + by < py, up to ax - 1
                 rows = []
                 for g in range(1, ay):
-                    c0 = max(1, lo - g, starts[g] - bx, starts[g + by])
+                    c0 = starts[g] - bx
+                    c = starts[g + by]
+                    if c > c0:
+                        c0 = c
                     if c0 < ax:
                         rows.append((g, c0))
-                # colon_mask(ax, 0) & colon_mask(0, ay)
-                cof = unit & ~(holes >> ax | holes >> ay * w)
+                        cover |= cof << g * w + c0
+                if gens & ~cover:
+                    continue
                 for d, grade in _frame_dfs(self, ax, ay, rows, cof, colon,
                                            tick):
                     if grade <= cap:
@@ -728,27 +748,6 @@ class _Board:
             yield r
 
 
-def _frame_ays(px: int, py: int, total: int, cap: int
-               ) -> Iterator[tuple[int, range]]:
-    """Each ax that _Board.divisors visits, 1 <= ax <= px - total + cap,
-    with the range of ay in [1, py) where min(ax, ay) + min(px-ax, py-ay)
-    >= total and lo = total - min(px-ax, py-ay) <= cap, for 0 <= cap <
-    total <= min(px, py).
-
-    min(a, b) + min(c, d) = min(a + c, a + d, b + c, b + d), and px and py
-    are at least total, so the grade test is ax + py - ay >= total and
-    ay + px - ax >= total.  Under it lo <= min(ax, ay), and the cap test
-    is py - ay >= total - cap, which leaves no ay once px - ax < total -
-    cap.  So ay runs from max(1, ax - d) to py - total + min(ax, cap), for
-    d = px - total: the bounds are runs of constants and of consecutive
-    integers, one list each, with no call per ax.
-    """
-    d, top = px - total, py - total + 1
-    los = [1] * min(d + 1, d + cap) + list(range(2, cap + 1))
-    his = list(range(top + 1, top + cap + 1)) + [top + cap] * d
-    return zip(range(1, d + cap + 1), map(range, los, his))
-
-
 def _frame_dfs(board: _Board, ax: int, ay: int, rows, cof: int,
                colon: Callable, tick: Callable
                ) -> Iterator[tuple[MonIdeal, int]]:
@@ -775,22 +774,12 @@ def _frame_dfs(board: _Board, ax: int, ay: int, rows, cof: int,
     last point); reach covering the generators of e emits B with its
     grade, min(ax, ay, c + g over points).
 
-    Before the walk, one product bound: B lies in the ideal U of the frame
-    and all its points, and its partner in cof, so B * partner lies in
-    U * cof.  The points of a row (g, c0) lie in the ideal of its first
-    point, so U * cof has the mask of cof shifted by (ax, 0), (0, ay) and
-    each (c0, g).  When that mask misses a generator of e, no B of the
-    frame meets its partner in e, and the frame is not walked; for a
-    divisor p, whose rows hold (e : p), it never fires.  The colon of each
-    point is taken when the point is first reached, and is dropped with
-    the frame.
+    The walk holds no bound of its own: _Board.divisors builds it only for
+    a frame that passes the product bound, which in a cofactor search,
+    whose rows hold (e : p), would never fail.  The colon of each point is
+    taken when the point is first reached, and is dropped with the frame.
     """
     w, bottom = board.stride, (0, ay)
-    cover = reach = cof << ax | cof << ay * w
-    for g, c0 in rows:
-        cover |= cof << g * w + c0
-    if board.gens & ~cover:
-        return
     firsts, lows, lefts, least = [], [], [], ax
     for g, c0 in rows:
         firsts.append(len(lows) - c0)
@@ -827,7 +816,8 @@ def _frame_dfs(board: _Board, ax: int, ay: int, rows, cof: int,
                 yield (reach2, first + c + 1 if c > left else last, sh2,
                        cof2, deg if deg <= c + g else c + g, k)
 
-    root = (reach, 0, (ay * w, ax), cof, min(ax, ay), -1)
+    root = (cof << ax | cof << ay * w, 0, (ay * w, ax), cof, min(ax, ay),
+            -1)
     for node in _walk(board.gens, lows, root, children, tick):
         yield MonIdeal._from_antichain(
             tuple((s % w, s // w) for s in node[2][1:]) + (bottom,)), node[4]

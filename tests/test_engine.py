@@ -248,18 +248,17 @@ def test_cofactor_search_holds_one_frame_per_level():
     assert peak < 8 * 2**20
 
 
-def _reference_frame_stream(e, tick):
-    """Divisors of a gcd-free e of at most half its grade, with grades, from
-    a frame loop that tests every frame.
+def _reference_frames(e, cap, tick):
+    """Each frame (ax, ay) of a gcd-free e that a divisor search capped at
+    cap enters and that passes the corner test, with its rows (g, c0), from
+    a loop that tests every frame.
 
     A frame that passes the grade test and whose divisors do not all exceed
-    half the grade is ticked, and each of its points is tested cell by cell
-    with `in`; the DFS is the engine's own.  Divisors above half the grade
-    are dropped.
+    the cap is ticked, and each of its points is tested cell by cell with
+    `in`.
     """
-    board = engine._Board(e)
-    total, px, py = e.mdeg, board.px, board.py
-    cap = total // 2
+    px, py = e.max_x, e.max_y
+    total = e.mdeg
 
     def member(x, y):
         return (min(x, px), min(y, py)) in e
@@ -284,12 +283,33 @@ def _reference_frame_stream(e, tick):
                            for g, _c in points}.items())
             assert points == [(g, c) for g, c0 in rows
                               for c in range(c0, ax)]
-            colon = board.colon_mask
-            cof = colon(ax, 0) & colon(0, ay)
-            for d, g in engine._frame_dfs(board, ax, ay, rows, cof, colon,
-                                          tick):
-                if g <= cap:
-                    yield d, g
+            yield ax, ay, rows
+
+
+def _reference_frame_stream(e, tick, cap=None):
+    """Divisors of a gcd-free e of grade at most cap (by default half its
+    grade), with grades, from the frames of _reference_frames.
+
+    A frame passes the product bound when e lies in U * cof, U the ideal of
+    the frame and its points and cof = (e : X^ax) & (e : Y^ay), tested
+    generator by generator; the walk of a frame that passes is the
+    engine's own.  Divisors above the cap are dropped.
+    """
+    board = engine._Board(e)
+    cap = e.mdeg // 2 if cap is None else cap
+    colon = board.colon_mask
+    for ax, ay, rows in _reference_frames(e, cap, tick):
+        cof = colon(ax, 0) & colon(0, ay)
+        # each generator of e is a generator of U times a cell of cof
+        u_gens = [(ax, 0), (0, ay)] + [(c0, g) for g, c0 in rows]
+        if not all(any(x >= c and y >= g
+                       and cof >> (y - g) * board.stride + x - c & 1
+                       for c, g in u_gens)
+                   for x, y in e.gens):
+            continue
+        for d, g in engine._frame_dfs(board, ax, ay, rows, cof, colon, tick):
+            if g <= cap:
+                yield d, g
 
 
 def _run_stream(stream, budget):
@@ -328,21 +348,30 @@ def test_budget_exhaustion_matches_reference_frame_loop(e):
         assert nodes == min(n + 1, full.nodes)
 
 
-@given(st.integers(1, 40), st.integers(1, 40), st.data())
+gcd_free_ideals = st.lists(
+    st.tuples(st.integers(0, 12), st.integers(0, 12)), min_size=1,
+    max_size=6).map(MonIdeal).map(
+        lambda e: shifted(e, *(-k for k in generator_gcd(e)))).filter(
+            lambda e: not e.is_unit)
+
+
+@given(gcd_free_ideals, st.data())
 @settings(max_examples=200)
-def test_frame_ays_match_grade_filter(px, py, data):
-    total = data.draw(st.integers(1, min(px, py)))
-    cap = data.draw(st.integers(0, total - 1))
-    frames = {ax: list(ays)
-              for ax, ays in engine._frame_ays(px, py, total, cap)}
-    # the ax loop of _Board.divisors stops at px - total + cap
-    assert list(frames) == list(range(1, px - total + cap + 1))
-    for ax in range(1, px):
-        want = [ay for ay in range(1, py)
-                if min(ax, ay) + min(px - ax, py - ay) >= total
-                and not (min(ax, ay) > cap
-                         and total - min(px - ax, py - ay) > cap)]
-        assert frames.get(ax, []) == want
+def test_frame_loop_matches_reference_on_random_ideals(e, data):
+    # the stream's frames, rows, product bound and node count match a loop
+    # that tests every frame, and so does the board search at any cap below
+    # the grade, which a prime part raises past half the core's grade
+    full = Budget()
+    want = list(_reference_frame_stream(e, full.tick))
+    budget = Budget()
+    got = list(MonomialMonoid().candidate_divisors(e, budget))
+    assert (got, budget.nodes) == (want, full.nodes)
+    cap = data.draw(st.integers(0, e.mdeg - 1))
+    full = Budget()
+    want = list(_reference_frame_stream(e, full.tick, cap))
+    budget = Budget()
+    got = list(engine._Board(e).divisors(cap, budget.tick))
+    assert (got, budget.nodes) == (want, full.nodes)
 
 
 def test_phi_atom_node_count_is_pinned():
@@ -354,6 +383,30 @@ def test_phi_atom_node_count_is_pinned():
                                               if mask >> i & 1])))
                 for mask in range(1 << 10))
     assert (atoms, budget.nodes) == (645, 4143)
+
+
+def test_rejected_frames_build_no_walk(monkeypatch):
+    # the product bound rejects a frame before its walk is built: every
+    # frame walk that is entered starts a walk from its root
+    entries, walks = [0], [0]
+    frame_dfs, walk = engine._frame_dfs, engine._walk
+
+    def count_frame(*args):
+        entries[0] += 1
+        return frame_dfs(*args)
+
+    def count_walk(*args):
+        walks[0] += 1
+        return walk(*args)
+
+    monkeypatch.setattr(engine, "_frame_dfs", count_frame)
+    monkeypatch.setattr(engine, "_walk", count_walk)
+    eng = monomial_engine()
+    for mask in range(1 << 10):
+        eng.is_atom(phi(NatSet([0] + [i + 1 for i in range(10)
+                                      if mask >> i & 1])))
+    assert entries == walks
+    assert entries[0] == 406
 
 
 @given(small_ideals)
@@ -997,27 +1050,29 @@ def test_skipped_frames_and_groups_hold_no_divisor(box6, monkeypatch):
     # was skipped by the product bound, and must hold no divisor at all
     _pool, mon_map = box6
     sum_map = oracle.naive_sumset_split_map(12)
-    frames, roots = [], []
-    frame_dfs, walk = engine._frame_dfs, engine._walk
-
-    def record_frame(board, ax, ay, rows, cof, colon, tick):
-        frames.append((ax, ay, board.stride))
-        return frame_dfs(board, ax, ay, rows, cof, colon, tick)
+    roots, walk = [], engine._walk
 
     def record_walk(target, lows, root, children, tick):
         roots.append(root)
         return walk(target, lows, root, children, tick)
 
-    monkeypatch.setattr(engine, "_frame_dfs", record_frame)
     monkeypatch.setattr(engine, "_walk", record_walk)
 
     def skipped_frames(e):
-        # a frame's walk starts from the shifts of (0, ay) and (ax, 0)
-        frames.clear()
+        # the frames of the core that pass the corner test, under the cap
+        # of the stream of e; a frame's walk starts from the shifts of
+        # (0, ay) and (ax, 0)
+        u, v = generator_gcd(e)
+        core = shifted(e, -u, -v)
+        if core.is_unit:
+            return set()
+        frames = _reference_frames(core, (core.mdeg + u + v) // 2,
+                                   lambda: None)
         roots.clear()
         list(MonomialMonoid().candidate_divisors(e, Budget()))
+        w = engine._Board(core).stride
         walked = {root[2] for root in roots}
-        return {(ax, ay) for ax, ay, w in frames
+        return {(ax, ay) for ax, ay, _rows in frames
                 if (ay * w, ax) not in walked}
 
     def frame_of(gens):
