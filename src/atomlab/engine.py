@@ -9,16 +9,19 @@ cofactor colon(e, a) with a * colon(e, a) = e.  The monoids are not
 cancellative, so a divisor may have many cofactors.
 
 Every question starts from the small divisors of e, those of at most half
-its grade.  Some side of every split is one, so split lists pair each with
-its cofactors, and lengths multiplies the small atoms in one pass in grade
-order, whose products sieve them (FactorEngine.lengths).
+its grade, as records: a set's element tuple, or an ideal's generator
+shifts on its board.  Some side of every split is one, so split lists pair
+each with its cofactors, and lengths multiplies the small atoms in one
+pass in grade order, whose products sieve them (FactorEngine.lengths).
+Elements are formed only for answers: the pairs of split, the witness of
+find_split, and the colons and cofactors that lengths tests with is_atom.
 The divisor and cofactor searches, over sets and over ideals, are methods
 of the views and run one walk (_walk): a preorder DFS that holds one lazy
 child iterator per level, so no search recurses and a deep one holds only
 the nodes on its path.  On a board both searches are one frame walk
 (_frame_dfs), the cofactor search with its partner held fixed; a frame's
-colon masks go with it, and a board keeps only the colons of the atom
-generators it is given (_Board).
+colon masks go with it, and a board keeps only the colons of the
+generator shifts of the records it is given (_Board).
 
 Every search counts its nodes into the engine's Budget, which may bound
 them and the wall clock.  Exhaustion raises SearchBudgetExceeded so callers
@@ -28,11 +31,12 @@ completed one.  Streams have a fixed order, so output is deterministic.
 X and Y are prime atoms of the ideal monoid, and {1} of the set monoid,
 so an element is X^u Y^v times a core (a set is u = 0 and v = min), and
 the prime part is handled once, here, for both monoids: the divisor
-stream (_candidate_divisors, each adapter's candidate_divisors) and the
-cofactor rule (FactorEngine._cofactors) search only the core, on its view,
-and shift the results by the prime part, and lengths add u + v.  A view
-refuses a core too large to lay out where it is built, and each divisor
-search applies its own grade cap.
+stream (_candidate_divisors, each adapter's candidate_divisors) searches
+only the core, on its view, and yields the records shifted by the prime
+part, with that view, which the cofactor rule (FactorEngine._cofactors)
+and the lengths pass share, so a query builds one view of its core; and
+lengths add u + v.  A view refuses a core too large to lay out where it
+is built, and each divisor search applies its own grade cap.
 """
 
 from __future__ import annotations
@@ -137,9 +141,9 @@ class GradedMonoid(Protocol[E]):
     which lengths forms and tests its products.  candidate_divisors is the
     engine's _candidate_divisors, bound in the adapter's class body: it
     yields each proper divisor of e of grade at most grade(e) // 2 exactly
-    once, as a pair (divisor, grade), and counts its nodes into the given
-    budget.  colon(whole, part), the maximal cofactor, and product form and
-    check the split that find_split reports.
+    once, as a record (_candidate_divisors), and counts its nodes into the
+    given budget.  colon(whole, part), the maximal cofactor, and product
+    form and check the split that find_split reports.
     """
 
     identity: E
@@ -152,8 +156,7 @@ class GradedMonoid(Protocol[E]):
 
     def key(self, e: E): ...
 
-    def candidate_divisors(self, e: E, budget: Budget
-                           ) -> Iterator[tuple[E, int]]: ...
+    def candidate_divisors(self, e: E, budget: Budget) -> Iterator[tuple]: ...
 
     def prime_split(self, e: E) -> tuple[int, int, E]: ...
 
@@ -168,18 +171,19 @@ class _CoreView(Protocol):
     the cofactors of one.
 
     divisors(cap, tick) yields each proper divisor of e of grade at most
-    cap once, with its grade.  A mask determines one divisor p of e, or one
+    cap once, with its grade, as a record: all that product, colon and
+    divides read of it.  A mask determines one divisor p of e, or one
     colon (e : p); 0 is none.  grade is the grade of e, whole the mask of
     e, which is also (e : identity), and unit that of the identity.
-    atom(a) is what product and colon need of a divisor a of e.
     product(p, a) is the mask of p * a, or 0 when p * a cannot divide e.
     colon(c, a) is the mask of (c : a), for a colon c.  For q = p * a and
     c = (e : q), divides(p, a, c) tells whether p * (a * c) = e, that is,
     whether q divides e.
-    element(mask) forms the element a mask determines.
-    cofactors(p, c, grade, tick) yields each r with p * r = e once, for a
-    proper divisor p, c = (e : p) and grade = grade(e) - grade(p).  Both
-    searches tick once per node.
+    element(mask) forms the element a mask determines, so the divisor of a
+    record a is element(product(unit, a)).
+    cofactors(p, c, grade, tick) yields each element r with p * r = e
+    once, for a proper divisor p, c = (e : p) and grade = grade(e) -
+    grade(p).  Both searches tick once per node.
     """
 
     grade: int
@@ -187,8 +191,6 @@ class _CoreView(Protocol):
     unit: int
 
     def divisors(self, cap: int, tick: Callable) -> Iterator[tuple]: ...
-
-    def atom(self, a): ...
 
     def product(self, p: int, a) -> int: ...
 
@@ -237,11 +239,10 @@ def _walk(target: int, lows: list[int], root: tuple, children: Callable,
             level = stack.pop()
 
 
-def _shifted(stream: Iterable[tuple[E, int]], u: int, v: int,
-             cap: int, shift: Callable, tick: Callable
-             ) -> Iterator[tuple[E, int]]:
-    """shift(a, i, j) = X^i Y^j * a, of grade g + i + j, for each (a, g) of
-    stream and each i <= u, j <= v that keep the grade within [1, cap].
+def _shifted(stream: Iterable[tuple], view: Optional[_CoreView], u: int,
+             v: int, cap: int, tick: Callable) -> Iterator[tuple]:
+    """(a, g + i + j, view, i, j), standing for X^i Y^j * a, for each (a, g)
+    of stream and each i <= u, j <= v that keep the grade within [1, cap].
 
     A set is u = 0 with j copies of {1}.  Each shift by i + j > 0 costs a
     node, as a searched divisor does.
@@ -252,38 +253,40 @@ def _shifted(stream: Iterable[tuple[E, int]], u: int, v: int,
             for j in range(max(0, 1 - g - i), min(v, cap - g - i) + 1):
                 if i or j:
                     tick()
-                    yield shift(a, i, j), g + i + j
-                else:
-                    yield a, g
+                yield a, g + i + j, view, i, j
 
 
 def _candidate_divisors(self: GradedMonoid, e: E, budget: Budget
-                        ) -> Iterator[tuple[E, int]]:
-    """Each proper divisor of e of at most half its grade, once, with its
-    grade: the candidate_divisors of both adapters, bound in each class
-    body, so that each adapter keeps a stream of its own.
+                        ) -> Iterator[tuple]:
+    """Each proper divisor of e of at most half its grade, once: the
+    candidate_divisors of both adapters, bound in each class body, so that
+    each adapter keeps a stream of its own.
 
     e is X^u Y^v times its core, and generator gcds add, so the divisors
     of e are X^i Y^j, i <= u and j <= v, times the identity, the core or a
-    core divisor, of grade i + j plus theirs (_shifted).  The core's view
-    is built only after the identity and the core have been shifted, so
-    they are yielded before a core too large to lay out is refused.  The
-    stream of a prime-free e is the view's divisor search itself, capped
-    by the grade the view carries, so its grade is read once, by the view.
+    core divisor, as (a, g, view, i, j), X^i Y^j * a of grade g
+    (_shifted): a is a core divisor's record on the core's view, or one of
+    the heads, the identity and the core, with view None.  The view is
+    built only after the heads have been shifted, so they are yielded
+    before a core too large to lay out is refused, and never for an
+    identity core.  The stream of a prime-free e is the view's divisor
+    search, capped by the grade the view carries, so its grade is read
+    once, by the view.
     """
     u, v, core = self.prime_split(e)
     tick = budget.tick
     if not (u or v):
         view = self.context(core)
-        yield from view.divisors(view.grade // 2, tick)
+        for a, g in view.divisors(view.grade // 2, tick):
+            yield a, g, view, 0, 0
         return
     total = self.grade(core)
     cap = (total + u + v) // 2
-    head = [(self.identity, 0), (core, total)] if total \
-        else [(self.identity, 0)]
-    yield from _shifted(head, u, v, cap, self.shifted, tick)
-    yield from _shifted(self.context(core).divisors(cap, tick), u, v, cap,
-                        self.shifted, tick)
+    yield from _shifted([(self.identity, 0)], None, u, v, cap, tick)
+    if total:
+        yield from _shifted([(core, total)], None, u, v, cap, tick)
+        view = self.context(core)
+        yield from _shifted(view.divisors(cap, tick), view, u, v, cap, tick)
 
 
 class SumsetMonoid:
@@ -327,9 +330,9 @@ class _SetMask:
 
     The mask indexes bits by element value, so a set whose max exceeds
     natset.SEARCH_LIMIT is a ValueError, raised before the mask is built.
-    An atom is its element tuple.  A product is an OR of shifts, and a
-    colon set the AND of right shifts, which stops at max(E) - max(q) by
-    itself, since E has no element above max(E).
+    A divisor's record is its element tuple.  A product is an OR of
+    shifts, and a colon set the AND of right shifts, which stops at
+    max(E) - max(q) by itself, since E has no element above max(E).
     """
 
     unit = 1
@@ -343,9 +346,6 @@ class _SetMask:
         for x in e.elements:
             whole |= 1 << x
         self.whole = whole
-
-    def atom(self, a: NatSet) -> tuple[int, ...]:
-        return a.elements
 
     def product(self, p: int, a: tuple[int, ...]) -> int:
         # max(p) + max(a) > max(E)
@@ -374,8 +374,9 @@ class _SetMask:
         return NatSet._from_sorted(tuple(natset._bits(mask)))
 
     def divisors(self, cap: int, tick: Callable
-                 ) -> Iterator[tuple[NatSet, int]]:
-        """Every proper divisor B of E with max(B) <= cap, with max(B).
+                 ) -> Iterator[tuple[tuple[int, ...], int]]:
+        """Every proper divisor B of E with max(B) <= cap, as its element
+        tuple, with max(B).
 
         A proper divisor is a set B containing 0, distinct from {0}, such
         that B + C = E for some C containing 0 with C != {0}, so max(B) <
@@ -443,7 +444,7 @@ class _SetMask:
             lows = [1 << x for x in free] + [2 << top]
             for node in _walk(amask, lows, (root, 0, (0,), col, 1 | 1 << mb),
                               children, tick):
-                yield NatSet._from_sorted(node[2] + (mb,)), mb
+                yield node[2] + (mb,), mb
 
     def cofactors(self, p: int, c: int, grade: int, tick: Callable
                   ) -> Iterator[NatSet]:
@@ -533,11 +534,12 @@ class _Board:
     and unit and whole are a subtraction and an XOR away, so a board costs
     O(generators) Python steps and time linear in its bits.
 
-    A divisor a of e, as atom(a), is its generator shifts with their colon
-    masks, and the two cells (px - ax, 0) and (0, py - ay), for its pure
-    powers X^ax, Y^ay.  A product q = p * a has the pure powers of p times
-    those of a; when they leave the box q cannot divide e, and p holds
-    those two cells exactly when they do not.  Inside the box, the clipped
+    The record of a divisor a of e is the tuple of its generator shifts
+    y*stride + x, its pure powers Y^ay and X^ax first, (ay*stride, ax,
+    points...), as the frame walk holds it (_frame_dfs).  A product q =
+    p * a has the pure powers of p times those of a; when they leave the
+    box q cannot divide e, and p holds the cells (px - ax, 0) and
+    (0, py - ay) exactly when they do not.  Inside the box, the clipped
     mask of q is the OR of p shifted by each generator of a, and it
     determines q.  A colon J of e contains e, so (J : X^c Y^g) contains
     (e : X^c Y^g), colon_mask(c, g), which holds every cell that X^c Y^g
@@ -547,9 +549,9 @@ class _Board:
     neighbours are out of it (_corners).
 
     colon_mask keeps nothing: the colons of the frame walk (_frame_dfs),
-    which both searches run, last only as long as their frame.  atom keeps
-    the colon of each generator it meets, since the lengths pass and the
-    cofactor rule form records of divisors that share generators.
+    which both searches run, last only as long as their frame.  colon
+    keeps the colon mask of each shift it meets, since the divisors of the
+    lengths pass share generators.
     """
 
     def __init__(self, e: MonIdeal):
@@ -567,6 +569,8 @@ class _Board:
         # bytes per row, ceil((2px+1) / 8)
         size = px + 4 >> 2
         self.stride = size << 3
+        # the shift of the cell (0, py), the top of column 0
+        self.top = py * self.stride
         self.row = row = (1 << px + 1) - 1
         self.rows = rows = int.from_bytes(b"\1".ljust(size, b"\0") * n,
                                           "little")
@@ -584,7 +588,7 @@ class _Board:
         self.holes = holes = int.from_bytes(b"".join(runs), "little")
         self.whole = whole = unit ^ holes
         self.gens = self._corners(whole)
-        self._atom_colons: dict[tuple[int, int], int] = {}
+        self._colons: dict[int, int] = {}
 
     def colon_mask(self, c: int, g: int) -> int:
         """Membership mask of (ideal : X^c Y^g), clipped to the same box."""
@@ -594,27 +598,21 @@ class _Board:
         # since the generators (px, 0) and (0, py) fill column px and row py
         return self.unit & ~(self.holes >> g * self.stride + c)
 
-    def atom(self, a: MonIdeal) -> tuple:
-        w, kept = self.stride, self._atom_colons
-        for gen in a.gens:
-            if gen not in kept:
-                kept[gen] = self.colon_mask(*gen)
-        return (tuple([y * w + x for x, y in a.gens]),
-                tuple([kept[gen] for gen in a.gens]),
-                self.px - a.max_x, (self.py - a.max_y) * w)
-
     def product(self, p: int, a: tuple) -> int:
-        shifts, _colons, xcell, ycell = a
-        if not (p >> xcell & 1 and p >> ycell & 1):
+        # the cells (px - ax, 0) and (0, py - ay)
+        if not (p >> self.px - a[1] & 1 and p >> self.top - a[0] & 1):
             return 0
         q = 0
-        for s in shifts:
+        for s in a:
             q |= p << s
         return q & self.unit
 
     def colon(self, c: int, a: tuple) -> int:
-        out = self.unit
-        for s, colon in zip(a[0], a[1]):
+        out, w, kept = self.unit, self.stride, self._colons
+        for s in a:
+            colon = kept.get(s)
+            if colon is None:
+                colon = kept[s] = self.colon_mask(s % w, s // w)
             out &= c >> s | colon
         return out
 
@@ -622,7 +620,7 @@ class _Board:
         # a * c is clipped before it is shifted by the generators of p, so
         # that no padding bit wraps into the next row
         ac = cover = 0
-        for s in a[0]:
+        for s in a:
             ac |= c << s
         ac &= self.unit
         for s in natset._bits(self._corners(p)):
@@ -638,9 +636,9 @@ class _Board:
             [(s % w, s // w) for s in natset._bits(self._corners(mask))]))
 
     def divisors(self, cap: int, tick: Callable
-                 ) -> Iterator[tuple[MonIdeal, int]]:
-        """Proper divisors of the gcd-free e of grade at most cap, with their
-        grades (none for the unit).
+                 ) -> Iterator[tuple[tuple, int]]:
+        """Proper divisors of the gcd-free e of grade at most cap, as records,
+        with their grades (none for the unit).
 
         Frames whose divisors all exceed the cap are not visited, and the
         divisors above it that the other frames hold are dropped.
@@ -745,12 +743,12 @@ class _Board:
                 rows.append((g, c0))
         for r, _g in _frame_dfs(self, bx, by, rows, p, lambda _c, _g: unit,
                                 tick):
-            yield r
+            yield MonIdeal._from_antichain(
+                tuple([(s % w, s // w) for s in r[1:]]) + ((0, by),))
 
 
 def _frame_dfs(board: _Board, ax: int, ay: int, rows, cof: int,
-               colon: Callable, tick: Callable
-               ) -> Iterator[tuple[MonIdeal, int]]:
+               colon: Callable, tick: Callable) -> Iterator[tuple[tuple, int]]:
     """Preorder DFS over antichains B = frame + points by increasing Y, each
     with a partner: cof at the root, cut to partner & colon(c, g) by each
     point (c, g) that joins B.  _Board.divisors gives (e : X^ax) & (e : Y^ay)
@@ -771,15 +769,15 @@ def _frame_dfs(board: _Board, ax: int, ay: int, rows, cof: int,
     lie at or above the next point's row and only shrink the partner, so a
     generator of e missed below that row kills the branch (see _walk;
     lows[n] is bit 0 of the row of point n, and of row py + 1 past the
-    last point); reach covering the generators of e emits B with its
-    grade, min(ax, ay, c + g over points).
+    last point); reach covering the generators of e emits B's shifts, its
+    record (_Board), with its grade, min(ax, ay, c + g over points).
 
     The walk holds no bound of its own: _Board.divisors builds it only for
     a frame that passes the product bound, which in a cofactor search,
     whose rows hold (e : p), would never fail.  The colon of each point is
     taken when the point is first reached, and is dropped with the frame.
     """
-    w, bottom = board.stride, (0, ay)
+    w = board.stride
     firsts, lows, lefts, least = [], [], [], ax
     for g, c0 in rows:
         firsts.append(len(lows) - c0)
@@ -819,8 +817,7 @@ def _frame_dfs(board: _Board, ax: int, ay: int, rows, cof: int,
     root = (cof << ax | cof << ay * w, 0, (ay * w, ax), cof, min(ax, ay),
             -1)
     for node in _walk(board.gens, lows, root, children, tick):
-        yield MonIdeal._from_antichain(
-            tuple((s % w, s // w) for s in node[2][1:]) + (bottom,)), node[4]
+        yield node[2], node[4]
 
 
 class FactorEngine:
@@ -843,11 +840,12 @@ class FactorEngine:
         self._small_memo: dict = {}
         self._length_memo: dict = {}
 
-    def _small_divisors(self, e: E) -> list[tuple[E, int]]:
-        """The proper divisors of e of at most half its grade, with grades.
+    def _small_divisors(self, e: E) -> list[tuple]:
+        """The proper divisors of e of at most half its grade, as records.
 
         Some side of every split, and every atom of a factorization but the
-        largest, is among them.  Kept per element, in stream order.
+        largest, is among them.  Kept per element, in stream order, with the
+        view of e's core that the stream (_candidate_divisors) built.
         """
         m = self.monoid
         k = m.key(e)
@@ -857,11 +855,12 @@ class FactorEngine:
             self._small_memo[k] = got
         return got
 
-    def _first_small_divisor(self, e: E) -> Optional[E]:
-        # some side of any split has at most half the grade
-        for a, _g in self.monoid.candidate_divisors(e, self.budget):
-            return a
-        return None
+    def _element(self, divisor: tuple) -> E:
+        # a head of the stream is an element; a record is formed from its mask
+        a, _g, view, i, j = divisor
+        if view is not None:
+            a = view.element(view.product(view.unit, a))
+        return self.monoid.shifted(a, i, j) if i or j else a
 
     def find_split(self, e: E) -> Optional[tuple[E, E]]:
         """Some factorization e = a * b into nonunits, or None for atoms."""
@@ -869,9 +868,11 @@ class FactorEngine:
         total = m.grade(e)
         if total == 0:
             raise ValueError("the identity is not searched for splits")
-        a = self._first_small_divisor(e)
-        if a is None:
+        # some side of any split has at most half the grade
+        first = next(m.candidate_divisors(e, self.budget), None)
+        if first is None:
             return None
+        a = self._element(first)
         self.budget.tick()
         col = m.colon(e, a)
         if col is None or m.key(m.product(a, col)) != m.key(e):
@@ -881,11 +882,13 @@ class FactorEngine:
     def is_atom(self, e: E) -> bool:
         """True when e is no identity and no product of two nonunits.
 
-        The answer is not kept (see FactorEngine).  The key is read only
-        when the divisor stream is empty, to tell an atom from the identity.
+        Nothing is kept (see FactorEngine) and no element is formed.  The
+        key is read only when the divisor stream is empty, to tell an atom
+        from the identity.
         """
-        return self._first_small_divisor(e) is None \
-            and self.monoid.key(e) != self._identity_key
+        m = self.monoid
+        return next(m.candidate_divisors(e, self.budget), None) is None \
+            and m.key(e) != self._identity_key
 
     def split(self, e: E) -> list[tuple[E, E]]:
         """Every unordered pair (a, b) of nonunits with a * b = e.
@@ -900,8 +903,7 @@ class FactorEngine:
         if total == 0:
             raise ValueError("the identity is not searched for splits")
         pairs = []
-        small = [a for a, _g in self._small_divisors(e)]
-        for a, b in self._cofactors(e, small):
+        for a, b in self._cofactors(e, self._small_divisors(e)):
             if m.key(b) >= m.key(a):
                 pairs.append((a, b))
             elif 2 * m.grade(a) < total:
@@ -909,34 +911,31 @@ class FactorEngine:
         pairs.sort(key=lambda p: (m.key(p[0]), m.key(p[1])))
         return pairs
 
-    def _cofactors(self, e: E, parts: Iterable[E]) -> Iterator[tuple[E, E]]:
+    def _cofactors(self, e: E, divisors: Iterable[tuple]
+                   ) -> Iterator[tuple[E, E]]:
         """Each (a, r) with a * r = e, for each proper divisor a of e in
-        parts, in order, and each such r once.
+        divisors, as e's divisor stream yields it, and each such r once.
 
         Prime atoms cancel, so for e = X^u Y^v * core and a = X^i Y^j * c,
         r is X^(u-i) Y^(v-j) times a cofactor of c inside core: core itself
         when c is the identity, the identity when c is core, and otherwise
-        one that the view of core finds (_CoreView.cofactors).  e is split
-        once, and its view is built once, at the first part that needs it.
+        one that the view of core finds (_CoreView.cofactors), the view that
+        c's record comes with.  e is split once, and no view is built.
         """
         m = self.monoid
         u, v, core = m.prime_split(e)
-        total, kcore = m.grade(core), m.key(core)
-        view = None
-        for a in parts:
-            i, j, c = m.prime_split(a)
-            g = m.grade(c)
-            if not g:
+        for divisor in divisors:
+            c, g, view, i, j = divisor
+            if view is not None:
+                rs = view.cofactors(view.product(view.unit, c),
+                                    view.colon(view.whole, c),
+                                    view.grade - (g - i - j), self.budget.tick)
+            elif g == i + j:
+                # c is the identity
                 rs = [core]
-            elif m.key(c) == kcore:
-                rs = [m.identity]
             else:
-                if view is None:
-                    view = m.context(core)
-                atom = view.atom(c)
-                p = view.product(view.unit, atom)
-                rs = view.cofactors(p, view.colon(view.whole, atom),
-                                    total - g, self.budget.tick)
+                rs = [m.identity]
+            a = self._element(divisor)
             for r in rs:
                 yield a, (m.shifted(r, u - i, v - j) if u - i or v - j
                           else r)
@@ -947,8 +946,8 @@ class FactorEngine:
         Prime atoms, which every factorization holds, are split off first
         (GradedMonoid.prime_split), and an element without small divisors,
         of at most half its grade, is an atom, of length 1.  Otherwise one
-        pass over the small divisors in grade order, on the view of e
-        (GradedMonoid.context), keeps each product of small atoms once: its
+        pass over the small divisors' records in grade order, on the view
+        their stream built, keeps each product of small atoms once: its
         mask, its colon (e : p) and its lengths as bits.  A divisor d costs
         one node, its own product unit * d, and is an atom exactly when
         that mask is no product yet.  A new atom a extends every product p
@@ -1001,13 +1000,13 @@ class FactorEngine:
         if not small:
             return (1,)
         tick = self.budget.tick
-        ctx = m.context(e)
+        ctx = small[0][2]
         whole = ctx.whole
         # mask -> [grade, lengths as bits, colon mask], or None for a mask
-        # that does not divide e; then the masks and the atoms of each grade
+        # that does not divide e; then the masks and the records of the
+        # atoms of each grade
         products, graded, atoms = {}, {}, {}
-        for d, g in small:
-            a = ctx.atom(d)
+        for a, g, _view, _i, _j in small:
             tick()
             q = ctx.product(ctx.unit, a)
             if q in products:

@@ -58,8 +58,8 @@ def test_views_hold_the_core_view_protocol():
 
     protocol = {name: params(fn) for name, fn in vars(engine._CoreView).items()
                 if callable(fn) and not name.startswith("_")}
-    assert set(protocol) == {"divisors", "atom", "product", "colon",
-                             "divides", "element", "cofactors"}
+    assert set(protocol) == {"divisors", "product", "colon", "divides",
+                             "element", "cofactors"}
     assert set(engine._CoreView.__annotations__) == {"grade", "whole", "unit"}
     for view in (engine._SetMask(NatSet([0, 1, 3])),
                  engine._Board(build_a(2))):
@@ -69,18 +69,45 @@ def test_views_hold_the_core_view_protocol():
                    for name in ("grade", "whole", "unit"))
 
 
+def _stream(monoid, e, budget):
+    # the divisor stream of e, each divisor formed into its element as split
+    # and find_split form it, with its grade
+    eng = FactorEngine(monoid, budget)
+    for divisor in monoid.candidate_divisors(e, budget):
+        yield eng._element(divisor), divisor[1]
+
+
+def _record(view, c):
+    # the record that a view's divisor search yields for a divisor c of its
+    # target: a set's elements, or an ideal's generator shifts, the pure
+    # powers first and then the points by increasing y
+    if isinstance(view, engine._SetMask):
+        return c.elements
+    w = view.stride
+    return (c.max_y * w, c.max_x) + tuple(y * w + x for x, y in c.gens[1:-1])
+
+
 def _cofactors(monoid, whole, part, budget=None):
     # the engine's cofactor rule for one part, lazily: each r with
-    # part * r = whole
-    return (r for _a, r in
-            FactorEngine(monoid, budget)._cofactors(whole, [part]))
+    # part * r = whole.  part goes in as whole's divisor stream gives it: a
+    # head (the identity or the core, shifted) as itself, and otherwise the
+    # record of its core on the view of whole's core
+    _u, _v, core = monoid.prime_split(whole)
+    i, j, c = monoid.prime_split(part)
+    if monoid.grade(c) and c != core:
+        view = monoid.context(core)
+        divisor = _record(view, c), monoid.grade(part), view, i, j
+    else:
+        divisor = c, monoid.grade(part), None, i, j
+    for _a, r in FactorEngine(monoid, budget)._cofactors(whole, [divisor]):
+        yield r
 
 
 @given(small_ideals)
 @settings(max_examples=80)
 def test_monomial_stream_yields_only_divisors(e):
     m = MonomialMonoid()
-    for cand, grade in m.candidate_divisors(e, Budget()):
+    for cand, grade in _stream(m, e, Budget()):
         cof = colon(e, cand)
         assert product(cand, cof) == e
         assert 1 <= cand.mdeg == grade <= e.mdeg // 2
@@ -90,7 +117,7 @@ def test_monomial_stream_yields_only_divisors(e):
 @settings(max_examples=80)
 def test_sumset_stream_yields_only_divisors(a):
     m = SumsetMonoid()
-    for cand, grade in m.candidate_divisors(a, Budget()):
+    for cand, grade in _stream(m, a, Budget()):
         assert 1 <= grade == cand.max <= a.max // 2
         cof = natset.set_colon(a, cand)
         assert cof is not None and natset.sumset(cand, cof) == a
@@ -101,12 +128,11 @@ def test_sumset_stream_yields_only_divisors(a):
 def test_monomial_stream_on_phi_matches_sumset(a):
     # phi(A) has exponents up to 14: multi-point frames and wide boards
     e = phi(a)
-    divisors = [d for d, _g in
-                MonomialMonoid().candidate_divisors(e, Budget())]
+    divisors = [d for d, _g in _stream(MonomialMonoid(), e, Budget())]
     for d in divisors:
         assert product(d, colon(e, d)) == e
     found = set(divisors)
-    for b, _g in SumsetMonoid().candidate_divisors(a, Budget()):
+    for b, _g in _stream(SumsetMonoid(), a, Budget()):
         assert phi(b) in found
     assert monomial_engine().is_atom(e) == sumset_engine().is_atom(a)
 
@@ -115,7 +141,7 @@ def test_monomial_stream_is_pinned():
     # exact counts pin the order of the stream and of its ticks
     e = build_i_c(minimal_sequence(3))
     budget = Budget()
-    got = list(MonomialMonoid().candidate_divisors(e, budget))
+    got = list(_stream(MonomialMonoid(), e, budget))
     assert len(got) == 79 and budget.nodes == 864
     assert got[-1] == (MonIdeal([(13, 0), (12, 1), (10, 3), (9, 4), (4, 9),
                                  (3, 10), (1, 12), (0, 13)]), 13)
@@ -126,7 +152,7 @@ def test_monomial_stream_is_pinned():
     budget = Budget(max_nodes=700)
     capped = []
     with pytest.raises(SearchBudgetExceeded):
-        for pair in MonomialMonoid().candidate_divisors(e, budget):
+        for pair in _stream(MonomialMonoid(), e, budget):
             capped.append(pair)
     assert capped == got and budget.nodes == 701
 
@@ -136,7 +162,7 @@ def test_sumset_stream_is_pinned():
     # the lows test drops included
     a = NatSet([0, 1, 2, 3, 5, 6, 7, 8, 9, 10, 11, 12, 13, 15])
     budget = Budget()
-    got = list(SumsetMonoid().candidate_divisors(a, budget))
+    got = list(_stream(SumsetMonoid(), a, budget))
     assert [(d.elements, g) for d, g in got] == [
         ((0, 2), 2), ((0, 1, 3), 3), ((0, 1, 5), 5), ((0, 1, 2, 5), 5),
         ((0, 1, 2, 3, 5), 5), ((0, 1, 3, 5), 5), ((0, 2, 5), 5),
@@ -152,7 +178,7 @@ def test_sumset_stream_is_pinned():
     budget = Budget(max_nodes=32)
     capped = []
     with pytest.raises(SearchBudgetExceeded):
-        for pair in SumsetMonoid().candidate_divisors(a, budget):
+        for pair in _stream(SumsetMonoid(), a, budget):
             capped.append(pair)
     assert capped == got[:-1] and budget.nodes == 33
 
@@ -163,7 +189,7 @@ def test_shifted_streams_are_pinned():
     # after its unshifted divisor; CLI witnesses depend on this order
     a = NatSet([2, 3, 4, 5, 7, 8, 9, 10, 11, 12, 13, 14, 15, 17])
     budget = Budget()
-    got = list(SumsetMonoid().candidate_divisors(a, budget))
+    got = list(_stream(SumsetMonoid(), a, budget))
     assert [(d.elements, g) for d, g in got[:10]] == [
         ((1,), 1), ((2,), 2), ((0, 2), 2), ((1, 3), 3), ((2, 4), 4),
         ((0, 1, 3), 3), ((1, 2, 4), 4), ((2, 3, 5), 5), ((0, 1, 5), 5),
@@ -171,7 +197,7 @@ def test_shifted_streams_are_pinned():
     assert (len(got), budget.nodes) == (54, 89)
     e = shifted(build_a(3), 1, 2)
     budget = Budget()
-    got = list(MonomialMonoid().candidate_divisors(e, budget))
+    got = list(_stream(MonomialMonoid(), e, budget))
     assert [(d.gens, g) for d, g in got[:12]] == [
         (((0, 1),), 1), (((0, 2),), 2), (((1, 0),), 1), (((1, 1),), 2),
         (((1, 2),), 3), (((3, 0), (2, 1), (1, 2), (0, 3)), 3),
@@ -199,13 +225,16 @@ def test_prime_part_cofactors_are_the_shifted_core():
 
 
 def test_split_builds_one_view_for_its_cofactors(monkeypatch):
-    # split prime-splits its target once and builds at most one view of
-    # its core for all cofactors, beside the one of the divisor stream
-    views = [0]
+    # split and lengths each build one view of their target's core, in the
+    # divisor stream, and its cofactor rule and lengths pass work on the
+    # view the records come with; an identity core has no proper divisor
+    # and gets none.  Views that the large phase of lengths builds for
+    # other elements are not counted
+    built = []
 
     def counted(init):
         def run(self, e):
-            views[0] += 1
+            built.append(e)
             init(self, e)
         return run
 
@@ -215,12 +244,17 @@ def test_split_builds_one_view_for_its_cofactors(monkeypatch):
     targets += [(sumset_engine, NatSet([0] + [i + 1 for i in range(10)
                                                if mask >> i & 1]))
                 for mask in range(1, 1 << 10)]
-    most = 0
+    identity_cores = 0
     for make, e in targets:
-        views[0] = 0
-        make().split(e)
-        most = max(most, views[0])
-    assert 0 < most <= 2
+        m = make().monoid
+        core = m.prime_split(e)[2]
+        want = 1 if m.grade(core) else 0
+        identity_cores += not want
+        for query in ("split", "lengths"):
+            built.clear()
+            getattr(make(), query)(e)
+            assert sum(view == core for view in built) == want, (query, e)
+    assert identity_cores == 24
 
 
 def test_split_of_a_shifted_atom_searches_no_cofactor():
@@ -293,7 +327,8 @@ def _reference_frame_stream(e, tick, cap=None):
     A frame passes the product bound when e lies in U * cof, U the ideal of
     the frame and its points and cof = (e : X^ax) & (e : Y^ay), tested
     generator by generator; the walk of a frame that passes is the
-    engine's own.  Divisors above the cap are dropped.
+    engine's own, and each of its records is formed into an ideal from its
+    shifts (_ideal).  Divisors above the cap are dropped.
     """
     board = engine._Board(e)
     cap = e.mdeg // 2 if cap is None else cap
@@ -309,7 +344,13 @@ def _reference_frame_stream(e, tick, cap=None):
             continue
         for d, g in engine._frame_dfs(board, ax, ay, rows, cof, colon, tick):
             if g <= cap:
-                yield d, g
+                yield _ideal(board, d), g
+
+
+def _ideal(board, shifts):
+    # the ideal of generators y*stride + x on a board
+    w = board.stride
+    return MonIdeal([(s % w, s // w) for s in shifts])
 
 
 def _run_stream(stream, budget):
@@ -334,16 +375,15 @@ def test_budget_exhaustion_matches_reference_frame_loop(e):
     full = Budget()
     want = list(_reference_frame_stream(e, full.tick))
     budget = Budget()
-    got, nodes = _run_stream(MonomialMonoid().candidate_divisors(e, budget),
-                             budget)
+    got, nodes = _run_stream(_stream(MonomialMonoid(), e, budget), budget)
     assert (got, nodes) == (want, full.nodes)
     for n in sorted({1, 2, 5, 13, 50, 200, 1000, full.nodes - 1, full.nodes}):
         ref = Budget(max_nodes=n)
         ref_got, ref_nodes = _run_stream(
             _reference_frame_stream(e, ref.tick), ref)
         budget = Budget(max_nodes=n)
-        got, nodes = _run_stream(
-            MonomialMonoid().candidate_divisors(e, budget), budget)
+        got, nodes = _run_stream(_stream(MonomialMonoid(), e, budget),
+                                 budget)
         assert (got, nodes) == (ref_got, ref_nodes)
         assert nodes == min(n + 1, full.nodes)
 
@@ -364,13 +404,14 @@ def test_frame_loop_matches_reference_on_random_ideals(e, data):
     full = Budget()
     want = list(_reference_frame_stream(e, full.tick))
     budget = Budget()
-    got = list(MonomialMonoid().candidate_divisors(e, budget))
+    got = list(_stream(MonomialMonoid(), e, budget))
     assert (got, budget.nodes) == (want, full.nodes)
     cap = data.draw(st.integers(0, e.mdeg - 1))
     full = Budget()
     want = list(_reference_frame_stream(e, full.tick, cap))
     budget = Budget()
-    got = list(engine._Board(e).divisors(cap, budget.tick))
+    board = engine._Board(e)
+    got = [(_ideal(board, r), g) for r, g in board.divisors(cap, budget.tick)]
     assert (got, budget.nodes) == (want, full.nodes)
 
 
@@ -477,17 +518,19 @@ def test_board_limit():
 
 
 def test_board_refused_where_built():
-    # 11,565 rows of 5,803 bits: one row past the limit.  Both searches
-    # that build a board refuse it before any mask is built.
+    # 11,565 rows of 5,803 bits: one row past the limit.  The divisor
+    # stream builds the board of every query, and refuses it before any
+    # mask is built.
     e = MonIdeal([(2901, 0), (0, 11564)])
     assert 11565 * 5803 > MAX_BOARD_CELLS >= 11564 * 5803
-    m = MonomialMonoid()
-    for search in (m.candidate_divisors(e, Budget()),
-                   _cofactors(m, e, build_a(1))):
+    for search in (lambda: next(MonomialMonoid().candidate_divisors(
+                       e, Budget())),
+                   lambda: monomial_engine().split(e),
+                   lambda: monomial_engine().lengths(e)):
         tracemalloc.start()
         try:
             with pytest.raises(ValueError, match=str(MAX_BOARD_CELLS)):
-                next(search)
+                search()
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -789,7 +832,7 @@ def test_lengths_ladder_is_pinned(make, e, want, nodes):
 
 def test_lengths_runs_no_atom_search_of_a_small_divisor(monkeypatch):
     # the products of the pass sieve the small divisors, so a fresh engine
-    # builds the view of the divisor stream and the one the pass runs on;
+    # builds only the view of the divisor stream, which the pass runs on;
     # an is_atom search of each small divisor built 2,057 views for a_16
     # and 4,097 for {0,...,24}
     views = [0]
@@ -806,7 +849,7 @@ def test_lengths_runs_no_atom_search_of_a_small_divisor(monkeypatch):
                          (sumset_engine, NatSet(range(25)), 24)]:
         views[0] = 0
         assert make().lengths(e) == tuple(range(2, top + 1))
-        assert views[0] <= 2
+        assert views[0] == 1
 
 
 def test_lengths_across_phi():
@@ -943,6 +986,15 @@ def _factors(pairs):
     return {f for pair in pairs for f in pair}
 
 
+def _check_records(m, e, got):
+    # each record of the stream of e is the one _record gives for the core
+    # of its divisor, on the view of e's core
+    for (d, _g), (r, _g2, view, _i, _j) in zip(
+            got, m.candidate_divisors(e, Budget()), strict=True):
+        if view is not None:
+            assert r == _record(view, m.prime_split(d)[2])
+
+
 def test_streams_yield_each_divisor_once_with_grade(box6):
     # the engine pairs divisors by grade without deduplicating, so each
     # stream must list every divisor of at most half the grade exactly
@@ -953,23 +1005,25 @@ def test_streams_yield_each_divisor_once_with_grade(box6):
                for i, j in ((1, 0), (0, 2), (2, 1))]
     m = MonomialMonoid()
     for e in ideals:
-        got = list(m.candidate_divisors(e, Budget()))
+        got = list(_stream(m, e, Budget()))
         keys = [d.gens for d, _g in got]
         assert len(keys) == len(set(keys))
         assert set(keys) == {d for d in _factors(mon_map.get(e.gens, ()))
                              if MonIdeal(d).mdeg <= e.mdeg // 2}
         assert all(g == d.mdeg for d, g in got)
+        _check_records(m, e, got)
 
     sum_map = oracle.naive_sumset_split_map(10)
     m = SumsetMonoid()
     for mask in range(1 << 10):
         a = NatSet([0] + [i + 1 for i in range(10) if mask >> i & 1])
-        got = list(m.candidate_divisors(a, Budget()))
+        got = list(_stream(m, a, Budget()))
         keys = [d.elements for d, _g in got]
         assert len(keys) == len(set(keys))
         assert set(keys) == {d for d in _factors(sum_map.get(a.elements, ()))
                              if d[-1] <= a.max // 2}
         assert all(g == d.max for d, g in got)
+        _check_records(m, a, got)
 
 
 def test_cofactors_match_oracle(box6):
@@ -1029,7 +1083,7 @@ def test_full_monoid_streams_match_brute_force(full9):
     m = SumsetMonoid()
     for a in sets:
         pairs = pairs_of.get(a.elements, set())
-        got = list(m.candidate_divisors(a, Budget()))
+        got = list(_stream(m, a, Budget()))
         keys = [d.elements for d, _g in got]
         assert len(keys) == len(set(keys))
         assert set(keys) == {d for d in _factors(pairs) if d[-1] <= a.max // 2}
@@ -1172,6 +1226,31 @@ def test_monomial_engine_matches_oracle_exhaustively(box6):
             assert tuple(sorted(d.gens for d in pair)) in want_pairs
         want = tuple(sorted(oracle.naive_lengths(e.gens, split_map, cache)))
         assert eng.lengths(e) == want
+
+
+def test_split_and_lengths_agree_in_either_order(box6):
+    # an engine keeps the small divisors of a target as records with the
+    # view they belong to, and split and lengths both read them: lengths
+    # before split on one engine, and each alone on a fresh engine, give
+    # the oracle's answers.  671 of the 922 ideals of box_ideals(5) have a
+    # prime part, so the shifted records are read too
+    _pool, mon_map = box6
+    sets = [NatSet([0] + [i + 1 for i in range(10) if mask >> i & 1])
+            for mask in range(1, 1 << 10)]
+    for make, split_map, targets, key in [
+            (monomial_engine, mon_map, oracle.box_ideals(5),
+             lambda d: d.gens),
+            (sumset_engine, oracle.naive_sumset_split_map(10), sets,
+             lambda d: d.elements)]:
+        shared, cache = make(), {}
+        for e in targets:
+            want = tuple(sorted(oracle.naive_lengths(key(e), split_map,
+                                                     cache)))
+            pairs = split_map.get(key(e), set())
+            assert shared.lengths(e) == want
+            assert {(key(a), key(b)) for a, b in shared.split(e)} == pairs
+            assert make().lengths(e) == want
+            assert {(key(a), key(b)) for a, b in make().split(e)} == pairs
 
 
 def test_lengths_search_cofactors_on_the_view(box6, monkeypatch):
