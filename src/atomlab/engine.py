@@ -217,6 +217,12 @@ def _walk(target: int, lows: list[int], root: tuple, children: Callable,
     children of a node in order, and is advanced one child at a time; a
     node at the last index, past every candidate, has none, and a search
     may give that index to any node it knows to be childless.
+
+    A walk whose root is childless, with no candidates at all, visits the
+    root alone: it ticks once and yields the root exactly when its reach
+    covers target.  So a search that has already shown the root's reach
+    covers target builds no walk for it, and ticks once and yields the
+    root itself (_SetMask.divisors, _Board.divisors).
     """
     last = len(lows) - 1
     stack = []
@@ -400,7 +406,10 @@ class _SetMask:
         Every B of a group lies in {0, mb} and the free x, and its colon in
         that of {0, mb}, so B + col lies in their sum.  A group whose sum
         misses an element of E holds no divisor and is not walked; it costs
-        one node, as the root of its walk would.
+        one node, as the root of its walk would.  A group without free
+        elements holds only its root {0, mb}, whose reach is that sum, so
+        one that passes costs one node and yields {0, mb} with no walk
+        built, as its walk would (see _walk).
         """
         amask, top = self.whole, self.grade
         if cap >= top:
@@ -440,6 +449,11 @@ class _SetMask:
                 cover |= col << x
             if amask & ~cover:
                 tick()
+                continue
+            if not free:
+                # the root alone, whose reach is the cover
+                tick()
+                yield (0, mb), mb
                 continue
             lows = [1 << x for x in free] + [2 << top]
             for node in _walk(amask, lows, (root, 0, (0,), col, 1 | 1 << mb),
@@ -526,8 +540,9 @@ class _Board:
     mask of e, unit that of the whole box, holes that of the cells of the
     box outside e, gens that of the ideal's own generators, starts[y] the
     first column of row y in the ideal (px+1 for none), and grade the grade
-    mdeg of e.  A board of more than MAX_BOARD_CELLS cells, (py+1)(2px+1),
-    is a ValueError, raised before any mask is built.
+    mdeg of e, read in the same loop over the generators.  A board of more
+    than MAX_BOARD_CELLS cells, (py+1)(2px+1), is a ValueError, raised
+    before any mask is built.
 
     rows (bit 0 of each row) and holes are set up from byte runs, where
     each run of rows between two generators is one row's bytes repeated,
@@ -559,7 +574,6 @@ class _Board:
         px, low = gens[0]
         py = gens[-1][1]
         self.px, self.py = px, py
-        self.grade = e.mdeg
         n = py + 1
         if n * (2 * px + 1) > MAX_BOARD_CELLS:
             raise ValueError(
@@ -581,10 +595,16 @@ class _Board:
         self.starts = starts = [px + 1] * low
         runs = [row.to_bytes(size, "little") * low]
         x0, y0 = px, low
+        # the least degree of a generator, mdeg(e); the sentinel (0, n) lies
+        # above (0, py)
+        grade = px + low
         for x, y in gens[1:] + ((0, n),):
             starts += [x0] * (y - y0)
             runs.append(((1 << x0) - 1).to_bytes(size, "little") * (y - y0))
             x0, y0 = x, y
+            if x + y < grade:
+                grade = x + y
+        self.grade = grade
         self.holes = holes = int.from_bytes(b"".join(runs), "little")
         self.whole = whole = unit ^ holes
         self.gens = self._corners(whole)
@@ -674,7 +694,11 @@ class _Board:
         U * cof has the mask of cof shifted by (ax, 0), (0, ay) and each
         (c0, g), joined as the rows are found.  A frame whose mask misses a
         generator of e holds no factor, and its walk (_frame_dfs) is never
-        built.
+        built.  A frame without point rows holds only its root, the frame
+        <X^ax, Y^ay>, and its U * cof is the root's reach B * (e : B), so
+        one that passes the bound is a divisor, its own walk of one node:
+        it yields the record (ay*stride, ax) with grade min(ax, ay), within
+        the cap, and no walk is built (see _walk).
 
         Each visited frame costs one search node, so a budget stops a loop over
         many frames even when none of them holds a point.
@@ -712,6 +736,13 @@ class _Board:
                         rows.append((g, c0))
                         cover |= cof << g * w + c0
                 if gens & ~cover:
+                    continue
+                if not rows:
+                    # the root alone, whose reach is the cover
+                    tick()
+                    grade = ax if ax < ay else ay
+                    if grade <= cap:
+                        yield (ay * w, ax), grade
                     continue
                 for d, grade in _frame_dfs(self, ax, ay, rows, cof, colon,
                                            tick):
@@ -773,9 +804,13 @@ def _frame_dfs(board: _Board, ax: int, ay: int, rows, cof: int,
     record (_Board), with its grade, min(ax, ay, c + g over points).
 
     The walk holds no bound of its own: _Board.divisors builds it only for
-    a frame that passes the product bound, which in a cofactor search,
-    whose rows hold (e : p), would never fail.  The colon of each point is
-    taken when the point is first reached, and is dropped with the frame.
+    a frame that passes the product bound and has point rows, since a
+    frame without them is one node, the root, that the bound has shown to
+    divide e, and which _Board.divisors yields itself.  A cofactor search,
+    whose rows hold (e : p), would never fail the bound, and builds the
+    walk of its one frame with or without rows.  The colon of each point
+    is taken when the point is first reached, and is dropped with the
+    frame.
     """
     w = board.stride
     firsts, lows, lefts, least = [], [], [], ax

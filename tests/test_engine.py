@@ -1,5 +1,6 @@
 """Factor search engine: budgets, determinism, and oracle agreement."""
 
+import functools
 import inspect
 import random
 import tracemalloc
@@ -327,7 +328,8 @@ def _reference_frame_stream(e, tick, cap=None):
     A frame passes the product bound when e lies in U * cof, U the ideal of
     the frame and its points and cof = (e : X^ax) & (e : Y^ay), tested
     generator by generator; the walk of a frame that passes is the
-    engine's own, and each of its records is formed into an ideal from its
+    engine's own, built for every such frame, one without point rows
+    included, and each of its records is formed into an ideal from its
     shifts (_ideal).  Divisors above the cap are dropped.
     """
     board = engine._Board(e)
@@ -345,6 +347,54 @@ def _reference_frame_stream(e, tick, cap=None):
         for d, g in engine._frame_dfs(board, ax, ay, rows, cof, colon, tick):
             if g <= cap:
                 yield _ideal(board, d), g
+
+
+def _reference_group_stream(a, tick, cap):
+    """Divisors B of a 0-set a with max(B) <= cap, as element tuples with
+    their max, from a loop that walks every group mb that passes the sum
+    test, one without free elements included.
+
+    The group of mb holds the sets {0, mb} + S, S among the free x in
+    (0, mb) with x + max(a) - mb in a, whose colon lies in that of
+    {0, mb}.  A group whose sum ({0, mb} + free) + colon misses an element
+    of a is ticked and skipped; the others are walked by the engine's
+    _walk, each node's reach B + colon formed as the OR of the colon
+    shifted by each element of B.
+    """
+    def reach(b, col):
+        out = 0
+        for x in b:
+            out |= col << x
+        return out
+
+    elems, top = a.elements, a.max
+    whole = sum(1 << x for x in elems)
+    for mb in elems[1:]:
+        if mb > min(cap, top - 1):
+            break
+        mc = top - mb
+        if mc not in elems:
+            continue
+        col = sum(1 << c for c in range(mc + 1)
+                  if c in elems and c + mb in elems)
+        free = [x for x in range(1, mb) if x in elems and x + mc in elems]
+        if whole & ~reach([0, mb] + free, col):
+            tick()
+            continue
+
+        def children(node, free=free, mb=mb):
+            _reach, idx, b, col, _mask = node
+            for i in range(idx, len(free)):
+                x = free[i]
+                col2 = col & whole >> x
+                b2 = b + (x,)
+                yield reach(b2 + (mb,), col2), i + 1, b2, col2, 0
+
+        lows = [1 << x for x in free] + [2 << top]
+        for node in engine._walk(whole, lows,
+                                 (reach([0, mb], col), 0, (0,), col, 0),
+                                 children, tick):
+            yield node[2] + (mb,), mb
 
 
 def _ideal(board, shifts):
@@ -415,6 +465,41 @@ def test_frame_loop_matches_reference_on_random_ideals(e, data):
     assert (got, budget.nodes) == (want, full.nodes)
 
 
+def test_group_loop_matches_reference_on_every_small_set():
+    # the sumset stream, its node count and the point where a budget stops
+    # it match a loop that walks every group, at half of max(a), at the
+    # largest cap and at one more cap below max(a), which varies with a
+    for mask in range(1, 1 << 12):
+        a = _zero_set(mask)
+        view = engine._SetMask(a)
+        for cap in sorted({a.max // 2, mask % a.max, a.max - 1}):
+            full = Budget()
+            want = list(_reference_group_stream(a, full.tick, cap))
+            budget = Budget()
+            got = list(view.divisors(cap, budget.tick))
+            assert (got, budget.nodes) == (want, full.nodes)
+        n = full.nodes // 2
+        ref = Budget(max_nodes=n)
+        want = _run_stream(_reference_group_stream(a, ref.tick, cap), ref)
+        budget = Budget(max_nodes=n)
+        assert _run_stream(view.divisors(cap, budget.tick), budget) == want
+
+
+def test_atom_transport_counts_are_pinned():
+    # the atom-transport batch on [0,12]: one engine per monoid asks is_atom
+    # of every 0-set A and of phi(A); by the bottom-piece lemma both sides
+    # find the same atoms
+    sums, mons = Budget(), Budget()
+    sum_eng, mon_eng = sumset_engine(sums), monomial_engine(mons)
+    set_atoms = ideal_atoms = 0
+    for mask in range(1 << 12):
+        a = _zero_set(mask)
+        set_atoms += sum_eng.is_atom(a)
+        ideal_atoms += mon_eng.is_atom(phi(a))
+    assert (set_atoms, ideal_atoms) == (2751, 2751)
+    assert (sums.nodes, mons.nodes) == (5364, 21277)
+
+
 def test_phi_atom_node_count_is_pinned():
     # every 0-containing A in [0,10]: one node per frame searched and per
     # DFS node
@@ -427,27 +512,42 @@ def test_phi_atom_node_count_is_pinned():
 
 
 def test_rejected_frames_build_no_walk(monkeypatch):
-    # the product bound rejects a frame before its walk is built: every
-    # frame walk that is entered starts a walk from its root
-    entries, walks = [0], [0]
+    # the product bound rejects a frame before its walk is built, and a
+    # frame without point rows is its own walk, whose root is yielded with
+    # no walk built: every frame walk that is entered has point rows and
+    # starts a walk from its root
+    entries, walks, roots = [0], [0], [0]
     frame_dfs, walk = engine._frame_dfs, engine._walk
+    divisors = engine._Board.divisors
 
-    def count_frame(*args):
+    def count_frame(board, ax, ay, rows, *args):
         entries[0] += 1
-        return frame_dfs(*args)
+        assert rows
+        return frame_dfs(board, ax, ay, rows, *args)
 
     def count_walk(*args):
         walks[0] += 1
         return walk(*args)
 
+    def count_roots(self, cap, tick):
+        # a frame's root record, the shifts of (0, ay) and (ax, 0), that
+        # comes with no walk built since the stream's last record
+        seen = walks[0]
+        for d, g in divisors(self, cap, tick):
+            if len(d) == 2 and walks[0] == seen:
+                roots[0] += 1
+            seen = walks[0]
+            yield d, g
+
     monkeypatch.setattr(engine, "_frame_dfs", count_frame)
     monkeypatch.setattr(engine, "_walk", count_walk)
+    monkeypatch.setattr(engine._Board, "divisors", count_roots)
     eng = monomial_engine()
     for mask in range(1 << 10):
         eng.is_atom(phi(NatSet([0] + [i + 1 for i in range(10)
                                       if mask >> i & 1])))
     assert entries == walks
-    assert entries[0] == 406
+    assert (entries[0], roots[0]) == (118, 288)
 
 
 @given(small_ideals)
@@ -1100,8 +1200,10 @@ def test_full_monoid_streams_match_brute_force(full9):
 
 
 def test_skipped_frames_and_groups_hold_no_divisor(box6, monkeypatch):
-    # a frame or sumset group that the divisor streams enter but do not walk
-    # was skipped by the product bound, and must hold no divisor at all
+    # a frame or sumset group that the divisor streams enter but neither
+    # walk nor yield alone was skipped by the product bound, and must hold
+    # no divisor at all; one without points or free elements that passes
+    # the bound yields its root record with no walk, and counts as entered
     _pool, mon_map = box6
     sum_map = oracle.naive_sumset_split_map(12)
     roots, walk = [], engine._walk
@@ -1123,9 +1225,11 @@ def test_skipped_frames_and_groups_hold_no_divisor(box6, monkeypatch):
         frames = _reference_frames(core, (core.mdeg + u + v) // 2,
                                    lambda: None)
         roots.clear()
-        list(MonomialMonoid().candidate_divisors(e, Budget()))
+        stream = list(MonomialMonoid().candidate_divisors(e, Budget()))
         w = engine._Board(core).stride
-        walked = {root[2] for root in roots}
+        walked = {root[2] for root in roots} | {
+            a for a, _g, view, _i, _j in stream
+            if view is not None and len(a) == 2}
         return {(ax, ay) for ax, ay, _rows in frames
                 if (ay * w, ax) not in walked}
 
@@ -1152,10 +1256,12 @@ def test_skipped_frames_and_groups_hold_no_divisor(box6, monkeypatch):
         skipped_phi += len(got)
         # a group's walk starts from B = {0, mb}, held as a mask
         roots.clear()
-        list(SumsetMonoid().candidate_divisors(a, Budget()))
+        stream = list(SumsetMonoid().candidate_divisors(a, Budget()))
         groups = {mb for mb in a.elements[1:]
                   if 2 * mb <= a.max and a.max - mb in a.elements}
-        got = groups - {root[4].bit_length() - 1 for root in roots}
+        got = groups - {root[4].bit_length() - 1 for root in roots} - {
+            d[-1] for d, _g, view, _i, _j in stream
+            if view is not None and len(d) == 2}
         assert not got & {d[-1] for d in _factors(pairs)}
         skipped_groups += len(got)
     assert skipped_box and skipped_phi and skipped_groups
@@ -1226,6 +1332,39 @@ def test_monomial_engine_matches_oracle_exhaustively(box6):
             assert tuple(sorted(d.gens for d in pair)) in want_pairs
         want = tuple(sorted(oracle.naive_lengths(e.gens, split_map, cache)))
         assert eng.lengths(e) == want
+
+
+_products = st.one_of(
+    # sumsets of 2-3 nonunit 0-sets in [0,4], inside [0,12]
+    st.lists(st.integers(1, 15).map(_zero_set), min_size=2,
+             max_size=3).map(lambda parts: functools.reduce(natset.sumset,
+                                                            parts)),
+    # products of 2-3 nonunit ideals in box 2, inside box 6, prime atoms
+    # and prime parts among them
+    st.lists(st.sampled_from(oracle.box_ideals(2)), min_size=2,
+             max_size=3).map(lambda parts: functools.reduce(product, parts)))
+
+
+@pytest.fixture(scope="module")
+def sum12():
+    return oracle.naive_sumset_split_map(12)
+
+
+@given(_products)
+@settings(max_examples=150, deadline=None)
+def test_products_match_oracle(box6, sum12, e):
+    # products of a few small parts have long length sets, which the box
+    # pools under-sample; every length is at most the grade
+    if isinstance(e, NatSet):
+        eng, key, split_map = sumset_engine(), e.elements, sum12
+    else:
+        eng, key = monomial_engine(), e.gens
+        split_map = box6[1]
+    want = tuple(sorted(oracle.naive_lengths(key, split_map, {})))
+    assert eng.is_atom(e) == (not split_map.get(key))
+    got = eng.lengths(e)
+    assert got == want
+    assert got[-1] <= eng.monoid.grade(e)
 
 
 def test_split_and_lengths_agree_in_either_order(box6):
