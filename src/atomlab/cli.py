@@ -51,6 +51,15 @@ class _Parser(argparse.ArgumentParser):
 _IDEAL_FAMILY = re.compile(r"([abc])_?([0-9]+)\Z")
 
 
+def _number(digits: str, what: str) -> int:
+    # int() refuses a string past the interpreter's digit limit
+    try:
+        return int(digits)
+    except ValueError:
+        raise _UsageError(f"{what} has {len(digits)} digits, too many to "
+                          f"read") from None
+
+
 def _parse_target_opts(tokens: list[str]) -> dict:
     opts: dict = {}
     i = 0
@@ -68,7 +77,7 @@ def _parse_target_opts(tokens: list[str]) -> dict:
         # underscores and other scripts' digits
         if not all(natset._DIGITS.fullmatch(p) for p in parts):
             raise _UsageError(f"bad value {value!r} for {flag}")
-        nums = [int(p) for p in parts]
+        nums = [_number(p, flag) for p in parts]
         opts[flag[2:]] = nums if flag == "--seq" else nums[0]
         i += 2
     return opts
@@ -98,6 +107,24 @@ def _parse_literal(parse, tokens: list[str]):
         raise _UsageError(str(exc)) from None
 
 
+def _family_top(head: str, seq: families.SumSequence, r) -> int:
+    """The largest element of a seed family, an exponent for an ideal,
+    from its sequence alone, so that a family past the search limit is
+    refused before it is built.
+
+    max A = a_1 + ... + a_{n-1}; B and I_B add a_{n+1}; C and I_C are
+    a_1 + ... + a_{n+1}; tilde_b is a_1 + a_3 + ... + a_r, or 0 for an r
+    that build_tilde_b refuses itself.
+    """
+    vals, n = seq.values, seq.n
+    if head == "tilde_b":
+        return vals[0] + sum(vals[2:r]) if 3 <= r <= n else 0
+    if head in ("C", "I_C"):
+        return sum(vals)
+    top = sum(vals[:n - 1])
+    return top if head == "A" else top + vals[n]
+
+
 def parse_target(text: str):
     """Parse a target string into ("set", NatSet) or ("ideal", MonIdeal)."""
     try:
@@ -116,7 +143,8 @@ def parse_target(text: str):
     if match:
         if opts:
             raise _UsageError(f"{head} takes no options")
-        kind, index = match.group(1), int(match.group(2))
+        kind, index = match.group(1), _number(match.group(2),
+                                              "the family index")
         # a_k, b_k and c_k are phi of a 0-set of max k
         if index > natset.SEARCH_LIMIT:
             raise _UsageError(f"{head}: the family index must be at most "
@@ -135,6 +163,11 @@ def parse_target(text: str):
         elif "r" in opts:
             raise _UsageError(f"{head} does not take --r")
         seq = _resolve_sequence(opts)
+        top = _family_top(head, seq, r if head == "tilde_b" else None)
+        if top > natset.SEARCH_LIMIT:
+            raise _UsageError(f"{head}: the largest element of the family "
+                              f"must be at most {natset.SEARCH_LIMIT}, got "
+                              f"{top}")
         try:
             if head == "I_B":
                 return "ideal", monideal.build_i_b(seq)

@@ -15,12 +15,13 @@ each with its cofactors, and lengths multiplies the small atoms in one
 pass in grade order, whose products sieve them (FactorEngine.lengths).
 Elements are formed only for answers: the pairs of split, the witness of
 find_split, and the colons and cofactors that lengths tests with is_atom.
-The divisor and cofactor searches, over sets and over ideals, are methods
-of the views and run one walk (_walk): a preorder DFS that holds one lazy
-child iterator per level, so no search recurses and a deep one holds only
-the nodes on its path.  On a board both searches are one frame walk
-(_frame_dfs), the cofactor search with its partner held fixed; a frame's
-colon masks go with it, and a board keeps only the colons of the
+The divisor and cofactor searches are methods of the views, and each
+view runs both on one walk: a set's group walk (_group_dfs) or a board's
+frame walk (_frame_dfs), which cuts a partner from a mask as the divisor
+grows; a cofactor search holds its partner fixed.  Both walks run on
+_walk: a preorder DFS that holds one lazy child iterator per level, so no
+search recurses and a deep one holds only the nodes on its path.  A
+frame's colon masks go with it, and a board keeps only the colons of the
 generator shifts of the records it is given (_Board).
 
 Every search counts its nodes into the engine's Budget, which may bound
@@ -206,7 +207,8 @@ class _CoreView(Protocol):
 
 def _walk(target: int, lows: list[int], root: tuple, children: Callable,
           tick: Callable) -> Iterator[tuple]:
-    """Preorder DFS from root, holding one lazy child iterator per level.
+    """Preorder DFS from root, holding one lazy child iterator per level,
+    under both walks of the views (_group_dfs, _frame_dfs).
 
     A node is a tuple (reach, idx, ...): reach is the mask of what the node
     covers, and its descendants only add candidates from index idx on, none
@@ -389,19 +391,11 @@ class _SetMask:
         max(E) whatever the cap.  Some side of any split has max at most
         max(E)/2, so with that cap these are the small sides of all splits.
         The small divisors of {u} + E, u > 0, need the divisors of E up to
-        (u + max(E))/2 instead.  A sumset is an OR of shifted masks, and the
-        colon set of B in E is the AND of E >> b over b in B, truncated to
-        [0, max(E) - max(B)].
+        (u + max(E))/2 instead.
 
-        Divisors come grouped by max(B) = mb ascending.  The cofactor
-        maximum is mc = max(E) - mb, so every element x of B has x + mc in
-        E.  Within a group, B grows from {0, mb} by such x in increasing
-        order, and its maximal cofactor col, the colon set of B in E,
-        shrinks: a node's reach is B + col, and B divides E exactly when
-        reach is E.  A later x and any cofactor element only reach elements
-        from x on, so an element of E missed below the next x stays missed
-        (see _walk).  A node's reach shifts the side with fewer elements, B
-        or col, since B may grow far past its colon.
+        Divisors come grouped by max(B) = mb ascending, one group walk
+        each (_group_dfs).  The cofactor maximum is mc = max(E) - mb, so B
+        is {0, mb} and some free x between them with x + mc in E.
 
         Every B of a group lies in {0, mb} and the free x, and its colon in
         that of {0, mb}, so B + col lies in their sum.  A group whose sum
@@ -414,27 +408,6 @@ class _SetMask:
         amask, top = self.whole, self.grade
         if cap >= top:
             cap = top - 1
-        mb, free = 0, []
-
-        def children(node):
-            # mb and free are those of the group being walked
-            _reach, idx, elems, col, bmask = node
-            for i in range(idx, len(free)):
-                x = free[i]
-                col2 = col & amask >> x
-                elems2 = elems + (x,)
-                bmask2 = bmask | 1 << x
-                # B + col2, shifting by each element of the smaller side
-                if col2.bit_count() > len(elems2):
-                    reach = col2 << mb
-                    for b in elems2:
-                        reach |= col2 << b
-                else:
-                    reach = 0
-                    for c in natset._bits(col2):
-                        reach |= bmask2 << c
-                yield reach, i + 1, elems2, col2, bmask2
-
         # the elements of E in [1, cap]
         for mb in natset._bits(amask & ~1 & (1 << cap + 1) - 1):
             mc = top - mb
@@ -444,7 +417,7 @@ class _SetMask:
             # the x between 0 and mb with x + mc in E
             free = list(natset._bits(amask & amask >> mc & (1 << mb) - 2))
             # ({0, mb} + free) + col, one shift per child of the root
-            cover = root = col | col << mb
+            cover = col | col << mb
             for x in free:
                 cover |= col << x
             if amask & ~cover:
@@ -455,34 +428,62 @@ class _SetMask:
                 tick()
                 yield (0, mb), mb
                 continue
-            lows = [1 << x for x in free] + [2 << top]
-            for node in _walk(amask, lows, (root, 0, (0,), col, 1 | 1 << mb),
-                              children, tick):
-                yield node[2] + (mb,), mb
+            for b in _group_dfs(self, mb, free, col, amask, tick):
+                yield b, mb
 
     def cofactors(self, p: int, c: int, grade: int, tick: Callable
                   ) -> Iterator[NatSet]:
         """Every R containing 0 with P + R = E, once, for the proper 0-set
         divisor P of mask p, with colon set c and grade = max(E) - max(P).
 
-        max(R) = grade, and R lies in c, which holds 0 and grade.  The
-        elements between them join R in increasing order, and a node's
-        reach P + R only grows; x + P reaches elements from x on, so an
-        element of E that R + P misses below the next candidate kills the
-        branch.
+        max(R) = grade, and R lies in c, which holds 0 and grade, so the
+        search is the group walk of max grade (_group_dfs) over the
+        elements of c between them, with the partner held at P.
         """
         free = list(natset._bits(c & (1 << grade) - 2))
-        lows = [1 << x for x in free] + [2 << self.grade]
+        return map(NatSet._from_sorted,
+                   _group_dfs(self, grade, free, p, -1, tick))
 
-        def children(node):
-            reach, idx, rmask = node
-            for i in range(idx, len(free)):
-                x = free[i]
-                yield reach | p << x, i + 1, rmask | 1 << x
 
-        for node in _walk(self.whole, lows,
-                          (p | p << grade, 0, 1 | 1 << grade), children, tick):
-            yield self.element(node[2])
+def _group_dfs(view: _SetMask, mb: int, free: list[int], col: int, src: int,
+               tick: Callable) -> Iterator[tuple[int, ...]]:
+    """Preorder DFS over the sets B = {0, mb} + S, S among the free x in
+    increasing order, each with a partner: col at the root, cut to
+    partner & (src >> x) by each x that joins B.  _SetMask.divisors gives
+    the colon set of {0, mb} in E and E, so the partner of B is its colon
+    set; _SetMask.cofactors gives a divisor P and -1, so it stays P.
+
+    A node's reach is B + partner, and B is yielded, as its element tuple,
+    when that is E.  A later x and any partner element only reach elements
+    from x on, so an element of E missed below the next x stays missed
+    (see _walk).  An x that leaves the partner unchanged adds one shift to
+    its parent's reach; otherwise the reach shifts the side with fewer
+    elements, B or the partner, since B may grow far past its colon.
+    """
+    lows = [1 << x for x in free] + [2 << view.grade]
+
+    def children(node):
+        reach, idx, elems, col, bmask = node
+        for i in range(idx, len(free)):
+            x = free[i]
+            col2 = col & src >> x
+            elems2 = elems + (x,)
+            bmask2 = bmask | 1 << x
+            if col2 == col:
+                reach2 = reach | col << x
+            elif col2.bit_count() > len(elems2):
+                reach2 = col2 << mb
+                for b in elems2:
+                    reach2 |= col2 << b
+            else:
+                reach2 = 0
+                for c in natset._bits(col2):
+                    reach2 |= bmask2 << c
+            yield reach2, i + 1, elems2, col2, bmask2
+
+    root = (col | col << mb, 0, (0,), col, 1 | 1 << mb)
+    for node in _walk(view.whole, lows, root, children, tick):
+        yield node[2] + (mb,)
 
 
 class MonomialMonoid:
@@ -563,8 +564,8 @@ class _Board:
     (e : X^c Y^g).  Generators are the cells of a mask whose left and lower
     neighbours are out of it (_corners).
 
-    colon_mask keeps nothing: the colons of the frame walk (_frame_dfs),
-    which both searches run, last only as long as their frame.  colon
+    colon_mask keeps nothing, and the frame walk (_frame_dfs) forms its
+    colons from holes as colon_mask does, each kept for its frame.  colon
     keeps the colon mask of each shift it meets, since the divisors of the
     lengths pass share generators.
     """
@@ -705,8 +706,7 @@ class _Board:
         """
         total = self.grade
         px, py, w, starts = self.px, self.py, self.stride, self.starts
-        unit, holes, gens, colon = self.unit, self.holes, self.gens, \
-            self.colon_mask
+        unit, holes, gens = self.unit, self.holes, self.gens
         # a proper divisor has a grade below total
         cap = min(cap, total - 1)
         top = py - total + 1
@@ -744,7 +744,7 @@ class _Board:
                     if grade <= cap:
                         yield (ay * w, ax), grade
                     continue
-                for d, grade in _frame_dfs(self, ax, ay, rows, cof, colon,
+                for d, grade in _frame_dfs(self, ax, ay, rows, cof, holes,
                                            tick):
                     if grade <= cap:
                         yield d, grade
@@ -759,9 +759,9 @@ class _Board:
         the row of the first cell of its column 0.  Every generator of r
         lies in c with a degree of at least grade, the grade of r.  The
         search is the frame walk of the divisors (_frame_dfs) with the
-        partner held at p: every colon it takes is the whole box.
+        partner held at p, by no holes: every colon is the whole box.
         """
-        px, py, w, unit = self.px, self.py, self.stride, self.unit
+        px, py, w = self.px, self.py, self.stride
         column = p & self.rows
         bx = px + 1 - (p & -p).bit_length()
         by = py - ((column & -column).bit_length() - 1) // w
@@ -772,19 +772,19 @@ class _Board:
             c0 = max(1, (row & -row).bit_length() - 1, grade - g)
             if c0 < bx:
                 rows.append((g, c0))
-        for r, _g in _frame_dfs(self, bx, by, rows, p, lambda _c, _g: unit,
-                                tick):
+        for r, _g in _frame_dfs(self, bx, by, rows, p, 0, tick):
             yield MonIdeal._from_antichain(
                 tuple([(s % w, s // w) for s in r[1:]]) + ((0, by),))
 
 
-def _frame_dfs(board: _Board, ax: int, ay: int, rows, cof: int,
-               colon: Callable, tick: Callable) -> Iterator[tuple[tuple, int]]:
+def _frame_dfs(board: _Board, ax: int, ay: int, rows, cof: int, holes: int,
+               tick: Callable) -> Iterator[tuple[tuple, int]]:
     """Preorder DFS over antichains B = frame + points by increasing Y, each
-    with a partner: cof at the root, cut to partner & colon(c, g) by each
-    point (c, g) that joins B.  _Board.divisors gives (e : X^ax) & (e : Y^ay)
-    and colon_mask, so the partner of B is (e : B); _Board.cofactors gives a
-    divisor p and the whole box, so the partner stays p.
+    with a partner: cof at the root, cut by each point (c, g) that joins B
+    to partner & unit & ~(holes >> g*stride + c), as in colon_mask.
+    _Board.divisors gives (e : X^ax) & (e : Y^ay) and e's holes, so the
+    partner of B is (e : B); _Board.cofactors gives a divisor p and no
+    holes, so the partner stays p.
 
     The points are those of rows (g, c0), by increasing g: (c, g) with
     c0 <= c < ax, numbered in (g, c) order, so that point (c, g) of row k
@@ -808,11 +808,10 @@ def _frame_dfs(board: _Board, ax: int, ay: int, rows, cof: int,
     frame without them is one node, the root, that the bound has shown to
     divide e, and which _Board.divisors yields itself.  A cofactor search,
     whose rows hold (e : p), would never fail the bound, and builds the
-    walk of its one frame with or without rows.  The colon of each point
-    is taken when the point is first reached, and is dropped with the
-    frame.
+    walk of its one frame with or without rows.  A point's colon is formed
+    when the point is first reached and dropped with the frame.
     """
-    w = board.stride
+    w, unit = board.stride, board.unit
     firsts, lows, lefts, least = [], [], [], ax
     for g, c0 in rows:
         firsts.append(len(lows) - c0)
@@ -834,10 +833,10 @@ def _frame_dfs(board: _Board, ax: int, ay: int, rows, cof: int,
             g, c0 = rows[k]
             first, left = firsts[k], lefts[k]
             for c in range(c0, last_x):
+                s = g * w + c
                 cm = colons[first + c]
                 if not cm:
-                    cm = colons[first + c] = colon(c, g)
-                s = g * w + c
+                    cm = colons[first + c] = unit & ~(holes >> s)
                 cof2 = cof & cm
                 sh2 = sh + (s,)
                 if cof2 == cof:

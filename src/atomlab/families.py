@@ -79,16 +79,21 @@ def minimal_sequence(n: int) -> SumSequence:
     """Smallest valid seed sequence for a given n >= 2.
 
     Greedy: a_1 = 1, each next term is one past twice the running sum, and
-    the last term is fixed by the closing identity.
+    the last term is fixed by the closing identity.  Terms grow, so the
+    first term past MAX_ELEMENT is an OverflowError, raised before any
+    later term is formed (n = 39 is the largest that fits).
     """
     if n < 2:
         raise ValueError("minimal_sequence requires n >= 2")
-    vals = [1]
-    for _ in range(1, n):
-        vals.append(2 * sum(vals) + 1)
-    vals.append(sum(vals[: n - 1]) + 2 * vals[n - 1])
-    if vals[-1] > MAX_ELEMENT:
-        raise OverflowError("minimal sequence exceeds the machine-width bound")
+    vals, total = [1], 1
+    while len(vals) <= n:
+        # the next term, or once there are n, a_1 + ... + a_{n-1} + 2 a_n
+        term = total + vals[-1] if len(vals) == n else 2 * total + 1
+        if term > MAX_ELEMENT:
+            raise OverflowError(
+                "minimal sequence exceeds the machine-width bound")
+        vals.append(term)
+        total += term
     return SumSequence(tuple(vals))
 
 

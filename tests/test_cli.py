@@ -5,7 +5,7 @@ import time
 
 import pytest
 
-from atomlab import claims, cli
+from atomlab import claims, cli, families
 from atomlab.engine import MAX_BOARD_CELLS
 from atomlab.monideal import MonIdeal, build_a, build_c, product
 from atomlab.natset import NatSet, sumset
@@ -23,6 +23,9 @@ def last_json(text):
 
 
 # -- target parsing -------------------------------------------------------------
+
+# one digit past the interpreter's limit on the digits int() reads
+_LONG = "9" * 4301
 
 
 def test_parse_target_forms():
@@ -48,6 +51,15 @@ def test_parse_target_forms():
     "tilde_b --minimal 3 --r \uff13", "C --seq 1,3,,9,22",
     "A --minimal 2 --minimal 3", "C --seq 1,3,8 --seq 1,3,7",
     "tilde_b --minimal 3 --r 3 --r 4",
+    # numbers of more digits than int() reads
+    pytest.param("C --minimal " + _LONG, id="C --minimal <4301 digits>"),
+    pytest.param("C --seq 1,3," + _LONG, id="C --seq 1,3,<4301 digits>"),
+    pytest.param("tilde_b --minimal 3 --r " + _LONG,
+                 id="tilde_b --minimal 3 --r <4301 digits>"),
+    pytest.param("a_" + _LONG, id="a_<4301 digits>"),
+    # a seed family whose largest element is past the set limit: C and
+    # I_C of minimal n = 10 reach 78,731, and this tilde_b 88,570
+    "C --minimal 10", "I_C --minimal 10", "tilde_b --minimal 11 --r 11",
 ])
 def test_parse_target_rejects(text):
     # a usage error, which the command line reports with exit code 1
@@ -245,6 +257,44 @@ def test_family_index_past_the_set_limit_is_a_usage_error(capsys, target):
     code, out, err = run(capsys, "atom", target)
     assert code == 1 and not out
     assert err.startswith("error: ") and "65536" in err
+    assert "Traceback" not in err
+
+
+def test_family_size_is_read_from_the_sequence():
+    # the largest element of each seed family, from its sequence alone,
+    # is that of the family built; C of minimal n = 9, max 26,243, is the
+    # largest C that builds
+    for n in range(2, 10):
+        seq = families.minimal_sequence(n)
+        for head in ("A", "B", "C", "I_B", "I_C"):
+            kind, e = cli.parse_target(f"{head} --minimal {n}")
+            top = e.max if kind == "set" else e.max_x
+            assert cli._family_top(head, seq, None) == top
+        for r in range(3, min(n, 7) + 1):
+            _kind, e = cli.parse_target(f"tilde_b --minimal {n} --r {r}")
+            assert cli._family_top("tilde_b", seq, r) == e.max_x
+
+
+@pytest.mark.parametrize("argv", [
+    # a family built before it is sized
+    ("atom", "C --minimal 24"), ("atom", "I_C --minimal 24"),
+    ("atom", "I_B --minimal 24"), ("lengths", "A --minimal 26"),
+    ("atom", "tilde_b --minimal 30 --r 30"),
+    # a minimal sequence built in full before it is bounded
+    ("atom", "C --minimal 20000"),
+    # numbers past the interpreter's digit limit
+    pytest.param(("atom", "C --minimal " + _LONG), id="minimal-digits"),
+    pytest.param(("atom", "C --seq 1,3," + _LONG), id="seq-digits"),
+    pytest.param(("atom", "tilde_b --minimal 3 --r " + _LONG), id="r-digits"),
+    pytest.param(("atom", "a_" + _LONG), id="index-digits")],
+    ids=" ".join)
+def test_oversized_targets_are_usage_errors_in_a_capped_child(argv):
+    # each is refused before it is built, so none may end in a
+    # MemoryError or ValueError traceback under a 1 GB address space, or
+    # run past the timeout
+    code, out, err = run_cli(*argv, timeout=20)
+    assert code == 1 and not out
+    assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err
 
 

@@ -344,7 +344,8 @@ def _reference_frame_stream(e, tick, cap=None):
                        for c, g in u_gens)
                    for x, y in e.gens):
             continue
-        for d, g in engine._frame_dfs(board, ax, ay, rows, cof, colon, tick):
+        for d, g in engine._frame_dfs(board, ax, ay, rows, cof, board.holes,
+                                      tick):
             if g <= cap:
                 yield _ideal(board, d), g
 
@@ -582,17 +583,27 @@ def test_tall_board_search_stays_within_memory():
     assert peak < 64 * 2**20
 
 
-@pytest.mark.parametrize("bound, query, nodes, cofactor_nodes", [
-    (4, "split", 1322, 221), (5, "split", 8479, 2060),
+@pytest.mark.parametrize("view, bound, query, nodes, cofactor_nodes", [
+    pytest.param(engine._Board, 4, "split", 1322, 221, id="4-split-1322-221"),
+    pytest.param(engine._Board, 5, "split", 8479, 2060,
+                 id="5-split-8479-2060"),
     # the id keeps the pool total of the per-length layers, so that the
     # re-pin does not rename the case
-    pytest.param(5, "lengths", 2091, 245, id="5-lengths-1933-245")])
-def test_board_cofactor_search_nodes_are_pinned(monkeypatch, bound, query,
-                                                nodes, cofactor_nodes):
-    # one engine per pool; the ticks made inside the board cofactor
+    pytest.param(engine._Board, 5, "lengths", 2091, 245,
+                 id="5-lengths-1933-245"),
+    # the nonunit 0-sets of [0, bound] on the set view
+    pytest.param(engine._SetMask, 10, "split", 7674, 5864,
+                 id="set-10-split-7674-5864"),
+    pytest.param(engine._SetMask, 12, "split", 42602, 33466,
+                 id="set-12-split-42602-33466"),
+    pytest.param(engine._SetMask, 12, "lengths", 18869, 1460,
+                 id="set-12-lengths-18869-1460")])
+def test_board_cofactor_search_nodes_are_pinned(monkeypatch, view, bound,
+                                                query, nodes, cofactor_nodes):
+    # one engine per pool; the ticks made inside the view's cofactor
     # searches are counted apart, so a search that gives the same answers
     # but walks more shows here
-    cofactors, counted = engine._Board.cofactors, [0]
+    cofactors, counted = view.cofactors, [0]
 
     def counting(self, p, c, grade, tick):
         def counted_tick():
@@ -600,10 +611,15 @@ def test_board_cofactor_search_nodes_are_pinned(monkeypatch, bound, query,
             tick()
         return cofactors(self, p, c, grade, counted_tick)
 
-    monkeypatch.setattr(engine._Board, "cofactors", counting)
+    monkeypatch.setattr(view, "cofactors", counting)
     budget = Budget()
-    eng = monomial_engine(budget)
-    for e in oracle.box_ideals(bound):
+    if view is engine._Board:
+        eng, pool = monomial_engine(budget), oracle.box_ideals(bound)
+    else:
+        eng = sumset_engine(budget)
+        pool = [NatSet([0] + [i + 1 for i in range(bound) if mask >> i & 1])
+                for mask in range(1, 1 << bound)]
+    for e in pool:
         getattr(eng, query)(e)
     assert (budget.nodes, counted[0]) == (nodes, cofactor_nodes)
 

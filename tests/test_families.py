@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import time
 
 import pytest
 from hypothesis import given, strategies as st
@@ -9,7 +10,7 @@ from hypothesis import given, strategies as st
 from atomlab.families import (SumSequence, build_A, build_B, build_C,
                               build_delta_even, build_delta_odd,
                               minimal_sequence, subset_sum)
-from atomlab.natset import NatSet
+from atomlab.natset import MAX_ELEMENT, NatSet
 
 
 def subsets(items):
@@ -23,6 +24,18 @@ def test_minimal_sequences_frozen_values():
     assert minimal_sequence(3).values == (1, 3, 9, 22)
     assert minimal_sequence(4).values == (1, 3, 9, 27, 67)
     assert minimal_sequence(5).values == (1, 3, 9, 27, 81, 202)
+
+
+def test_minimal_sequence_stops_at_the_first_term_past_the_bound():
+    # n = 39 is the largest that fits; a larger n is refused at the first
+    # term past MAX_ELEMENT, before the rest of its terms are built
+    assert minimal_sequence(39).values[-1] <= MAX_ELEMENT
+    with pytest.raises(OverflowError):
+        minimal_sequence(40)
+    start = time.monotonic()
+    with pytest.raises(OverflowError):
+        minimal_sequence(10**6)
+    assert time.monotonic() - start < 0.1
 
 
 def test_sequence_validation():
