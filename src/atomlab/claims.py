@@ -11,8 +11,7 @@ from __future__ import annotations
 import itertools
 import random
 import time
-from dataclasses import dataclass
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable, NamedTuple, Optional
 
 from . import families, graded, monideal, natset, oracle
 from .engine import (DEFAULT_BUDGET_NODES, SearchBudgetExceeded, make_budget,
@@ -39,16 +38,14 @@ _PHI_SEED = 75
 _WITNESS_CAP = 5
 
 
-@dataclass(frozen=True)
-class Claim:
+class Claim(NamedTuple):
     claim_id: str
     suite: str
     statement: str
     runner: Callable[["_Runtime"], Optional[dict]]
 
 
-@dataclass(frozen=True)
-class ClaimResult:
+class ClaimResult(NamedTuple):
     claim_id: str
     statement: str
     status: str
@@ -87,6 +84,11 @@ def _subsets(items: Iterable[int]):
     pool = tuple(items)
     for r in range(len(pool) + 1):
         yield from itertools.combinations(pool, r)
+
+
+def _subset_sums(seq: families.SumSequence, items: Iterable[int]) -> list:
+    """(subset, its set, its subset sum) for each subset of items."""
+    return [(h, set(h), subset_sum(seq, h)) for h in _subsets(items)]
 
 
 # -- criterion runners -------------------------------------------------------
@@ -252,9 +254,12 @@ def _check_graded_pieces(rt: _Runtime) -> Optional[dict]:
     if not graded.equals(graded.product(plus, minus), c4):
         bad.append({"check": "<X^2,XY+Y^2> * <X^2,XY-Y^2> = c_4"})
     pairs = [(build_b(2), build_b(3)), (build_c(4), build_a(1))]
+    # the pool of oracle.box_ideals(6), in its order, as generator tuples:
+    # an ideal is built only when it is drawn
     rng = random.Random(_GRADED_SEED)
-    pool = oracle.box_ideals(6)
-    pairs.extend((rng.choice(pool), rng.choice(pool)) for _ in range(20))
+    pool = [g for g in oracle.box_antichains(6, 6) if g != ((0, 0),)]
+    pairs.extend((MonIdeal(rng.choice(pool)), MonIdeal(rng.choice(pool)))
+                 for _ in range(20))
     for a, b in pairs:
         if not min_piece_product_check(a, b):
             bad.append({"check": "minimal graded piece of the product",
@@ -269,13 +274,11 @@ def _check_seed_sum_membership(rt: _Runtime) -> Optional[dict]:
     for n in range(2, 6):
         seq = minimal_sequence(n)
         for k in range(1, n + 1):
-            idx = range(1, k + 1)
-            sums = {subset_sum(seq, h) for h in _subsets(idx)}
-            for i_set in _subsets(idx):
-                si = subset_sum(seq, i_set)
-                for j_set in _subsets(idx):
-                    hit = (si + subset_sum(seq, j_set)) in sums
-                    if hit != (not set(i_set) & set(j_set)):
+            subsets = _subset_sums(seq, range(1, k + 1))
+            sums = {sh for _, _, sh in subsets}
+            for i_set, i_bits, si in subsets:
+                for j_set, j_bits, sj in subsets:
+                    if ((si + sj) in sums) != (not i_bits & j_bits):
                         bad.append({"family": "prefix sums", "n": n, "k": k,
                                     "I": list(i_set), "J": list(j_set)})
     # The same characterization through the sets A_n, B_n and C_n.
@@ -284,31 +287,30 @@ def _check_seed_sum_membership(rt: _Runtime) -> Optional[dict]:
         set_a = set(families.build_A(seq))
         set_b = set(build_B(seq))
         set_c = set(build_C(seq))
-        ground = range(1, n)
+        head = _subset_sums(seq, range(1, n))
         full_prefix = subset_sum(seq, range(1, n + 1))
-        for i_set in _subsets(ground):
-            si = subset_sum(seq, i_set)
-            for j_set in _subsets(ground):
-                disjoint = not set(i_set) & set(j_set)
-                if ((si + subset_sum(seq, j_set)) in set_a) != disjoint:
+        last = seq.term(n + 1)
+        for i_set, i_bits, si in head:
+            for j_set, j_bits, sj in head:
+                disjoint = not i_bits & j_bits
+                if ((si + sj) in set_a) != disjoint:
                     bad.append({"family": "A", "n": n,
                                 "I": list(i_set), "J": list(j_set)})
-                for j_full in (j_set, j_set + (n + 1,)):
-                    inside = (si + subset_sum(seq, j_full)) in set_b
-                    if inside != disjoint:
+                for j_full, s_full in ((j_set, sj),
+                                       (j_set + (n + 1,), sj + last)):
+                    if ((si + s_full) in set_b) != disjoint:
                         bad.append({"family": "B", "n": n,
                                     "I": list(i_set), "J": list(j_full)})
             if ((full_prefix + si) in set_b) != (not i_set):
                 bad.append({"family": "B top", "n": n, "I": list(i_set)})
-        wide = range(1, n + 2)
-        for i_set in _subsets(wide):
-            si = subset_sum(seq, i_set)
-            for j_set in _subsets(wide):
-                meet = set(i_set) & set(j_set)
-                want = (not meet) or (
-                    set(i_set) | set(j_set) == set(range(1, n + 1))
-                    and n in meet)
-                if ((si + subset_sum(seq, j_set)) in set_c) != want:
+        wide = _subset_sums(seq, range(1, n + 2))
+        prefix = set(range(1, n + 1))
+        for i_set, i_bits, si in wide:
+            for j_set, j_bits, sj in wide:
+                meet = i_bits & j_bits
+                want = (not meet) or (i_bits | j_bits == prefix
+                                      and n in meet)
+                if ((si + sj) in set_c) != want:
                     bad.append({"family": "C", "n": n,
                                 "I": list(i_set), "J": list(j_set)})
     # Differences of subset sums over {1} u [3,r]: once past a_1 and away
@@ -388,19 +390,20 @@ def _check_phi_homomorphism(rt: _Runtime) -> Optional[dict]:
     bad = []
     sets = list(oracle.sample_zero_sets(1000, 10, _PHI_SEED))
     for a, b in zip(sets[:500], sets[500:]):
+        phi_a, phi_b = phi(a), phi(b)
         lhs = phi(natset.sumset(a, b))
-        rhs = monideal.product(phi(a), phi(b))
+        rhs = monideal.product(phi_a, phi_b)
         if lhs != rhs:
             bad.append({"A": a.to_json(), "B": b.to_json(),
                         "phi(A+B)": lhs.to_json(),
                         "phi(A)phi(B)": rhs.to_json()})
-        if (phi(a) == phi(b)) != (a == b):
+        if (phi_a == phi_b) != (a == b):
             bad.append({"A": a.to_json(), "B": b.to_json(),
                         "problem": "injectivity"})
-        for s in (a, b):
-            img = phi(s)
-            decoded = NatSet(y for _, y in img.gens)
-            if decoded != s or any(x + y != s.max for x, y in img.gens):
+        for s, img in ((a, phi_a), (b, phi_b)):
+            # the y exponents, in generator order, are the elements
+            if tuple(y for _, y in img.gens) != s.elements \
+                    or any(x + y != s.max for x, y in img.gens):
                 bad.append({"A": s.to_json(), "problem": "image decode",
                             "image": img.to_json()})
     return _verdict(bad)

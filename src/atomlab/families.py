@@ -9,7 +9,6 @@ value into the collision pattern the B family is built around.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable
 
 from .natset import MAX_ELEMENT, NatSet
@@ -26,15 +25,19 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
 class SumSequence:
-    """Validated seed sequence (a_1, ..., a_{n+1}), n >= 2."""
+    """Validated seed sequence (a_1, ..., a_{n+1}), n >= 2.
+
+    Immutable, and equal to another SumSequence with the same values (never
+    to a bare tuple).
+    """
+
+    __slots__ = ("values",)
 
     values: tuple[int, ...]
 
-    def __post_init__(self):
-        vals = tuple(self.values)
-        object.__setattr__(self, "values", vals)
+    def __init__(self, values: Iterable[int]) -> None:
+        vals = tuple(values)
         if len(vals) < 3:
             raise ValueError("a seed sequence needs at least 3 terms (n >= 2)")
         for v in vals:
@@ -52,6 +55,26 @@ class SumSequence:
         if vals[n] != want:
             raise ValueError(
                 f"closing identity fails: last term is {vals[n]}, expected {want}")
+        object.__setattr__(self, "values", vals)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("SumSequence is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError("SumSequence is immutable")
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, SumSequence) and self.values == other.values
+
+    def __hash__(self) -> int:
+        return hash(self.values)
+
+    def __repr__(self) -> str:
+        return f"SumSequence(values={self.values!r})"
+
+    def __reduce__(self):
+        # copy and pickle rebuild through the constructor, not __setattr__
+        return SumSequence, (self.values,)
 
     @property
     def n(self) -> int:

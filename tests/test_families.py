@@ -1,7 +1,9 @@
 """Seed sequences and the named set families built from them."""
 
+import copy
 import itertools
 import json
+import pickle
 import time
 
 import pytest
@@ -61,6 +63,39 @@ def test_sequence_accessors():
     with pytest.raises(IndexError):
         seq.term(5)
     assert SumSequence(tuple(json.loads(json.dumps(seq.to_json())))) == seq
+
+
+def test_sequence_is_an_immutable_value():
+    seq = SumSequence(values=[1, 3, 7])
+    assert seq.values == (1, 3, 7)
+    assert seq == SumSequence((1, 3, 7)) == minimal_sequence(2)
+    assert hash(seq) == hash(SumSequence((1, 3, 7)))
+    assert len({seq, SumSequence((1, 3, 7)), SumSequence((2, 5, 12))}) == 2
+    assert seq != (1, 3, 7) and (1, 3, 7) != seq
+    assert seq != SumSequence((2, 5, 12))
+    assert repr(seq) == "SumSequence(values=(1, 3, 7))"
+    with pytest.raises(AttributeError):
+        seq.values = (2, 5, 12)
+    with pytest.raises(AttributeError):
+        del seq.values
+    with pytest.raises(AttributeError):
+        seq.extra = 1
+    assert seq.values == (1, 3, 7)
+    assert copy.copy(seq) == seq
+    assert pickle.loads(pickle.dumps(seq)) == seq
+
+
+def test_sequence_error_messages():
+    with pytest.raises(ValueError, match=r"at least 3 terms \(n >= 2\)"):
+        SumSequence((1, 3))
+    with pytest.raises(ValueError, match="positive integers, got True"):
+        SumSequence((True, 3, 7))
+    with pytest.raises(ValueError, match=r"position 2: 2 <= 2\*1"):
+        SumSequence((1, 2, 5))
+    with pytest.raises(ValueError, match="last term is 8, expected 7"):
+        SumSequence((1, 3, 8))
+    with pytest.raises(OverflowError, match="machine-width bound"):
+        SumSequence((1, 3, MAX_ELEMENT + 1))
 
 
 def test_subset_sum():

@@ -1,10 +1,13 @@
-"""atomlab imports nothing outside the standard library."""
+"""atomlab imports nothing outside the standard library, and of the
+standard library only what it uses."""
 
 import ast
 import pathlib
+import subprocess
 import sys
 
 import atomlab
+from cli_child import SRC
 
 
 def absolute_imports(source: str) -> set[str]:
@@ -35,3 +38,16 @@ def test_modules_import_only_the_standard_library():
         if names:
             outside[path.name] = sorted(names)
     assert outside == {}
+
+
+def test_import_path_leaves_out_dataclasses_and_inspect():
+    # a fresh isolated interpreter imports what a benchmark set-up does;
+    # both modules cost milliseconds at every start of the command line
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); "
+            "from atomlab import cli, engine, monideal, natset; "
+            "print(' '.join(m for m in ('dataclasses', 'inspect') "
+            "if m in sys.modules))")
+    proc = subprocess.run([sys.executable, "-I", "-c", code, str(SRC)],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == []
