@@ -11,7 +11,8 @@ from __future__ import annotations
 import itertools
 import random
 import time
-from typing import Callable, Iterable, NamedTuple, Optional
+from operator import attrgetter
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
 from . import families, graded, monideal, natset, oracle
 from .engine import (DEFAULT_BUDGET_NODES, SearchBudgetExceeded, make_budget,
@@ -94,29 +95,45 @@ def _subset_sums(seq: families.SumSequence, items: Iterable[int]) -> list:
 # -- criterion runners -------------------------------------------------------
 
 
-def _check_atoms_monomial(rt: _Runtime) -> Optional[dict]:
-    eng = rt.mon
-    targets: list[tuple[str, MonIdeal]] = []
-    for i in range(1, 9):
-        targets.append((f"b_{i}", build_b(i)))
-    for m in range(1, 9):
-        for n in range(1, 9):
-            targets.append((f"<X^{m},Y^{n}>", MonIdeal([(m, 0), (0, n)])))
-    for k in range(3, 8):
-        targets.append((f"c_{k}", build_c(k)))
-    for n in (2, 3):
-        targets.append((f"I_B(minimal n={n})",
-                        build_i_b(minimal_sequence(n))))
-    for n, r in ((3, 3), (4, 3), (4, 4)):
-        targets.append((f"tilde_b(minimal n={n}, r={r})",
-                        build_tilde_b(minimal_sequence(n), r)))
+def _atom_checks(eng, targets: Iterable[tuple]) -> list:
+    """A witness for each (label, element) that is no atom: its split."""
     bad = []
     for label, e in targets:
         if not eng.is_atom(e):
-            a, b = eng.find_split(e)
-            bad.append({"target": label, "ideal": e.to_json(),
-                        "split": [a.to_json(), b.to_json()]})
-    return _verdict(bad)
+            bad.append({"target": label,
+                        "split": [p.to_json() for p in eng.find_split(e)]})
+    return bad
+
+
+def _length_checks(eng, targets: Iterable[tuple]) -> list:
+    """A witness for each (label, element, wanted lengths) that eng finds
+    other lengths for."""
+    bad = []
+    for label, e, want in targets:
+        got = eng.lengths(e)
+        if got != tuple(want):
+            bad.append({"target": label, "want": list(want),
+                        "got": list(got)})
+    return bad
+
+
+def _zero_sets(m: int) -> Iterator[NatSet]:
+    """Every nonunit 0-set of [0,m]."""
+    for mask in range(1, 1 << m):
+        yield NatSet([0] + [i + 1 for i in range(m) if mask >> i & 1])
+
+
+def _check_atoms_monomial(rt: _Runtime) -> Optional[dict]:
+    targets = [(f"b_{i}", build_b(i)) for i in range(1, 9)]
+    targets += [(f"<X^{m},Y^{n}>", MonIdeal([(m, 0), (0, n)]))
+                for m in range(1, 9) for n in range(1, 9)]
+    targets += [(f"c_{k}", build_c(k)) for k in range(3, 8)]
+    targets += [(f"I_B(minimal n={n})", build_i_b(minimal_sequence(n)))
+                for n in (2, 3)]
+    targets += [(f"tilde_b(minimal n={n}, r={r})",
+                 build_tilde_b(minimal_sequence(n), r))
+                for n, r in ((3, 3), (4, 3), (4, 4))]
+    return _verdict(_atom_checks(rt.mon, targets))
 
 
 def _check_splits_monomial(rt: _Runtime) -> Optional[dict]:
@@ -140,68 +157,36 @@ def _check_splits_monomial(rt: _Runtime) -> Optional[dict]:
         elif eng.find_split(img) is None:
             bad.append({"target": f"phi({{0,{j},{2 * j}}})",
                         "problem": "expected a split"})
-    for m in range(2, 10):
-        for j in range(1, m):
-            if m == 2 * j:
-                continue
-            e = phi(NatSet([0, j, m]))
-            if not eng.is_atom(e):
-                a, b = eng.find_split(e)
-                bad.append({"target": f"phi({{0,{j},{m}}})",
-                            "problem": "expected an atom",
-                            "split": [a.to_json(), b.to_json()]})
+    sets = [NatSet([0, j, m]) for m in range(2, 10) for j in range(1, m)
+            if m != 2 * j]
+    bad += _atom_checks(eng, [(f"phi({a})", phi(a)) for a in sets])
     return _verdict(bad)
 
 
 def _check_lengths_monomial(rt: _Runtime) -> Optional[dict]:
-    eng = rt.mon
-    bad = []
-    for k in range(2, 7):
-        want = tuple(range(2, k + 1))
-        got = eng.lengths(build_a(k))
-        if got != want:
-            bad.append({"target": f"a_{k}", "want": list(want),
-                        "got": list(got)})
-    got = eng.lengths(build_i_c(minimal_sequence(2)))
-    if got != (2, 3):
-        bad.append({"target": "I_C(minimal n=2)", "want": [2, 3],
-                    "got": list(got)})
-    return _verdict(bad)
+    targets = [(f"a_{k}", build_a(k), range(2, k + 1)) for k in range(2, 7)]
+    targets.append(("I_C(minimal n=2)", build_i_c(minimal_sequence(2)),
+                    (2, 3)))
+    return _verdict(_length_checks(rt.mon, targets))
 
 
 def _check_lengths_monomial_stretch(rt: _Runtime) -> Optional[dict]:
-    got = rt.mon.lengths(build_i_c(minimal_sequence(3)))
-    if got != (2, 3, 4):
-        return {"target": "I_C(minimal n=3)", "want": [2, 3, 4],
-                "got": list(got)}
-    return None
+    return _verdict(_length_checks(rt.mon, [
+        ("I_C(minimal n=3)", build_i_c(minimal_sequence(3)), (2, 3, 4))]))
 
 
 def _check_lengths_a_ladder(rt: _Runtime) -> Optional[dict]:
-    eng = rt.mon
-    bad = []
-    for k in range(7, 21):
-        want = tuple(range(2, k + 1))
-        got = eng.lengths(build_a(k))
-        if got != want:
-            bad.append({"target": f"a_{k}", "want": [2, k],
-                        "got": list(got)})
-    return _verdict(bad)
+    return _verdict(_length_checks(rt.mon, [
+        (f"a_{k}", build_a(k), range(2, k + 1)) for k in range(7, 21)]))
 
 
 def _check_lengths_sumset(rt: _Runtime) -> Optional[dict]:
-    eng = rt.sum
-    bad = []
-    for n in (2, 3, 4):
-        seq = minimal_sequence(n)
-        got = eng.lengths(build_C(seq))
-        if got != (2, n + 1):
-            bad.append({"target": f"C (minimal n={n})",
-                        "want": [2, n + 1], "got": list(got)})
-        if not eng.is_atom(build_B(seq)):
-            bad.append({"target": f"B (minimal n={n})",
-                        "problem": "expected an atom"})
-    return _verdict(bad)
+    seqs = [(n, minimal_sequence(n)) for n in (2, 3, 4)]
+    return _verdict(
+        _length_checks(rt.sum, [(f"C (minimal n={n})", build_C(seq),
+                                 (2, n + 1)) for n, seq in seqs])
+        + _atom_checks(rt.sum, [(f"B (minimal n={n})", build_B(seq))
+                                for n, seq in seqs]))
 
 
 def _check_product_identities(rt: _Runtime) -> Optional[dict]:
@@ -331,59 +316,42 @@ def _check_seed_sum_membership(rt: _Runtime) -> Optional[dict]:
 
 
 def _check_sum_free_atoms(rt: _Runtime) -> Optional[dict]:
-    sum_eng, mon_eng = rt.sum, rt.mon
+    sets = [NatSet((0,) + s.elements) for s in natset.iter_sum_free(12)]
+    return _verdict(_atom_checks(rt.sum, [(str(a), a) for a in sets])
+                    + _atom_checks(rt.mon, [(f"phi({a})", phi(a))
+                                            for a in sets]))
+
+
+def _oracle_checks(side: str, eng, targets: Iterable, split_map: dict,
+                   key: Callable) -> list:
+    """Witnesses where eng's splits or lengths of a target differ from
+    the oracle's split map, whose keys and pairs are key() of elements."""
     bad = []
-    for s in natset.iter_sum_free(12):
-        a = NatSet((0,) + s.elements)
-        if not sum_eng.is_atom(a):
-            bad.append({"set": a.to_json(), "problem": "sumset split"})
-        if not mon_eng.is_atom(phi(a)):
-            bad.append({"set": a.to_json(), "problem": "ideal split"})
-    return _verdict(bad)
+    cache: dict = {}
+    for e in targets:
+        k = key(e)
+        want = split_map.get(k, set())
+        got = {(key(a), key(b)) for a, b in eng.split(e)}
+        if got != want:
+            bad.append({"side": side, "target": e.to_json(),
+                        "missed": sorted(want - got),
+                        "extra": sorted(got - want)})
+            continue
+        lengths = sorted(oracle.naive_lengths(k, split_map, cache))
+        bad += [{"side": side, **w} for w in
+                _length_checks(eng, [(e.to_json(), e, lengths)])]
+    return bad
 
 
 def _check_oracle_equivalence(rt: _Runtime) -> Optional[dict]:
-    bad = []
-    eng = rt.sum
-    split_map = oracle.naive_sumset_split_map(10)
-    length_cache: dict = {}
-    for mask in range(1, 1 << 10):
-        a = NatSet([0] + [i + 1 for i in range(10) if mask >> i & 1])
-        key = a.elements
-        want_pairs = split_map.get(key, set())
-        got_pairs = {(p.elements, q.elements) for p, q in eng.split(a)}
-        if got_pairs != want_pairs:
-            bad.append({"side": "sumset", "target": a.to_json(),
-                        "missed": [list(map(list, p))
-                                   for p in want_pairs - got_pairs],
-                        "extra": [list(map(list, p))
-                                  for p in got_pairs - want_pairs]})
-            continue
-        want_lengths = tuple(sorted(
-            oracle.naive_lengths(key, split_map, length_cache)))
-        if eng.lengths(a) != want_lengths:
-            bad.append({"side": "sumset", "target": a.to_json(),
-                        "want": list(want_lengths),
-                        "got": list(eng.lengths(a))})
-    meng = rt.mon
     pool = oracle.box_ideals(4)
-    mon_map = oracle.naive_mon_split_map(pool)
-    mon_cache: dict = {}
-    for e in pool:
-        want_pairs = mon_map.get(e.gens, set())
-        got_pairs = {(a.gens, b.gens) for a, b in meng.split(e)}
-        if got_pairs != want_pairs:
-            bad.append({"side": "ideal", "target": e.to_json(),
-                        "missed": len(want_pairs - got_pairs),
-                        "extra": len(got_pairs - want_pairs)})
-            continue
-        want_lengths = tuple(sorted(
-            oracle.naive_lengths(e.gens, mon_map, mon_cache)))
-        if meng.lengths(e) != want_lengths:
-            bad.append({"side": "ideal", "target": e.to_json(),
-                        "want": list(want_lengths),
-                        "got": list(meng.lengths(e))})
-    return _verdict(bad)
+    return _verdict(
+        _oracle_checks("sumset", rt.sum, _zero_sets(10),
+                       oracle.naive_sumset_split_map(10),
+                       attrgetter("elements"))
+        + _oracle_checks("ideal", rt.mon, pool,
+                         oracle.naive_mon_split_map(pool),
+                         attrgetter("gens")))
 
 
 def _check_phi_homomorphism(rt: _Runtime) -> Optional[dict]:
@@ -406,6 +374,46 @@ def _check_phi_homomorphism(rt: _Runtime) -> Optional[dict]:
                     or any(x + y != s.max for x, y in img.gens):
                 bad.append({"A": s.to_json(), "problem": "image decode",
                             "image": img.to_json()})
+    return _verdict(bad)
+
+
+def _check_phi_transport(rt: _Runtime) -> Optional[dict]:
+    """L(A) lies in L(phi(A)), with the same maximum, for every nonunit
+    0-set A of [0,14]; so A is an atom exactly when phi(A) is.
+
+    This is proved, from a lemma of Ge-Kh21 on bottom pieces; the claim
+    checks both engines against it.  bottom(I) is the ideal generated by
+    the generators of I of least degree, mdeg(I).
+
+    Lemma.  bottom(I*J) = bottom(I)*bottom(J).  Proof: a product of bottom
+    generators has degree mdeg(I) + mdeg(J) = mdeg(I*J), the least degree
+    in I*J, so it is a minimal generator of I*J, and every generator of
+    that degree is such a product.
+
+    A factorization phi(A) = I_1...I_k into nonunits gives A = B_1 + ... +
+    B_k into nonunit 0-sets, with bottom(I_j) = phi(B_j).  Proof: let
+    m = max(A).  The pure powers of phi(A) are X^m and Y^m.  The exponents
+    of the pure powers of the factors add up to m, and so do their degrees
+    mdeg(I_j), since mdeg(phi(A)) = m.  Each mdeg(I_j) is at most both pure
+    exponents of I_j, so each factor has pure powers X^d and Y^d with
+    d = mdeg(I_j) >= 1.  Then bottom(I_j) = phi(B_j) for a nonunit 0-set
+    B_j, and as every generator of phi(A) has degree m, the lemma gives
+    phi(A) = bottom(phi(A)) = phi(B_1 + ... + B_k).  phi is injective, so
+    A = B_1 + ... + B_k.
+
+    So A is an atom exactly when phi(A) is: phi(B + C) = phi(B)*phi(C)
+    carries a split of A to one of phi(A), and the case k = 2 carries one
+    back.  phi then carries a factorization of A into k atoms to one of
+    phi(A) into k atoms, so L(A) lies in L(phi(A)).  A factorization of
+    phi(A) into k atoms writes A as a sum of k nonunits, each a sum of at
+    least one atom, so k <= max L(A).
+    """
+    bad = []
+    for a in _zero_sets(14):
+        got, img = rt.sum.lengths(a), rt.mon.lengths(phi(a))
+        if not set(got) <= set(img) or got[-1] != img[-1]:
+            bad.append({"target": str(a), "set": list(got),
+                        "ideal": list(img)})
     return _verdict(bad)
 
 
@@ -486,6 +494,12 @@ _CLAIMS: tuple[Claim, ...] = (
         "23,713 divisors of at most half the grade; their atoms and "
         "products fit the 1,000,000-node default budget.",
         _check_lengths_a_ladder),
+    Claim(
+        "phi-transport", "stretch",
+        "L(A) lies in L(phi(A)) with the same maximum, so A is an atom "
+        "exactly when phi(A) is, for all 16,383 nonunit 0-sets A of "
+        "[0,14].  Both sides fit the 1,000,000-node default budget.",
+        _check_phi_transport),
 )
 
 

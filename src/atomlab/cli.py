@@ -2,7 +2,7 @@
 
 Subcommands: `atom` and `lengths` answer questions about one target element,
 `verify` runs the registered claim suites, and `experiment` runs the sampling
-studies.  Output is line-delimited JSON by default, a plain table with
+study.  Output is line-delimited JSON by default, a plain table with
 --table.  Exit codes: 0 conclusive/pass, 1 usage or parse error, 2
 inconclusive (a search budget ran out), 3 verification failure.
 
@@ -305,53 +305,28 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_experiment(args) -> int:
+    # atom-density, the one study
     budget = _budget_from(args)
     sum_eng = sumset_engine(budget)
-    if args.name == "atom-density":
-        if args.samples < 1:
-            raise _UsageError("atom-density needs --samples >= 1")
-        if not 1 <= args.max <= natset.SEARCH_LIMIT:
-            raise _UsageError(
-                f"atom-density needs 1 <= --max <= {natset.SEARCH_LIMIT}")
-        atoms = 0
-        try:
-            for a in oracle.sample_zero_sets(args.samples, args.max,
-                                             args.seed):
-                # a sample costs a node, also one that no search ticks
-                budget.tick()
-                if sum_eng.is_atom(a):
-                    atoms += 1
-        except SearchBudgetExceeded as exc:
-            _emit({"experiment": "atom-density", "status": "inconclusive",
-                   "budget": _budget_payload(exc)}, args.fmt)
-            return 2
-        _emit({"experiment": "atom-density", "max": args.max,
-               "samples": args.samples, "seed": args.seed, "atoms": atoms,
-               "fraction": atoms / args.samples}, args.fmt)
-        return 0
-    # phi-transport: compare atomicity on the two sides of the set-to-ideal
-    # map, exhaustively over 0-containing subsets of [0,max].
-    if args.max < 1 or args.max > 16:
-        raise _UsageError("phi-transport needs 1 <= --max <= 16")
-    mon_eng = monomial_engine(budget)
-    found = []
-    checked = 0
+    if args.samples < 1:
+        raise _UsageError("atom-density needs --samples >= 1")
+    if not 1 <= args.max <= natset.SEARCH_LIMIT:
+        raise _UsageError(
+            f"atom-density needs 1 <= --max <= {natset.SEARCH_LIMIT}")
+    atoms = 0
     try:
-        for mask in range(1 << args.max):
-            a = NatSet([0] + [i + 1 for i in range(args.max)
-                              if mask >> i & 1])
-            checked += 1
-            set_atom = sum_eng.is_atom(a)
-            ideal_atom = mon_eng.is_atom(monideal.phi(a))
-            if set_atom != ideal_atom:
-                found.append({"set": a.to_json(), "set_atom": set_atom,
-                              "ideal_atom": ideal_atom})
+        for a in oracle.sample_zero_sets(args.samples, args.max, args.seed):
+            # a sample costs a node, also one that no search ticks
+            budget.tick()
+            if sum_eng.is_atom(a):
+                atoms += 1
     except SearchBudgetExceeded as exc:
-        _emit({"experiment": "phi-transport", "status": "inconclusive",
-               "checked": checked, "budget": _budget_payload(exc)}, args.fmt)
+        _emit({"experiment": "atom-density", "status": "inconclusive",
+               "budget": _budget_payload(exc)}, args.fmt)
         return 2
-    _emit({"experiment": "phi-transport", "max": args.max,
-           "checked": checked, "counterexamples": found}, args.fmt)
+    _emit({"experiment": "atom-density", "max": args.max,
+           "samples": args.samples, "seed": args.seed, "atoms": atoms,
+           "fraction": atoms / args.samples}, args.fmt)
     return 0
 
 
@@ -407,8 +382,8 @@ def _build_parser() -> _Parser:
     _add_common(verify)
     verify.set_defaults(func=_cmd_verify)
 
-    exp = subs.add_parser("experiment", help="sampling studies")
-    exp.add_argument("name", choices=("atom-density", "phi-transport"))
+    exp = subs.add_parser("experiment", help="a sampling study")
+    exp.add_argument("name", choices=("atom-density",))
     exp.add_argument("--max", type=int, default=14, metavar="M",
                      help="sets live inside [0,M] (default 14)")
     exp.add_argument("--samples", type=int, default=500, metavar="K",

@@ -61,12 +61,20 @@ def test_criterion_10_phi_homomorphism():
 def test_criterion_stretch_lengths_monomial():
     # listing every divisor would blow far past the default budget; the
     # small atoms and their products do not
-    assert _run("S", "lengths-monomial-stretch").status == "pass"
+    result = _run("S", "lengths-monomial-stretch")
+    assert (result.status, result.nodes) == ("pass", 3_617)
 
 
 def test_criterion_stretch_lengths_a_ladder():
     # L(a_k) = [2,k] up to a_20 on one engine, under the default budget
-    assert _run("S", "lengths-a-ladder").status == "pass"
+    result = _run("S", "lengths-a-ladder")
+    assert (result.status, result.nodes) == ("pass", 444_798)
+
+
+def test_criterion_stretch_phi_transport():
+    # lengths of both sides of phi for every nonunit 0-set of [0,14]
+    result = _run("S", "phi-transport")
+    assert (result.status, result.nodes) == ("pass", 473_001)
 
 
 def test_registry_is_complete():
@@ -75,4 +83,5 @@ def test_registry_is_complete():
         "lengths-sumset", "product-identities", "graded-pieces",
         "seed-sum-membership", "sum-free-atoms", "oracle-equivalence",
         "phi-homomorphism", "lengths-monomial-stretch", "lengths-a-ladder",
+        "phi-transport",
     ]

@@ -1,18 +1,21 @@
-"""The claim registry's record types, and the claims that reuse their work.
+"""The claim registry's record types, its node counts, and its witnesses.
 
 graded-pieces, seed-sum-membership and phi-homomorphism each compute a
 piece of their input once and reuse it.  The tests below pin what they
 check (the same seeded pairs) and plant a fault in the function each one
-relies on, which must turn the claim to `fail`.
+relies on, which must turn the claim to `fail`.  The atom, lengths and
+oracle claims share their checkers; planted faults pin the witnesses those
+report.
 """
 
 import random
 
 import pytest
 
-from atomlab import claims, oracle
+from atomlab import claims, engine, natset, oracle
 from atomlab.families import subset_sum
-from atomlab.monideal import MonIdeal, build_a, build_b, build_c, phi
+from atomlab.monideal import UNIT, MonIdeal, build_a, build_b, build_c, phi
+from atomlab.natset import NatSet
 
 
 def _run(claim_id):
@@ -87,3 +90,65 @@ def test_phi_homomorphism_fails_on_a_planted_fault(monkeypatch):
     result = _run("phi-homomorphism")
     assert result.status == "fail"
     assert result.witness["total"] == 500 + 1000
+
+
+def test_core_node_counts_are_pinned():
+    # the claims that share a checker make the engine calls they made
+    # when each wrote its own loop
+    assert [r.nodes for r in claims.run_suite("core")] == [
+        316, 133, 130, 538, 0, 0, 0, 1_787, 11_564, 0]
+
+
+_WANTED_LENGTHS = {
+    "lengths-monomial": [(f"a_{k}", list(range(2, k + 1)))
+                         for k in range(2, 7)] + [("I_C(minimal n=2)",
+                                                   [2, 3])],
+    "lengths-sumset": [(f"C (minimal n={n})", [2, n + 1]) for n in (2, 3, 4)],
+    "lengths-monomial-stretch": [("I_C(minimal n=3)", [2, 3, 4])],
+    "lengths-a-ladder": [(f"a_{k}", list(range(2, k + 1)))
+                         for k in range(7, 21)],
+}
+
+
+@pytest.mark.parametrize("claim_id", sorted(_WANTED_LENGTHS))
+def test_lengths_claims_report_every_wanted_length(monkeypatch, claim_id):
+    monkeypatch.setattr(engine.FactorEngine, "lengths", lambda self, e: (1,))
+    result = _run(claim_id)
+    wanted = _WANTED_LENGTHS[claim_id]
+    assert result.status == "fail"
+    assert result.witness == {"total": len(wanted), "counterexamples": [
+        {"target": label, "want": want, "got": [1]}
+        for label, want in wanted[:claims._WITNESS_CAP]]}
+
+
+def test_sum_free_atoms_labels_name_the_side(monkeypatch):
+    # {0,1,2} = {0,1} + {0,1}, and phi({0,1,2}) = b_1^2
+    monkeypatch.setattr(natset, "iter_sum_free",
+                        lambda m: iter([NatSet([1, 2])]))
+    result = _run("sum-free-atoms")
+    assert result.status == "fail"
+    b1 = build_b(1).to_json()
+    assert result.witness == {"total": 2, "counterexamples": [
+        {"target": "{0,1,2}", "split": [[0, 1], [0, 1]]},
+        {"target": "phi({0,1,2})", "split": [b1, b1]}]}
+
+
+def test_oracle_equivalence_fails_on_a_planted_fault(monkeypatch):
+    # an empty split map: every set that splits shows its pairs as extra
+    monkeypatch.setattr(oracle, "naive_sumset_split_map", lambda m: {})
+    result = _run("oracle-equivalence")
+    assert result.status == "fail"
+    for bad in result.witness["counterexamples"]:
+        assert bad["side"] == "sumset" and bad["missed"] == []
+        assert bad["extra"] == sorted(bad["extra"]) and bad["extra"]
+    eng = engine.sumset_engine()
+    assert result.witness["total"] == sum(
+        not eng.is_atom(a) for a in claims._zero_sets(10))
+
+
+def test_phi_transport_fails_on_a_planted_fault(monkeypatch):
+    # L(UNIT) = {0} holds no length of a nonunit set
+    monkeypatch.setattr(claims, "phi", lambda s: UNIT)
+    result = _run("phi-transport")
+    assert result.status == "fail"
+    assert result.witness["total"] == 16_383
