@@ -118,9 +118,14 @@ def _length_checks(eng, targets: Iterable[tuple]) -> list:
 
 
 def _zero_sets(m: int) -> Iterator[NatSet]:
-    """Every nonunit 0-set of [0,m]."""
-    for mask in range(1, 1 << m):
-        yield NatSet([0] + [i + 1 for i in range(m) if mask >> i & 1])
+    """Every nonunit 0-set of [0,m], in mask order (bit i for i + 1): the
+    sets with largest element t follow those below t, each grown by t."""
+    found = [(0,)]
+    for t in range(1, m + 1):
+        grown = [elems + (t,) for elems in found]
+        for elems in grown:
+            yield NatSet._from_sorted(elems)
+        found += grown
 
 
 def _check_atoms_monomial(rt: _Runtime) -> Optional[dict]:

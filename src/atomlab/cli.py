@@ -251,8 +251,8 @@ def _lengths_answer(target, eng) -> dict:
 def _print_verify_table(results) -> None:
     width = max(len(r.claim_id) for r in results)
     for r in results:
-        print(f"{r.claim_id:<{width}}  {r.status:<12}  {r.elapsed:8.2f}s"
-              f"  {r.nodes:>9} nodes")
+        print(f"{r.claim_id:<{width}}  {r.status:<12}  "
+              f"{r.elapsed * 1e3:9.1f} ms  {r.nodes:>9} nodes")
         if r.witness is not None:
             print(f"{'':<{width}}  witness: {json.dumps(r.witness)}")
 

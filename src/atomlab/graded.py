@@ -14,6 +14,7 @@ decides ideal equality.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 from .monideal import MonIdeal
@@ -131,26 +132,27 @@ class GradedIdeal:
 
 
 def _rref(rows: Iterable[Sequence[Fraction]]) -> tuple[Row, ...]:
-    """Reduced row echelon form with unit pivots; canonical for the span."""
-    mat = [list(r) for r in rows]
-    if not mat:
-        return ()
-    ncols = len(mat[0])
-    out: list[list[Fraction]] = []
+    """Reduced row echelon form with unit pivots; canonical for the span.
+
+    Elimination runs on integer rows: each row times the common denominator
+    of its entries.  Row operations cross-multiply and then divide by the
+    gcd of the row, and each row is divided by its pivot once, at the end.
+    """
+    out: list[list[int]] = []
     pivots: list[int] = []
-    for row in mat:
-        r = row[:]
+    for row in rows:
+        den = lcm(*[c.denominator for c in row])
+        r = [c.numerator * (den // c.denominator) for c in row]
         for prow, pcol in zip(out, pivots):
-            if r[pcol]:
-                f = r[pcol]
-                for k in range(pcol, ncols):
-                    r[k] -= f * prow[k]
+            f = r[pcol]
+            if f:
+                pv = prow[pcol]
+                r = [pv * v - f * w for v, w in zip(r, prow)]
         lead = next((k for k, v in enumerate(r) if v), None)
         if lead is None:
             continue
-        inv = r[lead]
-        r = [v / inv for v in r]
-        out.append(r)
+        g = gcd(*r)
+        out.append([v // g for v in r] if g > 1 else r)
         pivots.append(lead)
     # back-substitute so every pivot column is cleared above as well
     order = sorted(range(len(out)), key=lambda i: pivots[i])
@@ -158,12 +160,15 @@ def _rref(rows: Iterable[Sequence[Fraction]]) -> tuple[Row, ...]:
     pivots = [pivots[i] for i in order]
     for i in range(len(out) - 1, -1, -1):
         pcol = pivots[i]
+        pv = out[i][pcol]
         for j in range(i):
             f = out[j][pcol]
             if f:
-                for k in range(pcol, ncols):
-                    out[j][k] -= f * out[i][k]
-    return tuple(tuple(r) for r in out)
+                r = [pv * v - f * w for v, w in zip(out[j], out[i])]
+                g = gcd(*r)
+                out[j] = [v // g for v in r] if g > 1 else r
+    return tuple(tuple([Fraction(v, r[p]) for v in r])
+                 for r, p in zip(out, pivots))
 
 
 def graded_piece(ideal: GradedIdeal, t: int) -> tuple[Row, ...]:
@@ -172,14 +177,9 @@ def graded_piece(ideal: GradedIdeal, t: int) -> tuple[Row, ...]:
         raise ValueError("degree must be nonnegative")
     rows = []
     for g in ideal.gens:
-        s = g.degree
-        if s > t:
-            continue
-        for j in range(t - s + 1):
-            row = [Fraction(0)] * (t + 1)
-            for k, c in enumerate(g.coeffs):
-                row[j + k] += c
-            rows.append(row)
+        pad = t - g.degree
+        for j in range(pad + 1):
+            rows.append([0] * j + list(g.coeffs) + [0] * (pad - j))
     return _rref(rows)
 
 

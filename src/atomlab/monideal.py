@@ -173,10 +173,24 @@ UNIT = MonIdeal([(0, 0)])
 
 
 def product(a: MonIdeal, b: MonIdeal) -> MonIdeal:
+    """Minimal pairwise sums of generators: the least x of each row y,
+    kept when it lies below the x kept for every lower row."""
     if a.max_x + b.max_x > MAX_ELEMENT or a.max_y + b.max_y > MAX_ELEMENT:
         raise OverflowError("product would exceed the machine-width bound")
-    return MonIdeal._from_antichain(_minimal_pairs(
-        [(u + p, v + q) for u, v in a.gens for p, q in b.gens]))
+    rows: dict = {}
+    get = rows.get
+    for u, v in a.gens:
+        for p, q in b.gens:
+            x = u + p
+            y = v + q
+            if x < get(y, x + 1):
+                rows[y] = x
+    out = []
+    for y in sorted(rows):
+        x = rows[y]
+        if not out or x < out[-1][0]:
+            out.append((x, y))
+    return MonIdeal._from_antichain(tuple(out))
 
 
 def _colon_monomial(gens: tuple[Pair, ...], c: int, g: int

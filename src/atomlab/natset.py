@@ -224,11 +224,17 @@ def elasticity(length_set: Iterable[int]):
 
 
 def iter_sum_free(limit: int) -> Iterator[NatSet]:
-    """All nonempty sum-free subsets of [1, limit], in mask order."""
-    if limit < 1:
-        return
-    for mask in range(2, 2 << limit, 2):
-        # bit e of mask is element e: x + A meets A exactly when some
-        # x + y lies in A
-        if not any(mask << x & mask for x in _bits(mask)):
-            yield NatSet._from_sorted(tuple(_bits(mask)))
+    """All nonempty sum-free subsets of [1, limit], in mask order.
+
+    A sum-free A grows by any t > max A outside A + A.  The sets with
+    largest element t come after all sets below t, in the order of the A
+    they grew from.  Each set is kept with the bitmasks of A and A + A.
+    """
+    found = [((), 0, 0)]
+    for t in range(1, limit + 1):
+        bit = 1 << t
+        grown = [(elems + (t,), mask | bit, sums | mask << t | bit << t)
+                 for elems, mask, sums in found if not sums & bit]
+        for elems, _, _ in grown:
+            yield NatSet._from_sorted(elems)
+        found += grown

@@ -16,13 +16,12 @@ of its factor pairs.
 
 from __future__ import annotations
 
-import itertools
 import random
 from typing import Iterator
 
 from . import monideal
 from .monideal import MonIdeal
-from .natset import NatSet
+from .natset import NatSet, _bits
 
 __all__ = [
     "box_antichains",
@@ -39,19 +38,17 @@ def box_antichains(bound_x: int, bound_y: int) -> Iterator[tuple]:
     pts = sorted(((x, y) for x in range(bound_x + 1)
                   for y in range(bound_y + 1)),
                  key=lambda p: (-p[0], p[1]))
-
-    def rec(start: int, last_y: int, acc: list) -> Iterator[tuple]:
-        if acc:
-            yield tuple(acc)
-        for i in range(start, len(pts)):
-            x, y = pts[i]
-            if acc and (x >= acc[-1][0] or y <= last_y):
-                continue
-            acc.append((x, y))
-            yield from rec(i + 1, y, acc)
-            acc.pop()
-
-    yield from rec(0, -1, [])
+    n = len(pts)
+    # the points that may follow point i, last first: the stack then pops
+    # each antichain's extensions in list order, a depth-first preorder
+    after = [[j for j in range(n - 1, i, -1)
+              if pts[j][0] < pts[i][0] and pts[j][1] > pts[i][1]]
+             for i in range(n)]
+    stack = [((pts[i],), i) for i in range(n - 1, -1, -1)]
+    while stack:
+        acc, i = stack.pop()
+        yield acc
+        stack.extend([(acc + (pts[j],), j) for j in after[i]])
 
 
 def box_ideals(bound: int) -> list[MonIdeal]:
@@ -67,14 +64,22 @@ def naive_mon_split_map(ideals: list[MonIdeal]) -> dict:
     at most the largest max_x and max_y among the ideals.  Looking up an
     ideal in that box gives all of its factorizations into two listed parts.
     """
-    bound_x = max(a.max_x for a in ideals)
-    bound_y = max(a.max_y for a in ideals)
+    pool = sorted([(a.max_x, a.max_y, a) for a in ideals],
+                  key=lambda t: t[0])
+    if not pool:
+        return {}
+    bound_x = pool[-1][0]
+    bound_y = max([t[1] for t in pool])
     out: dict = {}
-    for a, b in itertools.combinations_with_replacement(ideals, 2):
-        if a.max_x + b.max_x > bound_x or a.max_y + b.max_y > bound_y:
-            continue
-        p = monideal.product(a, b)
-        out.setdefault(p.gens, set()).add(tuple(sorted((a.gens, b.gens))))
+    for i, (ax, ay, a) in enumerate(pool):
+        for bx, by, b in pool[i:]:
+            if ax + bx > bound_x:
+                break  # the pool is listed by max_x
+            if ay + by > bound_y:
+                continue
+            p = monideal.product(a, b)
+            out.setdefault(p.gens, set()).add(
+                (a.gens, b.gens) if a.gens <= b.gens else (b.gens, a.gens))
     return out
 
 
@@ -114,19 +119,23 @@ def naive_sumset_split_map(limit: int) -> dict:
 
 def naive_lengths(key, split_map: dict, cache: dict) -> frozenset:
     """Length set by recursing over a naive factor-pair map."""
+    return frozenset(_bits(_length_bits(key, split_map, cache)))
+
+
+def _length_bits(key, split_map: dict, cache: dict) -> int:
+    """The length set of key as a bitset: bit k set for length k."""
     got = cache.get(key)
     if got is not None:
         return got
     pairs = split_map.get(key, ())
     if not pairs:
-        res = frozenset({1})
+        res = 2
     else:
-        acc = set()
+        res = 0
         for ka, kb in pairs:
-            for la in naive_lengths(ka, split_map, cache):
-                for lb in naive_lengths(kb, split_map, cache):
-                    acc.add(la + lb)
-        res = frozenset(acc)
+            lb = _length_bits(kb, split_map, cache)
+            for la in _bits(_length_bits(ka, split_map, cache)):
+                res |= lb << la
     cache[key] = res
     return res
 
@@ -138,4 +147,5 @@ def sample_zero_sets(count: int, limit: int, seed: int) -> Iterator[NatSet]:
     rng = random.Random(seed)
     for _ in range(count):
         digits = format(rng.randrange(1 << limit), "b")[::-1]
-        yield NatSet([0] + [i for i, d in enumerate(digits, 1) if d == "1"])
+        yield NatSet._from_sorted(
+            (0,) + tuple([i for i, d in enumerate(digits, 1) if d == "1"]))

@@ -1,6 +1,7 @@
 """Command line behavior: target parsing, output shapes, exit codes."""
 
 import json
+import re
 import time
 
 import pytest
@@ -173,8 +174,11 @@ def test_deep_search_atom_answers(capsys):
     assert sumset(b, c) == DEEP
 
 
+# explicit ids on the cases that would get positional ones, so that
+# removing a case renames none of the others
 @pytest.mark.parametrize("budget", [("--budget-seconds", "1"),
-                                    ("--budget-nodes", "1500")])
+                                    ("--budget-nodes", "1500")],
+                         ids=["budget0", "budget1"])
 def test_deep_search_lengths_stop_on_budget(capsys, budget):
     code, out, err = run(capsys, "lengths", str(DEEP), *budget)
     assert code == 2 and "Traceback" not in err
@@ -405,9 +409,10 @@ def test_verify_zero_budget_means_no_cap(capsys, flag):
     ["lengths", "c_4"],
     ["verify", "--only", "lengths-monomial"],
     ["verify", "--list"],
-])
+], ids=["argv0", "argv1", "argv2", "argv3"])
 @pytest.mark.parametrize("budget", [["--budget-nodes", "-1"],
-                                    ["--budget-seconds", "-0.5"]])
+                                    ["--budget-seconds", "-0.5"]],
+                         ids=["budget0", "budget1"])
 def test_negative_budget_is_a_usage_error(capsys, argv, budget):
     code, out, err = run(capsys, *argv, *budget)
     assert code == 1 and not out
@@ -419,7 +424,7 @@ def test_verify_unknown_claim(capsys):
     assert code == 1 and "no-such-claim" in err
 
 
-@pytest.mark.parametrize("fmt", [[], ["--table"]])
+@pytest.mark.parametrize("fmt", [[], ["--table"]], ids=["fmt0", "fmt1"])
 def test_verify_empty_selection_is_a_usage_error(capsys, fmt):
     # the stretch claim is not in the core suite, so nothing is selected
     code, out, err = run(capsys, "verify", "--suite", "core", "--only",
@@ -432,7 +437,11 @@ def test_verify_table_smoke(capsys):
     code, out, _ = run(capsys, "verify", "--only", "atoms-monomial",
                        "--table")
     assert code == 0
-    assert "atoms-monomial" in out and "pass" in out and " nodes" in out
+    claim, status, elapsed, *rest = out.splitlines()[0].split()
+    assert (claim, status, rest) == ("atoms-monomial", "pass",
+                                     ["ms", "316", "nodes"])
+    # milliseconds with one decimal, so no claim reads 0.00s
+    assert re.fullmatch(r"[0-9]+\.[0-9]", elapsed)
 
 
 @pytest.mark.parametrize("argv", [
@@ -444,7 +453,7 @@ def test_verify_table_smoke(capsys):
     ["experiment", "phi-transport"],
     ["experiment", "atom-density"],
     ["experiment"],
-])
+], ids=[f"argv{i}" for i in range(7)])
 def test_usage_errors(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 1 and not out

@@ -1287,34 +1287,39 @@ def test_sumset_engine_matches_oracle_exhaustively():
         assert eng.lengths(a) == want
 
 
+def _all_pairs_map(items, times, key, in_box) -> dict:
+    """Every unordered pair multiplied out, with no box test and no break;
+    then the keys inside the box, which the bounded maps must match."""
+    out: dict = {}
+    for i, a in enumerate(items):
+        for b in items[i:]:
+            out.setdefault(key(times(a, b)), set()).add(
+                tuple(sorted((key(a), key(b)))))
+    return {k: v for k, v in out.items() if in_box(k)}
+
+
 def test_bounded_split_maps_match_all_pairs():
-    # the oracle skips pairs whose product leaves the box; no key inside it
-    # may lose a factor pair
+    # the oracle skips, and stops at, pairs whose product leaves the box;
+    # no key inside it may lose a factor pair
     limit = 8
     sets = [NatSet([0] + [i + 1 for i in range(limit) if mask >> i & 1])
             for mask in range(1, 1 << limit)]
-    want: dict = {}
-    for i, a in enumerate(sets):
-        for b in sets[i:]:
-            key = natset.sumset(a, b).elements
-            if key[-1] <= limit:
-                want.setdefault(key, set()).add(
-                    tuple(sorted((a.elements, b.elements))))
+    want = _all_pairs_map(sets, natset.sumset, lambda a: a.elements,
+                          lambda k: k[-1] <= limit)
     got = oracle.naive_sumset_split_map(limit)
     assert got.keys() == want.keys()
     assert got == want
 
     pool = oracle.box_ideals(3)
-    want = {}
-    for i, a in enumerate(pool):
-        for b in pool[i:]:
-            p = product(a, b)
-            if p.max_x <= 3 and p.max_y <= 3:
-                want.setdefault(p.gens, set()).add(
-                    tuple(sorted((a.gens, b.gens))))
-    got = oracle.naive_mon_split_map(pool)
-    assert got.keys() == want.keys()
-    assert got == want
+    want = _all_pairs_map(pool, product, lambda a: a.gens,
+                          lambda k: k[0][0] <= 3 and k[-1][1] <= 3)
+    # the map lists the pool by max_x itself, so no input order matters
+    shuffled = pool[:]
+    random.Random(3).shuffle(shuffled)
+    for ideals in (pool, pool[::-1], shuffled):
+        got = oracle.naive_mon_split_map(ideals)
+        assert got.keys() == want.keys()
+        assert got == want
 
 
 def test_monomial_engine_matches_oracle_exhaustively(box6):

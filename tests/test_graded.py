@@ -71,6 +71,61 @@ def test_next_piece_induction(e, t):
     assert graded._rref(rows) == graded_piece(g, start + 1)
 
 
+def reference_rref(rows):
+    """Plain Gauss-Jordan over Fraction: per column, move a pivot row up,
+    scale it to a unit pivot and clear the column in every other row."""
+    mat = [[Fraction(v) for v in r] for r in rows]
+    top = 0
+    for col in range(len(mat[0]) if mat else 0):
+        piv = next((i for i in range(top, len(mat)) if mat[i][col]), None)
+        if piv is None:
+            continue
+        mat[top], mat[piv] = mat[piv], mat[top]
+        inv = mat[top][col]
+        mat[top] = [v / inv for v in mat[top]]
+        for i, r in enumerate(mat):
+            if i != top and r[col]:
+                f = r[col]
+                mat[i] = [v - f * w for v, w in zip(r, mat[top])]
+        top += 1
+    return tuple(tuple(r) for r in mat[:top])
+
+
+rationals = st.one_of(st.just(Fraction(0)),
+                      st.sampled_from([Fraction(1, 2), Fraction(-3, 4)]),
+                      st.fractions(-4, 4, max_denominator=6))
+
+
+@st.composite
+def matrices(draw):
+    ncols = draw(st.integers(1, 6))
+    row = st.lists(rationals, min_size=ncols, max_size=ncols)
+    return draw(st.lists(st.one_of(row, st.just([Fraction(0)] * ncols)),
+                         max_size=7))
+
+
+hom_polys = st.integers(0, 4).flatmap(
+    lambda d: st.lists(rationals, min_size=d + 1, max_size=d + 1)
+    .filter(any).map(lambda cs: HomPoly(d, cs)))
+
+
+@given(matrices())
+def test_rref_matches_fraction_gauss_jordan(rows):
+    got = graded._rref(rows)
+    assert got == reference_rref(rows)
+    assert all(type(v) is Fraction for r in got for v in r)
+
+
+@given(st.lists(hom_polys, min_size=1, max_size=3), st.integers(0, 6))
+def test_graded_piece_matches_fraction_gauss_jordan(gens, t):
+    rows = []
+    for g in gens:
+        for j in range(t - g.degree + 1):
+            rows.append([Fraction(0)] * j + list(g.coeffs)
+                        + [Fraction(0)] * (t - g.degree - j))
+    assert graded_piece(GradedIdeal(gens), t) == reference_rref(rows)
+
+
 def test_equals_sees_through_generator_choice():
     a = GradedIdeal([HomPoly(1, [1, 0]), HomPoly(1, [0, 1])])
     b = GradedIdeal([HomPoly(1, [1, 1]), HomPoly(1, [1, -1])])

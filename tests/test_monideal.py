@@ -7,7 +7,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from atomlab import monideal
+from atomlab import monideal, oracle
 from atomlab.monideal import (MonIdeal, UNIT, build_a, build_b, build_c,
                               build_i_b, build_i_c, build_tilde_b, colon,
                               generator_gcd, phi, product, shifted)
@@ -52,6 +52,15 @@ def test_product_matches_membership_oracle(a, b):
             if any(ga[0] + gb[0] <= x and ga[1] + gb[1] <= y
                    for ga in a.gens for gb in b.gens)}
     assert product(a, b) == ideal_from_members(want)
+
+
+def test_product_is_the_minimal_pairwise_sums_on_box_3():
+    pool = oracle.box_ideals(3)
+    for a in pool:
+        for b in pool:
+            want = monideal._minimal_pairs(
+                [(u + p, v + q) for u, v in a.gens for p, q in b.gens])
+            assert product(a, b).gens == want
 
 
 @given(ideals, ideals)

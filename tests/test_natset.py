@@ -101,13 +101,14 @@ def test_is_sum_free():
 
 
 def test_iter_sum_free_matches_brute_filter():
-    got = {s.elements for s in iter_sum_free(6)}
-    want = set()
-    for mask in range(1, 1 << 6):
-        s = tuple(i + 1 for i in range(6) if mask >> i & 1)
-        if all(x + y not in s for x in s for y in s):
-            want.add(s)
-    assert got == want
+    # the definition, in mask order (bit i for i + 1)
+    for limit in range(13):
+        want = []
+        for mask in range(1, 1 << limit):
+            s = tuple(i + 1 for i in range(limit) if mask >> i & 1)
+            if all(x + y not in s for x in s for y in s):
+                want.append(s)
+        assert [s.elements for s in iter_sum_free(limit)] == want
 
 
 def test_iter_sum_free_matches_is_sum_free_in_order():
