@@ -342,9 +342,11 @@ def _oracle_checks(side: str, eng, targets: Iterable, split_map: dict,
                         "missed": sorted(want - got),
                         "extra": sorted(got - want)})
             continue
-        lengths = sorted(oracle.naive_lengths(k, split_map, cache))
-        bad += [{"side": side, **w} for w in
-                _length_checks(eng, [(e.to_json(), e, lengths)])]
+        got = eng.lengths(e)
+        bits = oracle._length_bits(k, split_map, cache)
+        if sum([1 << n for n in got]) != bits:
+            bad.append({"side": side, "target": e.to_json(),
+                        "want": list(natset._bits(bits)), "got": list(got)})
     return bad
 
 
@@ -374,9 +376,10 @@ def _check_phi_homomorphism(rt: _Runtime) -> Optional[dict]:
             bad.append({"A": a.to_json(), "B": b.to_json(),
                         "problem": "injectivity"})
         for s, img in ((a, phi_a), (b, phi_b)):
-            # the y exponents, in generator order, are the elements
-            if tuple(y for _, y in img.gens) != s.elements \
-                    or any(x + y != s.max for x, y in img.gens):
+            # the y exponents, in generator order, are the elements, each
+            # with x + y = max
+            top = s.max
+            if img.gens != tuple([(top - y, y) for y in s.elements]):
                 bad.append({"A": s.to_json(), "problem": "image decode",
                             "image": img.to_json()})
     return _verdict(bad)

@@ -31,13 +31,15 @@ completed one.  Streams have a fixed order, so output is deterministic.
 
 X and Y are prime atoms of the ideal monoid, and {1} of the set monoid,
 so an element is X^u Y^v times a core (a set is u = 0 and v = min), and
-the prime part is handled once, here, for both monoids: the divisor
-stream (_candidate_divisors, each adapter's candidate_divisors) searches
-only the core, on its view, and yields the records shifted by the prime
-part, with that view, which the cofactor rule (FactorEngine._cofactors)
-and the lengths pass share, so a query builds one view of its core; and
-lengths add u + v.  A view refuses a core too large to lay out where it
-is built, and each divisor search applies its own grade cap.
+the prime part is handled once, here, for both monoids.  A prime divides
+one side of every split, so split shifts the pairs of the core and
+(identity, core) by X^i Y^j and X^(u-i) Y^(v-j), and lengths adds u + v:
+both search the core alone and share what the engine keeps of it.  The
+divisor stream (_candidate_divisors, each adapter's candidate_divisors),
+which is_atom and find_split read, searches only the core, on its view,
+and yields its records shifted by the prime part.  A view refuses a core
+too large to lay out where it is built, and each divisor search applies
+its own grade cap.
 """
 
 from __future__ import annotations
@@ -860,11 +862,13 @@ class FactorEngine:
     Each engine owns one budget; create a fresh engine to search under
     different budgets.  Without a budget the engine counts into a Budget of
     its own that sets no limit.  An engine retains, per element, the lengths
-    that lengths found and the small divisors that split or lengths
-    searched.  lengths tests its small divisors for atoms on its own
-    products, and its colons and cofactors with is_atom, each once per
-    call, keeping those answers only for the call.  A bare is_atom or
-    find_split retains nothing.
+    that lengths found, and per prime-free core the small divisors and the
+    pairs that split or lengths searched (split answers with a fresh list);
+    a target with a prime part asks its core.  lengths tests its small
+    divisors for atoms on its own products, and its colons and cofactors
+    by their retained lengths or else with is_atom, each once per call,
+    keeping those answers only for the call.  A bare is_atom or find_split
+    retains nothing.
     """
 
     def __init__(self, monoid: GradedMonoid, budget: Optional[Budget] = None):
@@ -872,14 +876,15 @@ class FactorEngine:
         self.budget = Budget() if budget is None else budget
         self._identity_key = monoid.key(monoid.identity)
         self._small_memo: dict = {}
+        self._pairs_memo: dict = {}
         self._length_memo: dict = {}
 
     def _small_divisors(self, e: E) -> list[tuple]:
         """The proper divisors of e of at most half its grade, as records.
 
         Some side of every split, and every atom of a factorization but the
-        largest, is among them.  Kept per element, in stream order, with the
-        view of e's core that the stream (_candidate_divisors) built.
+        largest, is among them.  Kept per prime-free e, in stream order,
+        with the view of e that the stream (_candidate_divisors) built.
         """
         m = self.monoid
         k = m.key(e)
@@ -927,52 +932,72 @@ class FactorEngine:
     def split(self, e: E) -> list[tuple[E, E]]:
         """Every unordered pair (a, b) of nonunits with a * b = e.
 
-        Each pair has key(a) <= key(b), and the list is sorted by key.  The
-        side of at most half the grade is a small divisor, and the other
+        Each pair has key(a) <= key(b), and the list is sorted by key.  A
+        prime divides one side of every split, so for e = X^u Y^v * core
+        the pairs are X^i Y^j * a and X^(u-i) Y^(v-j) * b, for each pair
+        (a, b) of core and for (identity, core).  Equal sides would give a
+        pair at (i, j) and again at (u-i, v-j), so only the first is
+        formed, and each pair formed costs a node.
+        """
+        m = self.monoid
+        if m.grade(e) == 0:
+            raise ValueError("the identity is not searched for splits")
+        u, v, core = m.prime_split(e)
+        if not (u or v):
+            return list(self._core_pairs(e))
+        key, shift, tick = m.key, m.shifted, self.budget.tick
+        cores = self._core_pairs(core) if m.grade(core) else ()
+        pairs = []
+        for a, b in cores + ((m.identity, core),):
+            ga, gb = m.grade(a), m.grade(b)
+            same = key(a) == key(b)
+            for i in range(u // 2 + 1 if same else u + 1):
+                for j in range(v // 2 + 1 if same and 2 * i == u else v + 1):
+                    if not ga + i + j or not gb + u - i + v - j:
+                        continue
+                    tick()
+                    p = shift(a, i, j) if i or j else a
+                    q = shift(b, u - i, v - j) if u - i or v - j else b
+                    pairs.append((p, q) if key(p) <= key(q) else (q, p))
+        pairs.sort(key=lambda p: (key(p[0]), key(p[1])))
+        return pairs
+
+    def _core_pairs(self, e: E) -> tuple[tuple[E, E], ...]:
+        """The pairs of split of a prime-free nonunit e, kept per element.
+
+        The side of at most half the grade is a small divisor, and the other
         side runs over its cofactors; when both sides have half the grade,
         each finds the other, and the pair is kept once.
         """
         m = self.monoid
-        total = m.grade(e)
-        if total == 0:
-            raise ValueError("the identity is not searched for splits")
-        pairs = []
-        for a, b in self._cofactors(e, self._small_divisors(e)):
-            if m.key(b) >= m.key(a):
-                pairs.append((a, b))
-            elif 2 * m.grade(a) < total:
-                pairs.append((b, a))
-        pairs.sort(key=lambda p: (m.key(p[0]), m.key(p[1])))
-        return pairs
+        k = m.key(e)
+        got = self._pairs_memo.get(k)
+        if got is None:
+            total = m.grade(e)
+            pairs = []
+            for a, b in self._cofactors(self._small_divisors(e)):
+                if m.key(b) >= m.key(a):
+                    pairs.append((a, b))
+                elif 2 * m.grade(a) < total:
+                    pairs.append((b, a))
+            pairs.sort(key=lambda p: (m.key(p[0]), m.key(p[1])))
+            got = self._pairs_memo[k] = tuple(pairs)
+        return got
 
-    def _cofactors(self, e: E, divisors: Iterable[tuple]
+    def _cofactors(self, divisors: Iterable[tuple]
                    ) -> Iterator[tuple[E, E]]:
-        """Each (a, r) with a * r = e, for each proper divisor a of e in
-        divisors, as e's divisor stream yields it, and each such r once.
-
-        Prime atoms cancel, so for e = X^u Y^v * core and a = X^i Y^j * c,
-        r is X^(u-i) Y^(v-j) times a cofactor of c inside core: core itself
-        when c is the identity, the identity when c is core, and otherwise
-        one that the view of core finds (_CoreView.cofactors), the view that
-        c's record comes with.  e is split once, and no view is built.
+        """Each (a, r) with a * r = e, for each proper divisor a of a
+        prime-free e in divisors, as e's divisor stream yields it, and each
+        such r once: the cofactors that the view of e, which a's record
+        comes with, finds (_CoreView.cofactors).  No view is built.
         """
-        m = self.monoid
-        u, v, core = m.prime_split(e)
-        for divisor in divisors:
-            c, g, view, i, j = divisor
-            if view is not None:
-                rs = view.cofactors(view.product(view.unit, c),
-                                    view.colon(view.whole, c),
-                                    view.grade - (g - i - j), self.budget.tick)
-            elif g == i + j:
-                # c is the identity
-                rs = [core]
-            else:
-                rs = [m.identity]
-            a = self._element(divisor)
-            for r in rs:
-                yield a, (m.shifted(r, u - i, v - j) if u - i or v - j
-                          else r)
+        tick = self.budget.tick
+        for c, g, view, _i, _j in divisors:
+            p = view.product(view.unit, c)
+            a = view.element(p)
+            for r in view.cofactors(p, view.colon(view.whole, c),
+                                    view.grade - g, tick):
+                yield a, r
 
     def lengths(self, e: E) -> tuple[int, ...]:
         """Sorted set of factorization lengths of e (identity gives {0}).
@@ -1095,7 +1120,10 @@ class FactorEngine:
             k = m.key(r)
             got = tested.get(k)
             if got is None:
-                got = tested[k] = self.is_atom(r)
+                # lengths this engine holds answer without a search
+                known = self._length_memo.get(k)
+                got = tested[k] = (self.is_atom(r) if known is None
+                                   else known == (1,))
             return got
 
         for _p, _rest, bits, col in large:

@@ -32,26 +32,27 @@ __all__ = [
 Row = tuple[Fraction, ...]
 
 
-def _to_fraction(value) -> Fraction:
-    if isinstance(value, Fraction):
-        return value
+def _coefficient(value):
+    """An exact rational: an int when it is integral, else a Fraction."""
     if isinstance(value, int) and not isinstance(value, bool):
-        return Fraction(value)
+        return value
     if isinstance(value, str):
-        return Fraction(value)
-    raise TypeError(f"coefficients must be exact rationals, got {value!r}")
+        value = Fraction(value)
+    elif not isinstance(value, Fraction):
+        raise TypeError(f"coefficients must be exact rationals, got {value!r}")
+    return value.numerator if value.denominator == 1 else value
 
 
 class HomPoly:
-    """Homogeneous polynomial: degree plus a dense rational coefficient row."""
+    """Homogeneous polynomial: degree plus a dense row of exact rationals."""
 
     __slots__ = ("degree", "coeffs")
 
     degree: int
-    coeffs: Row
+    coeffs: tuple[int | Fraction, ...]
 
     def __init__(self, degree: int, coeffs: Iterable) -> None:
-        cs = tuple(_to_fraction(c) for c in coeffs)
+        cs = tuple([_coefficient(c) for c in coeffs])
         if degree < 0:
             raise ValueError("degree must be nonnegative")
         if len(cs) != degree + 1:
@@ -76,7 +77,7 @@ class HomPoly:
         if not isinstance(other, HomPoly):
             return NotImplemented
         deg = self.degree + other.degree
-        out = [Fraction(0)] * (deg + 1)
+        out = [0] * (deg + 1)
         for i, a in enumerate(self.coeffs):
             if not a:
                 continue
@@ -93,8 +94,8 @@ class HomPoly:
 
     @classmethod
     def from_monomial(cls, x: int, y: int) -> "HomPoly":
-        coeffs = [Fraction(0)] * (x + y + 1)
-        coeffs[y] = Fraction(1)
+        coeffs = [0] * (x + y + 1)
+        coeffs[y] = 1
         return cls(x + y, coeffs)
 
 

@@ -90,16 +90,15 @@ def naive_sumset_split_map(limit: int) -> dict:
     sets whose sumset lies in [0,limit] is multiplied out, so looking up a
     set A <= [0,limit] gives exactly its factorizations into two parts.
     Sumsets are recomputed here by shifting one factor's bitmask by each
-    element of the other.
+    element of the other, and a sumset's key is looked up by its bitmask.
     """
-    sets = []
-    for mask in range(1, 1 << limit):
-        elems = (0,) + tuple(i + 1 for i in range(limit) if mask >> i & 1)
-        bits = 1
-        for e in elems:
-            bits |= 1 << e
-        sets.append((elems, bits))
-    keys: dict = {}
+    # the sets in mask order (bit i for i + 1): the sets with largest
+    # element t follow those below t, each grown by t
+    found = [((0,), 1)]
+    for t in range(1, limit + 1):
+        found += [(elems + (t,), bits | 1 << t) for elems, bits in found]
+    sets = found[1:]
+    keys = {bits: elems for elems, bits in sets}
     out: dict = {}
     for i, (a, abits) in enumerate(sets):
         for b, _ in sets[i:]:
@@ -108,12 +107,8 @@ def naive_sumset_split_map(limit: int) -> dict:
             pbits = 0
             for e in b:
                 pbits |= abits << e
-            key = keys.get(pbits)
-            if key is None:
-                key = tuple(x for x in range(pbits.bit_length())
-                            if pbits >> x & 1)
-                keys[pbits] = key
-            out.setdefault(key, set()).add((a, b) if a <= b else (b, a))
+            out.setdefault(keys[pbits], set()).add(
+                (a, b) if a <= b else (b, a))
     return out
 
 

@@ -96,7 +96,7 @@ def test_core_node_counts_are_pinned():
     # the claims that share a checker make the engine calls they made
     # when each wrote its own loop
     assert [r.nodes for r in claims.run_suite("core")] == [
-        316, 133, 130, 538, 0, 0, 0, 1_787, 11_564, 0]
+        316, 133, 122, 538, 0, 0, 0, 1_787, 10_878, 0]
 
 
 _WANTED_LENGTHS = {
@@ -144,6 +144,35 @@ def test_oracle_equivalence_fails_on_a_planted_fault(monkeypatch):
     eng = engine.sumset_engine()
     assert result.witness["total"] == sum(
         not eng.is_atom(a) for a in claims._zero_sets(10))
+
+
+def test_oracle_equivalence_reports_lengths_witnesses(monkeypatch):
+    # every target gets the lengths of an atom while its splits still agree
+    # with the oracle, so each target that splits is a lengths witness, on
+    # both sides
+    monkeypatch.setattr(engine.FactorEngine, "lengths", lambda self, e: (1,))
+    result = _run("oracle-equivalence")
+    sets, pool = list(claims._zero_sets(10)), oracle.box_ideals(4)
+    sum_map = oracle.naive_sumset_split_map(10)
+    mon_map = oracle.naive_mon_split_map(pool)
+
+    def witnesses(side, targets, split_map, key):
+        cache: dict = {}
+        return [{"side": side, "target": e.to_json(),
+                 "want": sorted(oracle.naive_lengths(key(e), split_map,
+                                                     cache)),
+                 "got": [1]} for e in targets if key(e) in split_map]
+
+    want = (witnesses("sumset", sets, sum_map, lambda a: a.elements)
+            + witnesses("ideal", pool, mon_map, lambda e: e.gens))
+    assert {bad["side"] for bad in want} == {"sumset", "ideal"}
+    assert result.status == "fail"
+    assert result.witness == {"total": len(want),
+                              "counterexamples": want[:claims._WITNESS_CAP]}
+    # the ideal side, which the cap leaves out of the claim's witness
+    ideal = claims._oracle_checks("ideal", engine.monomial_engine(), pool,
+                                  mon_map, lambda e: e.gens)
+    assert ideal == [bad for bad in want if bad["side"] == "ideal"]
 
 
 def test_phi_transport_fails_on_a_planted_fault(monkeypatch):

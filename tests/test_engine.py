@@ -89,18 +89,12 @@ def _record(view, c):
 
 
 def _cofactors(monoid, whole, part, budget=None):
-    # the engine's cofactor rule for one part, lazily: each r with
-    # part * r = whole.  part goes in as whole's divisor stream gives it: a
-    # head (the identity or the core, shifted) as itself, and otherwise the
-    # record of its core on the view of whole's core
-    _u, _v, core = monoid.prime_split(whole)
-    i, j, c = monoid.prime_split(part)
-    if monoid.grade(c) and c != core:
-        view = monoid.context(core)
-        divisor = _record(view, c), monoid.grade(part), view, i, j
-    else:
-        divisor = c, monoid.grade(part), None, i, j
-    for _a, r in FactorEngine(monoid, budget)._cofactors(whole, [divisor]):
+    # the engine's cofactor rule for one proper divisor part of a prime-free
+    # whole, lazily: each r with part * r = whole.  part goes in as whole's
+    # divisor stream gives it, its record on the view of whole
+    view = monoid.context(whole)
+    divisor = _record(view, part), monoid.grade(part), view, 0, 0
+    for _a, r in FactorEngine(monoid, budget)._cofactors([divisor]):
         yield r
 
 
@@ -208,21 +202,28 @@ def test_shifted_streams_are_pinned():
 
 
 def test_prime_part_cofactors_are_the_shifted_core():
-    # a part whose core is the identity cancels: its one cofactor is the
-    # core shifted by what is left of the prime part, found with no search
+    # a part whose core is the identity cancels: split pairs it with the
+    # core shifted by what is left of the prime part.  With the pairs of
+    # the core held, split searches nothing, and each pair costs a node
     a = NatSet([0, 1, 3, 4, 9])
     e = shifted(build_c(4), 2, 1)
-    for monoid, whole, parts, want in [
-            (SumsetMonoid(), a.shifted(3), [NatSet([i]) for i in (1, 2, 3)],
+    for make, whole, parts, want in [
+            (sumset_engine, a.shifted(3), [NatSet([i]) for i in (1, 2, 3)],
              [a.shifted(2), a.shifted(1), a]),
-            (MonomialMonoid(), e, [MonIdeal([s]) for s in
-                                   ((1, 0), (0, 1), (2, 1))],
+            (monomial_engine, e, [MonIdeal([s]) for s in
+                                  ((1, 0), (0, 1), (2, 1))],
              [shifted(build_c(4), 1, 1), shifted(build_c(4), 2, 0),
               build_c(4)])]:
-        for part, core in zip(parts, want):
-            budget = Budget()
-            assert list(_cofactors(monoid, whole, part, budget)) == [core]
-            assert budget.nodes == 0
+        budget = Budget()
+        eng = make(budget)
+        core = eng.monoid.prime_split(whole)[2]
+        eng.split(core)
+        before = budget.nodes
+        pairs = eng.split(whole)
+        assert budget.nodes - before == len(pairs)
+        for part, rest in zip(parts, want):
+            assert [b for a, b in pairs if a == part] + \
+                [a for a, b in pairs if b == part] == [rest]
 
 
 def test_split_builds_one_view_for_its_cofactors(monkeypatch):
@@ -583,20 +584,20 @@ def test_tall_board_search_stays_within_memory():
     assert peak < 64 * 2**20
 
 
+# each id keeps the counts the case was first pinned at, so that a re-pin
+# does not rename the case
 @pytest.mark.parametrize("view, bound, query, nodes, cofactor_nodes", [
-    pytest.param(engine._Board, 4, "split", 1322, 221, id="4-split-1322-221"),
-    pytest.param(engine._Board, 5, "split", 8479, 2060,
+    pytest.param(engine._Board, 4, "split", 903, 66, id="4-split-1322-221"),
+    pytest.param(engine._Board, 5, "split", 4851, 535,
                  id="5-split-8479-2060"),
-    # the id keeps the pool total of the per-length layers, so that the
-    # re-pin does not rename the case
-    pytest.param(engine._Board, 5, "lengths", 2091, 245,
+    pytest.param(engine._Board, 5, "lengths", 1930, 245,
                  id="5-lengths-1933-245"),
     # the nonunit 0-sets of [0, bound] on the set view
     pytest.param(engine._SetMask, 10, "split", 7674, 5864,
                  id="set-10-split-7674-5864"),
     pytest.param(engine._SetMask, 12, "split", 42602, 33466,
                  id="set-12-split-42602-33466"),
-    pytest.param(engine._SetMask, 12, "lengths", 18869, 1460,
+    pytest.param(engine._SetMask, 12, "lengths", 17749, 1460,
                  id="set-12-lengths-18869-1460")])
 def test_board_cofactor_search_nodes_are_pinned(monkeypatch, view, bound,
                                                 query, nodes, cofactor_nodes):
@@ -1130,13 +1131,18 @@ def test_streams_yield_each_divisor_once_with_grade(box6):
 def test_cofactors_match_oracle(box6):
     # every cofactor of every divisor, each once, on both sides of half the
     # grade: split pairs small divisors with them, and lengths searches them
-    # for atoms
+    # for atoms.  The cofactor rule sees prime-free targets; split pairs the
+    # others from the pairs of their core
     _pool, mon_map = box6
     ideals = oracle.box_ideals(4)
     ideals += [shifted(e, 1, 2) for e in ideals[::7]]
     m = MonomialMonoid()
     for e in ideals:
         pairs = mon_map.get(e.gens, ())
+        if any(m.prime_split(e)[:2]):
+            assert [(a.gens, b.gens) for a, b in monomial_engine().split(e)] \
+                == sorted(pairs)
+            continue
         for d in _factors(pairs):
             got = [r.gens for r in _cofactors(m, e, MonIdeal(d))]
             assert len(got) == len(set(got))
@@ -1191,7 +1197,7 @@ def test_full_monoid_streams_match_brute_force(full9):
         assert all(1 <= g == d.max for d, g in got)
         if a.min > 3:
             continue
-        for d in _factors(pairs):
+        for d in _factors(pairs) if not a.min else ():
             got = [r.elements for r in _cofactors(m, a, NatSet(d))]
             assert len(got) == len(set(got))
             assert set(got) == {y if x == d else x for x, y in pairs
@@ -1275,8 +1281,8 @@ def test_sumset_engine_matches_oracle_exhaustively():
     for mask in range(1, 1 << 12):
         a = NatSet([0] + [i + 1 for i in range(12) if mask >> i & 1])
         want_pairs = split_map.get(a.elements, set())
-        got = {(p.elements, q.elements) for p, q in eng.split(a)}
-        assert got == want_pairs
+        assert [(p.elements, q.elements) for p, q in eng.split(a)] == \
+            sorted(want_pairs)
         assert eng.is_atom(a) == (not want_pairs)
         pair = eng.find_split(a)
         assert (pair is None) == (not want_pairs)
@@ -1328,9 +1334,8 @@ def test_monomial_engine_matches_oracle_exhaustively(box6):
     cache: dict = {}
     for e in pool:
         want_pairs = split_map.get(e.gens, set())
-        pairs = [(a.gens, b.gens) for a, b in eng.split(e)]
-        assert len(set(pairs)) == len(pairs)
-        assert set(pairs) == want_pairs
+        assert [(a.gens, b.gens) for a, b in eng.split(e)] == \
+            sorted(want_pairs)
         assert eng.is_atom(e) == (not want_pairs)
         pair = eng.find_split(e)
         assert (pair is None) == (not want_pairs)
@@ -1374,28 +1379,51 @@ def test_products_match_oracle(box6, sum12, e):
 
 
 def test_split_and_lengths_agree_in_either_order(box6):
-    # an engine keeps the small divisors of a target as records with the
-    # view they belong to, and split and lengths both read them: lengths
-    # before split on one engine, and each alone on a fresh engine, give
-    # the oracle's answers.  671 of the 922 ideals of box_ideals(5) have a
-    # prime part, so the shifted records are read too
+    # an engine keeps the small divisors and the pairs of each core and the
+    # lengths of each target, split shifts the pairs of a target's core,
+    # and lengths reads the lengths it holds for an atom test: on one
+    # engine, split and lengths, in either order, answer as fresh engines
+    # do, list for list, and as the oracle does.  671 of the 922 ideals of
+    # box_ideals(5) have a prime part; the shifts of box_ideals(3) and the
+    # sets {j} + A are not in the pools, and the shifted sets are outside
+    # the oracle's 0-set map
     _pool, mon_map = box6
     sets = [NatSet([0] + [i + 1 for i in range(10) if mask >> i & 1])
             for mask in range(1, 1 << 10)]
-    for make, split_map, targets, key in [
+    for make, split_map, targets, shifts, key in [
             (monomial_engine, mon_map, oracle.box_ideals(5),
-             lambda d: d.gens),
+             [shifted(e, i, j) for e in oracle.box_ideals(3)
+              for i, j in ((1, 0), (0, 2), (2, 1))], lambda d: d.gens),
             (sumset_engine, oracle.naive_sumset_split_map(10), sets,
+             [a.shifted(j) for a in sets[::3] for j in (1, 2)],
              lambda d: d.elements)]:
         shared, cache = make(), {}
-        for e in targets:
-            want = tuple(sorted(oracle.naive_lengths(key(e), split_map,
-                                                     cache)))
-            pairs = split_map.get(key(e), set())
-            assert shared.lengths(e) == want
-            assert {(key(a), key(b)) for a, b in shared.split(e)} == pairs
-            assert make().lengths(e) == want
-            assert {(key(a), key(b)) for a, b in make().split(e)} == pairs
+        for n, e in enumerate(targets + shifts):
+            if n % 2:
+                got = shared.split(e), shared.lengths(e)
+            else:
+                got = shared.lengths(e), shared.split(e)
+                got = got[::-1]
+            assert got == (make().split(e), make().lengths(e)), e
+            if n < len(targets):
+                assert got[1] == tuple(sorted(oracle.naive_lengths(
+                    key(e), split_map, cache)))
+                assert [(key(a), key(b)) for a, b in got[0]] == \
+                    sorted(split_map.get(key(e), ()))
+
+
+def test_split_returns_a_fresh_list():
+    # the pairs an engine keeps for a core stay as they were found, however
+    # a caller changes the list it got
+    for eng, core, e in [
+            (monomial_engine(), build_a(4), shifted(build_a(4), 1, 1)),
+            (sumset_engine(), NatSet(range(7)), NatSet(range(2, 9)))]:
+        for target in (core, e, core):
+            got = eng.split(target)
+            want = list(got)
+            got.append(got[0])
+            got.reverse()
+            assert eng.split(target) == want
 
 
 def test_lengths_search_cofactors_on_the_view(box6, monkeypatch):
