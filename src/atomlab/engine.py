@@ -187,6 +187,10 @@ class _CoreView(Protocol):
     cofactors(p, c, grade, tick) yields each element r with p * r = e
     once, for a proper divisor p, c = (e : p) and grade = grade(e) -
     grade(p).  Both searches tick once per node.
+    sieve() is a set of naturals as bits that every divisor's bottom set
+    divides under sumset, or 0 for none; bottom(a, g) is the bottom set of
+    a record a of grade g, read only when sieve() is not 0.  Bottom sets
+    add under products (FactorEngine.lengths).
     """
 
     grade: int
@@ -205,6 +209,10 @@ class _CoreView(Protocol):
 
     def cofactors(self, p: int, c: int, grade: int, tick: Callable
                   ) -> Iterator: ...
+
+    def sieve(self) -> int: ...
+
+    def bottom(self, a, g: int) -> int: ...
 
 
 def _walk(target: int, lows: list[int], root: tuple, children: Callable,
@@ -382,6 +390,13 @@ class _SetMask:
 
     def element(self, mask: int) -> NatSet:
         return NatSet._from_sorted(tuple(natset._bits(mask)))
+
+    def sieve(self) -> int:
+        # a set has no bottom pieces to sieve by, so no bottom set is read
+        return 0
+
+    def bottom(self, a: tuple[int, ...], g: int) -> int:
+        return 0
 
     def divisors(self, cap: int, tick: Callable
                  ) -> Iterator[tuple[tuple[int, ...], int]]:
@@ -657,6 +672,29 @@ class _Board:
         w = self.stride
         return MonIdeal._from_antichain(tuple(
             [(s % w, s // w) for s in natset._bits(self._corners(mask))]))
+
+    def sieve(self) -> int:
+        """The y exponents of the generators of e of degree mdeg(e), as
+        bits, or 0 when they form an interval.
+
+        A generator of degree mdeg(e) starts its row.  Read per call, from
+        starts, so a board set up only for its divisor stream pays nothing.
+        """
+        grade, y, starts = self.grade, 0, self.starts
+        for g in range(min(grade, self.py) + 1):
+            if starts[g] + g == grade:
+                y |= 1 << g
+        low = y & -y
+        # an interval: y + low carries to one bit above it
+        return 0 if (y + low) & y == 0 else y
+
+    def bottom(self, a: tuple, g: int) -> int:
+        # the y exponents of the generator shifts of degree g
+        w, y = self.stride, 0
+        for s in a:
+            if s % w + s // w == g:
+                y |= 1 << s // w
+        return y
 
     def divisors(self, cap: int, tick: Callable
                  ) -> Iterator[tuple[tuple, int]]:
@@ -1037,6 +1075,19 @@ class FactorEngine:
         the pass has formed d's mask before it reaches grade(d).  An atom of
         grade at least grade(d) only forms products of larger grade, so it
         cannot hide an atom, and on the view a mask determines its divisor.
+
+        Bottom sets sieve the pairs on a board.  bottom(I) is the ideal of
+        the generators of I of least degree, and bottom(I * J) =
+        bottom(I) * bottom(J) (claims._check_phi_transport), so the set
+        Y(I) of their y exponents adds under products: Y(p * a) = Y(p) +
+        Y(a), a sumset.  If q divides e, then Y(q) + Y(e : q) = Y(e), so
+        when no set R has Y(p) + Y(a) + R = Y(e), p * a is no divisor.
+        Each product keeps its Y, and the atoms of one Y share a map from
+        the Y(p) they meet to Y(p) + Y(a), or 0 when that cannot divide
+        Y(e), so a sieved pair ticks its node and forms no board product.
+        A board sieves only when Y(e) has a gap (_Board.sieve): the
+        interval bottoms of the a_k reject too few pairs to pay for the
+        test.  A set has no bottom and sieves nothing.
         """
         m = self.monoid
         k = m.key(e)
@@ -1060,18 +1111,27 @@ class FactorEngine:
             return (1,)
         tick = self.budget.tick
         ctx = small[0][2]
-        whole = ctx.whole
-        # mask -> [grade, lengths as bits, colon mask], or None for a mask
-        # that does not divide e; then the masks and the records of the
-        # atoms of each grade
+        whole, sieve = ctx.whole, ctx.sieve()
+        # the bottom set of an atom -> {that of p: that of p * atom, or 0
+        # when it cannot divide e's}
+        sums: dict = {}
+        # the bottom sets of the atom and of each new product; 0 throughout
+        # without a sieve
+        ya = yq = 0
+        # mask -> [grade, lengths as bits, colon mask, bottom set], or None
+        # for a mask that does not divide e; then the masks and the records
+        # of the atoms of each grade
         products, graded, atoms = {}, {}, {}
         for a, g, _view, _i, _j in small:
             tick()
             q = ctx.product(ctx.unit, a)
             if q in products:
                 continue
+            if sieve:
+                ya = ctx.bottom(a, g)
+                memo = sums.setdefault(ya, {})
             atoms.setdefault(g, []).append(a)
-            products[q] = [g, 2, ctx.colon(whole, a)]
+            products[q] = [g, 2, ctx.colon(whole, a), ya]
             graded.setdefault(g, []).append(q)
             # the grades that leave room for a and one more atom no smaller
             top = total - 2 * g
@@ -1081,8 +1141,16 @@ class FactorEngine:
                 gp = heapq.heappop(heap)
                 gq = gp + g
                 for p in graded[gp]:
-                    _gp, bits, col = products[p]
+                    _gp, bits, col, yp = products[p]
                     tick()
+                    if sieve:
+                        yq = memo.get(yp)
+                        if yq is None:
+                            yq = _sumset_bits(yp, ya)
+                            memo[yp] = yq = \
+                                yq if _divides_bits(yq, sieve) else 0
+                        if not yq:
+                            continue
                     q = ctx.product(p, a)
                     if q in products:
                         if products[q] is not None:
@@ -1093,7 +1161,7 @@ class FactorEngine:
                         if not ctx.divides(p, a, c):
                             products[q] = None
                             continue
-                        products[q] = [gq, bits << 1, c]
+                        products[q] = [gq, bits << 1, c, yq]
                         if gq <= top and gq not in graded:
                             heapq.heappush(heap, gq)
                         graded.setdefault(gq, []).append(q)
@@ -1101,7 +1169,7 @@ class FactorEngine:
         for p, got in products.items():
             if got is None:
                 continue
-            gp, bits, col = got
+            gp, bits, col, _yp = got
             rest, bits = total - gp, bits << 1
             if 2 * rest > total:
                 large.append((p, rest, bits, col))
@@ -1134,6 +1202,31 @@ class FactorEngine:
                     atom_once, ctx.cofactors(p, col, rest, tick))):
                 found |= bits
         return tuple(natset._bits(found))
+
+
+def _sumset_bits(x: int, y: int) -> int:
+    """The sumset of two sets of naturals held as bits."""
+    out = 0
+    while y:
+        # x shifted by the least element of y
+        low = y & -y
+        out |= x * low
+        y ^= low
+    return out
+
+
+def _divides_bits(x: int, e: int) -> bool:
+    """Whether x + r = e for some set r, for sets of naturals as bits.
+
+    The largest such r is the colon, the elements of e shifted down by
+    each element of x, and x + colon lies in e.
+    """
+    col, rest = -1, x
+    while rest:
+        low = rest & -rest
+        col &= e // low
+        rest ^= low
+    return _sumset_bits(col, x) == e
 
 
 def sumset_engine(budget: Optional[Budget] = None) -> FactorEngine:

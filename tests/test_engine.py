@@ -60,7 +60,7 @@ def test_views_hold_the_core_view_protocol():
     protocol = {name: params(fn) for name, fn in vars(engine._CoreView).items()
                 if callable(fn) and not name.startswith("_")}
     assert set(protocol) == {"divisors", "product", "colon", "divides",
-                             "element", "cofactors"}
+                             "element", "cofactors", "sieve", "bottom"}
     assert set(engine._CoreView.__annotations__) == {"grade", "whole", "unit"}
     for view in (engine._SetMask(NatSet([0, 1, 3])),
                  engine._Board(build_a(2))):
@@ -980,6 +980,143 @@ def test_lengths_peak_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert peak <= 1_116_756
+
+
+def _bottom(e):
+    # the y exponents of the generators of e of least degree, as bits
+    return sum(1 << y for x, y in e.gens if x + y == e.mdeg)
+
+
+@functools.lru_cache(maxsize=None)
+def _sieve_pool():
+    # the nonunit gcd-free ideals of box 6, phi of every nonunit 0-set of
+    # [0,12], and I_C(minimal n) for n = 2, 3
+    box = [e for e in oracle.box_ideals(6)
+           if e.mdeg and generator_gcd(e) == (0, 0)]
+    sets = [phi(NatSet([0] + [x for x in range(1, 13) if mask >> x - 1 & 1]))
+            for mask in range(1, 1 << 12)]
+    return tuple(box + sets
+                 + [build_i_c(minimal_sequence(n)) for n in (2, 3)])
+
+
+def _pass_records(pool):
+    # (lengths, nodes) of each target on a fresh engine
+    got = []
+    for e in pool:
+        budget = Budget()
+        got.append((monomial_engine(budget).lengths(e), budget.nodes))
+    return got
+
+
+def test_bottom_sieve_changes_no_answer_or_node(monkeypatch):
+    # a sieved pair still ticks its node, so with the sieve off every
+    # length set and node count is the same
+    pool = _sieve_pool()
+    assert any(engine._Board(e).sieve() for e in pool)
+    on = _pass_records(pool)
+    monkeypatch.setattr(engine._Board, "sieve", lambda self: 0)
+    assert _pass_records(pool) == on
+
+
+def test_bottom_sieve_rejects_only_non_divisors(monkeypatch):
+    # with the sieve off, the pass forms every pair (p, a) it meets; each
+    # pair whose bottom sets the sieve rejects, gap or no gap in e's, is a
+    # non-divisor of e, checked by multiplying out the ideals
+    pairs = set()
+
+    def recording(self, p, a):
+        if p != self.unit:
+            pairs.add((self, p, a))
+        return board_product(self, p, a)
+
+    board_product = engine._Board.product
+    monkeypatch.setattr(engine._Board, "sieve", lambda self: 0)
+    monkeypatch.setattr(engine._Board, "product", recording)
+    rejected = 0
+    for e in _sieve_pool():
+        pairs.clear()
+        monomial_engine().lengths(e)
+        ye = _bottom(e)
+        for view, p, a in pairs:
+            f = view.element(p)
+            g = view.element(board_product(view, view.unit, a))
+            assert view.bottom(a, g.mdeg) == _bottom(g)
+            q = product(f, g)
+            yq = engine._sumset_bits(_bottom(f), _bottom(g))
+            assert yq == _bottom(q)
+            if not engine._divides_bits(yq, ye):
+                rejected += 1
+                c = colon(e, q)
+                assert c is None or product(q, c) != e, (e, f, g)
+    assert rejected > 1000
+
+
+def test_board_sieve_is_the_gapped_bottom():
+    # a board sieves by the y exponents of its bottom generators, unless
+    # they form an interval; a set never sieves
+    for e in _sieve_pool()[::7]:
+        ye = _bottom(e)
+        # the bits from the lowest one up, all set for an interval
+        run = ye >> (ye & -ye).bit_length() - 1
+        gapped = run & run + 1 != 0
+        assert engine._Board(e).sieve() == (ye if gapped else 0)
+    assert engine._Board(build_i_c(minimal_sequence(3))).sieve() != 0
+    assert engine._Board(build_a(12)).sieve() == 0
+    assert engine._SetMask(NatSet(range(13))).sieve() == 0
+
+
+def test_divides_bits_matches_brute_force_on_0_to_8():
+    # x + r = e for some r, for every nonempty x and e within [0,8]: an r
+    # with x + r = e lies in [0, 8 - max x]
+    def elements(mask):
+        return [b for b in range(9) if mask >> b & 1]
+
+    full = range(1, 1 << 9)
+    for x in full:
+        xs = elements(x)
+        sums = {sum(1 << v for v in {b + c for b in xs for c in elements(r)})
+                for r in range(1, 1 << 9 - xs[-1])}
+        for e in full:
+            assert engine._divides_bits(x, e) == (e in sums), (x, e)
+
+
+def test_sieve_cuts_board_products_on_i_c3(monkeypatch):
+    # of the 2,683 board products the pass formed on I_C(minimal n=3)
+    # before the sieve, 281 remain; the nodes do not move
+    formed = [0]
+
+    class Counting:
+        def __init__(self, view):
+            self.view = view
+
+        def __getattr__(self, name):
+            return getattr(self.view, name)
+
+        def product(self, p, a):
+            formed[0] += 1
+            return self.view.product(p, a)
+
+    context = MonomialMonoid.context
+    monkeypatch.setattr(MonomialMonoid, "context",
+                        lambda self, e: Counting(context(self, e)))
+    budget = Budget()
+    assert monomial_engine(budget).lengths(
+        build_i_c(minimal_sequence(3))) == (2, 3, 4)
+    assert (formed[0], budget.nodes) == (281, 3617)
+
+
+def test_sets_and_gap_free_boards_run_no_sieve(monkeypatch):
+    # a_12's bottom is the interval [0,12] and a set has no bottom: neither
+    # reads a bottom set or tests one
+    def fail(*args):
+        raise AssertionError("sieved")
+
+    for name in ("_sumset_bits", "_divides_bits"):
+        monkeypatch.setattr(engine, name, fail)
+    for cls in (engine._Board, engine._SetMask):
+        monkeypatch.setattr(cls, "bottom", fail)
+    assert monomial_engine().lengths(build_a(12)) == tuple(range(2, 13))
+    assert sumset_engine().lengths(NatSet(range(13))) == tuple(range(2, 13))
 
 
 def test_split_sorted_and_memoized():

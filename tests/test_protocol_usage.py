@@ -69,5 +69,5 @@ def test_every_protocol_member_is_read_outside_its_classes():
     # the check sees the members it is meant to see
     assert {"identity", "candidate_divisors", "context"} \
         <= _members(engine.GradedMonoid)
-    assert {"grade", "whole", "unit", "divisors", "cofactors"} \
-        <= _members(engine._CoreView)
+    assert {"grade", "whole", "unit", "divisors", "cofactors", "sieve",
+            "bottom"} <= _members(engine._CoreView)
