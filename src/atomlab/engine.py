@@ -12,9 +12,10 @@ Every question starts from the small divisors of e, those of at most half
 its grade, as records: a set's element tuple, or an ideal's generator
 shifts on its board.  Some side of every split is one, so split lists pair
 each with its cofactors, and lengths multiplies the small atoms in one
-pass in grade order, whose products sieve them (FactorEngine.lengths).
-Elements are formed only for answers: the pairs of split, the witness of
-find_split, and the colons and cofactors that lengths tests with is_atom.
+pass in grade order, whose products sieve them (FactorEngine.lengths),
+and decides on the same view which of its large colons and cofactors are
+atoms, by the small atoms that divide them.  Elements are formed only for
+answers: the pairs of split and the witness of find_split.
 The divisor and cofactor searches are methods of the views, and each
 view runs both on one walk: a set's group walk (_group_dfs) or a board's
 frame walk (_frame_dfs), which cuts a partner from a mask as the divisor
@@ -46,6 +47,7 @@ from __future__ import annotations
 
 import heapq
 import time
+from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Optional, Protocol, TypeVar
 
 from . import monideal, natset
@@ -179,12 +181,12 @@ class _CoreView(Protocol):
     colon (e : p); 0 is none.  grade is the grade of e, whole the mask of
     e, which is also (e : identity), and unit that of the identity.
     product(p, a) is the mask of p * a, or 0 when p * a cannot divide e.
-    colon(c, a) is the mask of (c : a), for a colon c.  For q = p * a and
-    c = (e : q), divides(p, a, c) tells whether p * (a * c) = e, that is,
-    whether q divides e.
+    colon(c, a) is the mask of (c : a), for c a colon or a divisor of e.
+    For q = p * a and c = (e : q), divides(p, a, c) tells whether
+    p * (a * c) = e, that is, whether q divides e.
     element(mask) forms the element a mask determines, so the divisor of a
     record a is element(product(unit, a)).
-    cofactors(p, c, grade, tick) yields each element r with p * r = e
+    cofactors(p, c, grade, tick) yields the mask of each r with p * r = e
     once, for a proper divisor p, c = (e : p) and grade = grade(e) -
     grade(p).  Both searches tick once per node.
     sieve() is a set of naturals as bits that every divisor's bottom set
@@ -389,7 +391,14 @@ class _SetMask:
         return cover == self.whole
 
     def element(self, mask: int) -> NatSet:
-        return NatSet._from_sorted(tuple(natset._bits(mask)))
+        # the set bits, lowest first, as natset._bits, without a generator:
+        # split forms an element per pair
+        elems = []
+        while mask:
+            low = mask & -mask
+            elems.append(low.bit_length() - 1)
+            mask ^= low
+        return NatSet._from_sorted(tuple(elems))
 
     def sieve(self) -> int:
         # a set has no bottom pieces to sieve by, so no bottom set is read
@@ -445,37 +454,38 @@ class _SetMask:
                 tick()
                 yield (0, mb), mb
                 continue
-            for b in _group_dfs(self, mb, free, col, amask, tick):
-                yield b, mb
+            for node in _group_dfs(self, mb, free, col, amask, tick):
+                yield node[2] + (mb,), mb
 
     def cofactors(self, p: int, c: int, grade: int, tick: Callable
-                  ) -> Iterator[NatSet]:
-        """Every R containing 0 with P + R = E, once, for the proper 0-set
-        divisor P of mask p, with colon set c and grade = max(E) - max(P).
+                  ) -> Iterator[int]:
+        """Every R containing 0 with P + R = E, once, as its mask, for the
+        proper 0-set divisor P of mask p, with colon set c and grade =
+        max(E) - max(P).
 
         max(R) = grade, and R lies in c, which holds 0 and grade, so the
         search is the group walk of max grade (_group_dfs) over the
         elements of c between them, with the partner held at P.
         """
         free = list(natset._bits(c & (1 << grade) - 2))
-        return map(NatSet._from_sorted,
-                   _group_dfs(self, grade, free, p, -1, tick))
+        return map(itemgetter(4), _group_dfs(self, grade, free, p, -1, tick))
 
 
 def _group_dfs(view: _SetMask, mb: int, free: list[int], col: int, src: int,
-               tick: Callable) -> Iterator[tuple[int, ...]]:
+               tick: Callable) -> Iterator[tuple]:
     """Preorder DFS over the sets B = {0, mb} + S, S among the free x in
     increasing order, each with a partner: col at the root, cut to
     partner & (src >> x) by each x that joins B.  _SetMask.divisors gives
     the colon set of {0, mb} in E and E, so the partner of B is its colon
     set; _SetMask.cofactors gives a divisor P and -1, so it stays P.
 
-    A node's reach is B + partner, and B is yielded, as its element tuple,
-    when that is E.  A later x and any partner element only reach elements
-    from x on, so an element of E missed below the next x stays missed
-    (see _walk).  An x that leaves the partner unchanged adds one shift to
-    its parent's reach; otherwise the reach shifts the side with fewer
-    elements, B or the partner, since B may grow far past its colon.
+    A node (reach, idx, elems, partner, mask) holds the elements of B
+    below mb and the mask of B.  Its reach is B + partner, and the node is
+    yielded when that is E.  A later x and any partner element only reach
+    elements from x on, so an element of E missed below the next x stays
+    missed (see _walk).  An x that leaves the partner unchanged adds one
+    shift to its parent's reach; otherwise the reach shifts the side with
+    fewer elements, B or the partner, since B may grow far past its colon.
     """
     lows = [1 << x for x in free] + [2 << view.grade]
 
@@ -499,8 +509,7 @@ def _group_dfs(view: _SetMask, mb: int, free: list[int], col: int, src: int,
             yield reach2, i + 1, elems2, col2, bmask2
 
     root = (col | col << mb, 0, (0,), col, 1 | 1 << mb)
-    for node in _walk(view.whole, lows, root, children, tick):
-        yield node[2] + (mb,)
+    return _walk(view.whole, lows, root, children, tick)
 
 
 class MonomialMonoid:
@@ -790,9 +799,10 @@ class _Board:
                         yield d, grade
 
     def cofactors(self, p: int, c: int, grade: int, tick: Callable
-                  ) -> Iterator[MonIdeal]:
-        """Every r with p * r = e, for a gcd-free proper divisor p of mask
-        p, with colon mask c = (e : p) and grade = mdeg(e) - mdeg(p).
+                  ) -> Iterator[int]:
+        """Every r with p * r = e, once, as its mask, product(unit, r) of
+        its record, for a gcd-free proper divisor p of mask p, with colon
+        mask c = (e : p) and grade = mdeg(e) - mdeg(p).
 
         Pure powers add, so r has the frame (bx, by) = (px - p.max_x,
         py - p.max_y): p.max_x is the first cell of p's row 0, and p.max_y
@@ -812,9 +822,9 @@ class _Board:
             c0 = max(1, (row & -row).bit_length() - 1, grade - g)
             if c0 < bx:
                 rows.append((g, c0))
+        unit = self.unit
         for r, _g in _frame_dfs(self, bx, by, rows, p, 0, tick):
-            yield MonIdeal._from_antichain(
-                tuple([(s % w, s // w) for s in r[1:]]) + ((0, by),))
+            yield self.product(unit, r)
 
 
 def _frame_dfs(board: _Board, ax: int, ay: int, rows, cof: int, holes: int,
@@ -904,8 +914,9 @@ class FactorEngine:
     pairs that split or lengths searched (split answers with a fresh list);
     a target with a prime part asks its core.  lengths tests its small
     divisors for atoms on its own products, and its colons and cofactors
-    by their retained lengths or else with is_atom, each once per call,
-    keeping those answers only for the call.  A bare is_atom or find_split
+    by the small atoms that divide them (_atom_on_view), each once per
+    call, keeping those answers only for the call, so it runs no is_atom
+    and builds no view but its target's.  A bare is_atom or find_split
     retains nothing.
     """
 
@@ -1035,7 +1046,7 @@ class FactorEngine:
             a = view.element(p)
             for r in view.cofactors(p, view.colon(view.whole, c),
                                     view.grade - g, tick):
-                yield a, r
+                yield a, view.element(r)
 
     def lengths(self, e: E) -> tuple[int, ...]:
         """Sorted set of factorization lengths of e (identity gives {0}).
@@ -1064,8 +1075,10 @@ class FactorEngine:
         atoms of grade grade(e) - gp, until all its lengths are found; then
         the maximal cofactor colon(e, p) of each product with a large rest;
         then, for lengths still open, all cofactors of p, on the same view.
-        An element among those colons and cofactors is tested for an atom
-        once per call.
+        Each of those colons and cofactors, a mask, is tested for an atom
+        once per call, on the view: it splits exactly when a small atom of
+        at most half its grade divides it (_atom_on_view), one node per
+        atom tried.
 
         The sieve is exact.  Let d be a small divisor that is not an atom,
         a product of atoms a_1 <= ... <= a_k, k >= 2, sorted as above.  Each
@@ -1082,12 +1095,14 @@ class FactorEngine:
         Y(I) of their y exponents adds under products: Y(p * a) = Y(p) +
         Y(a), a sumset.  If q divides e, then Y(q) + Y(e : q) = Y(e), so
         when no set R has Y(p) + Y(a) + R = Y(e), p * a is no divisor.
-        Each product keeps its Y, and the atoms of one Y share a map from
-        the Y(p) they meet to Y(p) + Y(a), or 0 when that cannot divide
-        Y(e), so a sieved pair ticks its node and forms no board product.
-        A board sieves only when Y(e) has a gap (_Board.sieve): the
-        interval bottoms of the a_k reject too few pairs to pay for the
-        test.  A set has no bottom and sieves nothing.
+        The products of each grade are grouped by their Y, and the atoms of
+        one Y share a map from the Y(p) they meet to Y(p) + Y(a), or 0 when
+        that cannot divide Y(e), so a new atom looks each group up once and
+        skips a sieved group whole, for one node and no board product.  A
+        board sieves only when Y(e) has a gap (_Board.sieve): the interval
+        bottoms of the a_k reject too few pairs to pay for the test.  A set
+        has no bottom and sieves nothing.  Without a sieve each grade is one
+        group, so the groups add no work per pair.
         """
         m = self.monoid
         k = m.key(e)
@@ -1106,7 +1121,7 @@ class FactorEngine:
         total = m.grade(e)
         if total == 0:
             return (0,)
-        small = sorted(self._small_divisors(e), key=lambda pair: pair[1])
+        small = sorted(self._small_divisors(e), key=itemgetter(1))
         if not small:
             return (1,)
         tick = self.budget.tick
@@ -1116,11 +1131,11 @@ class FactorEngine:
         # when it cannot divide e's}
         sums: dict = {}
         # the bottom sets of the atom and of each new product; 0 throughout
-        # without a sieve
+        # without a sieve, so that each grade has one group
         ya = yq = 0
-        # mask -> [grade, lengths as bits, colon mask, bottom set], or None
-        # for a mask that does not divide e; then the masks and the records
-        # of the atoms of each grade
+        # mask -> [mask, lengths as bits, colon mask, grade], or None for a
+        # mask that does not divide e; grade -> bottom set -> the entries of
+        # that grade and bottom; grade -> the records of its atoms
         products, graded, atoms = {}, {}, {}
         for a, g, _view, _i, _j in small:
             tick()
@@ -1131,8 +1146,8 @@ class FactorEngine:
                 ya = ctx.bottom(a, g)
                 memo = sums.setdefault(ya, {})
             atoms.setdefault(g, []).append(a)
-            products[q] = [g, 2, ctx.colon(whole, a), ya]
-            graded.setdefault(g, []).append(q)
+            products[q] = got = [q, 2, ctx.colon(whole, a), g]
+            graded.setdefault(g, {}).setdefault(ya, []).append(got)
             # the grades that leave room for a and one more atom no smaller
             top = total - 2 * g
             heap = [gp for gp in graded if gp <= top]
@@ -1140,9 +1155,7 @@ class FactorEngine:
             while heap:
                 gp = heapq.heappop(heap)
                 gq = gp + g
-                for p in graded[gp]:
-                    _gp, bits, col, yp = products[p]
-                    tick()
+                for yp, group in graded[gp].items():
                     if sieve:
                         yq = memo.get(yp)
                         if yq is None:
@@ -1150,27 +1163,34 @@ class FactorEngine:
                             memo[yp] = yq = \
                                 yq if _divides_bits(yq, sieve) else 0
                         if not yq:
+                            # no product of the group divides e
+                            tick()
                             continue
-                    q = ctx.product(p, a)
-                    if q in products:
-                        if products[q] is not None:
-                            products[q][1] |= bits << 1
-                    elif q:
-                        # q may divide e (0: it cannot)
-                        c = ctx.colon(col, a)
-                        if not ctx.divides(p, a, c):
-                            products[q] = None
-                            continue
-                        products[q] = [gq, bits << 1, c, yq]
-                        if gq <= top and gq not in graded:
-                            heapq.heappush(heap, gq)
-                        graded.setdefault(gq, []).append(q)
+                    for p, bits, col, _g in group:
+                        tick()
+                        q = ctx.product(p, a)
+                        if q in products:
+                            got = products[q]
+                            if got is not None:
+                                got[1] |= bits << 1
+                        elif q:
+                            # q may divide e (0: it cannot)
+                            c = ctx.colon(col, a)
+                            if not ctx.divides(p, a, c):
+                                products[q] = None
+                                continue
+                            products[q] = got = [q, bits << 1, c, gq]
+                            if gq <= top and gq not in graded:
+                                heapq.heappush(heap, gq)
+                            graded.setdefault(gq, {}).setdefault(
+                                yq, []).append(got)
         found, large = 0, []
-        for p, got in products.items():
+        for got in products.values():
             if got is None:
                 continue
-            gp, bits, col, _yp = got
-            rest, bits = total - gp, bits << 1
+            p, bits, col, gp = got
+            rest = total - gp
+            bits <<= 1
             if 2 * rest > total:
                 large.append((p, rest, bits, col))
                 continue
@@ -1180,28 +1200,46 @@ class FactorEngine:
                 tick()
                 if ctx.product(p, a) == whole:
                     found |= bits
-        # a colon or cofactor may come up again, so each element is tested
-        # once per call, and the answers go with the call
+        # a colon or cofactor may come up again, so each is tested once per
+        # call, by its mask, on e's view (_atom_on_view)
         tested: dict = {}
 
-        def atom_once(r):
-            k = m.key(r)
-            got = tested.get(k)
+        def atom(r, g):
+            got = tested.get(r)
             if got is None:
-                # lengths this engine holds answer without a search
-                known = self._length_memo.get(k)
-                got = tested[k] = (self.is_atom(r) if known is None
-                                   else known == (1,))
+                got = tested[r] = _atom_on_view(ctx, atoms, r, g, tick)
             return got
 
-        for _p, _rest, bits, col in large:
-            if bits & ~found and atom_once(ctx.element(col)):
+        for _p, rest, bits, col in large:
+            if bits & ~found and atom(col, rest):
                 found |= bits
         for p, rest, bits, col in large:
-            if bits & ~found and any(map(
-                    atom_once, ctx.cofactors(p, col, rest, tick))):
+            if bits & ~found and any(
+                    atom(r, rest) for r in ctx.cofactors(p, col, rest, tick)):
                 found |= bits
         return tuple(natset._bits(found))
+
+
+def _atom_on_view(view: _CoreView, atoms: dict, r: int, g: int,
+                  tick: Callable) -> bool:
+    """Whether the divisor r of e, a mask of grade g, is an atom, given
+    atoms, grade -> the records of the small atoms of e in ascending grade.
+
+    r splits exactly when some small atom a with 2 * grade(a) <= g divides
+    it, that is, when a * (r : a) = r.  Some side s of a split of r has at
+    most half its grade, and s divides e, so an atom factor of s is a small
+    atom of e of at most half the grade of r.  On a board r contains e, so
+    (r : a) contains (e : a), and the product of the test is formed
+    (_Board.product).  Each atom tried costs a node.
+    """
+    for ga, recs in atoms.items():
+        if 2 * ga > g:
+            break
+        for a in recs:
+            tick()
+            if view.product(view.colon(r, a), a) == r:
+                return False
+    return True
 
 
 def _sumset_bits(x: int, y: int) -> int:

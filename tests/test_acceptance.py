@@ -62,20 +62,20 @@ def test_criterion_stretch_lengths_monomial():
     # listing every divisor would blow far past the default budget; the
     # small atoms and their products do not
     result = _run("S", "lengths-monomial-stretch")
-    assert (result.status, result.nodes) == ("pass", 3_617)
+    assert (result.status, result.nodes) == ("pass", 1_620)
 
 
 def test_criterion_stretch_lengths_a_ladder():
     # L(a_k) = [2,k] up to a_20 on one engine, under the default budget
     result = _run("S", "lengths-a-ladder")
-    assert (result.status, result.nodes) == ("pass", 444_726)
+    assert (result.status, result.nodes) == ("pass", 454_115)
 
 
 def test_criterion_stretch_phi_transport():
     # lengths of both sides of phi for every nonunit 0-set of [0,14], with
     # the inclusion strict for 55 of them
     result = _run("S", "phi-transport")
-    assert (result.status, result.nodes) == ("pass", 461_680)
+    assert (result.status, result.nodes) == ("pass", 455_114)
 
 
 def test_registry_is_complete():

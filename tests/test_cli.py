@@ -197,7 +197,7 @@ def test_tall_board_atom_stops_on_time_within_memory():
 
 def test_lengths_budget_inconclusive(capsys):
     code, out, _ = run(capsys, "lengths", "I_C --minimal 3",
-                       "--budget-nodes", "2000")
+                       "--budget-nodes", "1000")
     assert code == 2
     assert last_json(out)["lengths"] == "inconclusive"
 
@@ -376,11 +376,11 @@ def test_verify_single_claim(capsys):
 
 def test_verify_inconclusive_exit(capsys):
     code, out, _ = run(capsys, "verify", "--only", "lengths-monomial-stretch",
-                       "--budget-nodes", "2000")
+                       "--budget-nodes", "1000")
     assert code == 2
     lines = [json.loads(line) for line in out.strip().splitlines()]
     assert lines[0]["status"] == "inconclusive"
-    assert lines[0]["witness"]["budget"]["nodes"] > 2000
+    assert lines[0]["witness"]["budget"]["nodes"] > 1000
 
 
 def test_verify_reports_nodes(capsys):

@@ -2,6 +2,7 @@
 
 import functools
 import inspect
+import itertools
 import random
 import tracemalloc
 
@@ -590,14 +591,14 @@ def test_tall_board_search_stays_within_memory():
     pytest.param(engine._Board, 4, "split", 903, 66, id="4-split-1322-221"),
     pytest.param(engine._Board, 5, "split", 4851, 535,
                  id="5-split-8479-2060"),
-    pytest.param(engine._Board, 5, "lengths", 1930, 245,
+    pytest.param(engine._Board, 5, "lengths", 1969, 245,
                  id="5-lengths-1933-245"),
     # the nonunit 0-sets of [0, bound] on the set view
     pytest.param(engine._SetMask, 10, "split", 7674, 5864,
                  id="set-10-split-7674-5864"),
     pytest.param(engine._SetMask, 12, "split", 42602, 33466,
                  id="set-12-split-42602-33466"),
-    pytest.param(engine._SetMask, 12, "lengths", 17749, 1460,
+    pytest.param(engine._SetMask, 12, "lengths", 19958, 1460,
                  id="set-12-lengths-18869-1460")])
 def test_board_cofactor_search_nodes_are_pinned(monkeypatch, view, bound,
                                                 query, nodes, cofactor_nodes):
@@ -916,7 +917,7 @@ def test_stretch_lengths_node_count_is_pinned():
     budget = Budget(max_nodes=1_000_000)
     e = build_i_c(minimal_sequence(3))
     assert monomial_engine(budget).lengths(e) == (2, 3, 4)
-    assert budget.nodes == 3617
+    assert budget.nodes == 1620
 
 
 # (make, target, lengths, nodes, the nodes of the per-length layers): each
@@ -925,11 +926,11 @@ def test_stretch_lengths_node_count_is_pinned():
 _LADDER = [
     *((monomial_engine, build_a(k), tuple(range(2, k + 1)), n, old)
       for k, n, old in [
-          (2, 4, 4), (3, 9, 9), (4, 18, 20), (5, 23, 26), (6, 36, 43),
-          (7, 58, 69), (8, 92, 130), (9, 152, 198), (10, 309, 442),
-          (11, 425, 586), (12, 1056, 1622), (13, 1341, 1995),
+          (2, 4, 4), (3, 8, 9), (4, 17, 20), (5, 21, 26), (6, 36, 43),
+          (7, 56, 69), (8, 92, 130), (9, 155, 198), (10, 309, 442),
+          (11, 454, 586), (12, 1056, 1622), (13, 1474, 1995),
           (14, 3726, 5739)]),
-    (monomial_engine, build_i_c(minimal_sequence(2)), (2, 3), 40, 43),
+    (monomial_engine, build_i_c(minimal_sequence(2)), (2, 3), 36, 43),
     (sumset_engine, NatSet(range(25)), tuple(range(2, 25)), 73206, 92757),
     (monomial_engine, MonIdeal([(9999999, 9999999)]), (19999998,), 0, 0)]
 
@@ -1009,13 +1010,15 @@ def _pass_records(pool):
 
 
 def test_bottom_sieve_changes_no_answer_or_node(monkeypatch):
-    # a sieved pair still ticks its node, so with the sieve off every
-    # length set and node count is the same
+    # with the sieve off every length set is the same; a sieved group costs
+    # one node, where each of its pairs costs one unsieved
     pool = _sieve_pool()
     assert any(engine._Board(e).sieve() for e in pool)
     on = _pass_records(pool)
     monkeypatch.setattr(engine._Board, "sieve", lambda self: 0)
-    assert _pass_records(pool) == on
+    off = _pass_records(pool)
+    assert [got for got, _nodes in on] == [got for got, _nodes in off]
+    assert all(a <= b for (_l, a), (_m, b) in zip(on, off))
 
 
 def test_bottom_sieve_rejects_only_non_divisors(monkeypatch):
@@ -1082,8 +1085,9 @@ def test_divides_bits_matches_brute_force_on_0_to_8():
 
 def test_sieve_cuts_board_products_on_i_c3(monkeypatch):
     # of the 2,683 board products the pass formed on I_C(minimal n=3)
-    # before the sieve, 281 remain; the nodes do not move
-    formed = [0]
+    # before the sieve, 281 remain; the atom tests of the large phase run
+    # on the view itself and are counted apart, one product per atom tried
+    formed, tried = [0], [0]
 
     class Counting:
         def __init__(self, view):
@@ -1096,13 +1100,20 @@ def test_sieve_cuts_board_products_on_i_c3(monkeypatch):
             formed[0] += 1
             return self.view.product(p, a)
 
-    context = MonomialMonoid.context
+    def atom_on_view(view, atoms, r, g, tick):
+        def counted():
+            tried[0] += 1
+            tick()
+        return on_view(view.view, atoms, r, g, counted)
+
+    context, on_view = MonomialMonoid.context, engine._atom_on_view
     monkeypatch.setattr(MonomialMonoid, "context",
                         lambda self, e: Counting(context(self, e)))
+    monkeypatch.setattr(engine, "_atom_on_view", atom_on_view)
     budget = Budget()
     assert monomial_engine(budget).lengths(
         build_i_c(minimal_sequence(3))) == (2, 3, 4)
-    assert (formed[0], budget.nodes) == (281, 3617)
+    assert (formed[0], tried[0], budget.nodes) == (281, 234, 1620)
 
 
 def test_sets_and_gap_free_boards_run_no_sieve(monkeypatch):
@@ -1117,6 +1128,65 @@ def test_sets_and_gap_free_boards_run_no_sieve(monkeypatch):
         monkeypatch.setattr(cls, "bottom", fail)
     assert monomial_engine().lengths(build_a(12)) == tuple(range(2, 13))
     assert sumset_engine().lengths(NatSet(range(13))) == tuple(range(2, 13))
+
+
+def test_atom_tests_on_the_view_match_is_atom(monkeypatch):
+    # every large colon and cofactor that the pass tests on the target's
+    # view gets the answer of an is_atom search of its element, over the
+    # nonunit ideals of box 5 and the nonunit 0-sets of [0,12]
+    seen = []
+
+    def recording(view, atoms, r, g, tick):
+        got = on_view(view, atoms, r, g, tick)
+        seen.append((view, r, g, got))
+        return got
+
+    on_view = engine._atom_on_view
+    monkeypatch.setattr(engine, "_atom_on_view", recording)
+    sets = [NatSet([0] + [x for x in range(1, 13) if mask >> x - 1 & 1])
+            for mask in range(1, 1 << 12)]
+    for make, pool in [
+            (monomial_engine, [e for e in oracle.box_ideals(5) if e.mdeg]),
+            (sumset_engine, sets)]:
+        seen.clear()
+        for e in pool:
+            make().lengths(e)
+        checker = make()
+        for view, r, g, got in seen:
+            element = view.element(r)
+            assert checker.monoid.grade(element) == g
+            assert checker.is_atom(element) == got, element
+        assert sum(got for *_rest, got in seen) > 50
+        assert sum(not got for *_rest, got in seen) > 50
+
+
+def test_sumset_lengths_batch_builds_one_view_per_query(monkeypatch):
+    # the 103 distinct sumsets of 2 or 3 nonunit 0-sets of [0,4], each on a
+    # fresh engine: the large phase tests its colons and cofactors on the
+    # target's view, where an is_atom search of each built 208 more views
+    views = [0]
+
+    def counted(init):
+        def run(self, e):
+            views[0] += 1
+            init(self, e)
+        return run
+
+    for cls in (engine._Board, engine._SetMask):
+        monkeypatch.setattr(cls, "__init__", counted(cls.__init__))
+    factors = [NatSet([0] + [i + 1 for i in range(4) if mask >> i & 1])
+               for mask in range(1, 1 << 4)]
+    targets = set()
+    for k in (2, 3):
+        for combo in itertools.combinations_with_replacement(factors, k):
+            total = combo[0]
+            for f in combo[1:]:
+                total = natset.sumset(total, f)
+            targets.add(total)
+    assert len(targets) == 103
+    for a in targets:
+        sumset_engine().lengths(a)
+    assert views[0] == 103
 
 
 def test_split_sorted_and_memoized():
